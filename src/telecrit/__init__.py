@@ -21,8 +21,7 @@ from .entanglement import (
     purity_summary,
     purity_table,
 )
-from .scan import (
-    GRID_POINTS,
+from .angles import (
     KIND_ALL,
     KIND_DISCRETE,
     KIND_NONE,
@@ -116,8 +115,7 @@ __all__ = [
     "criterion_check",
     "pauli_factorization_check",
     "simulate",
-    # scan
-    "GRID_POINTS",
+    # angles
     "KIND_ALL",
     "KIND_DISCRETE",
     "KIND_NONE",

@@ -1,15 +1,31 @@
 """Enumerate role assignments and classify the basis angles that work.
 
-For a fixed channel and role assignment the combined defect
+Charlie's outcome-1 base operator is M(theta) = cos(theta) G0 +
+sin(theta) G1, and the outcome-2 operator is M(theta - pi/2).  With
+A = G0^H G0, B = G1^H G1 and C = G0^H G1,
 
-    d(theta) = max(defect of base operator 1, defect of base operator 2)
+    M^H M - I = P + cos(2 theta) Q + sin(2 theta) R,
+    P = (A + B)/2 - I,   Q = (A - B)/2,   R = (C + C^H)/2,
 
-is a smooth pi-periodic function of Charlie's basis angle.  A channel
-either works for every theta (d identically ~0), for finitely many
-angles (isolated zeros of d), or for none.  The classifier samples d on
-a uniform grid over [0, pi) and refines each local minimum by
-golden-section search; this is a numerical certificate, not a symbolic
-proof, so grid density and refinement tolerance are fixed here.
+so the squared defect of outcome 1 is the trig polynomial
+
+    d1^2 = a0 + a1 cos 2theta + b1 sin 2theta + a2 cos 4theta + b2 sin 4theta
+
+with coefficients from the Frobenius inner products of P, Q and R.
+Outcome 2 flips the signs of a1 and b1, so the combined profile is
+
+    max(d1, d2)^2 = a0 + a2 cos 4theta + b2 sin 4theta
+                    + |a1 cos 2theta + b1 sin 2theta|.
+
+Between consecutive angles of a finite candidate set it is monotone:
+the two crossings d1 = d2, the stationary points of each branch (roots
+of a quartic in exp(2i theta)), and the nodes k pi/8, k = 0..7, which
+fix a trig polynomial of these harmonics and cover degenerate
+coefficient sets.  The coefficients only place the candidates.  Every
+verdict comes from evaluating both defects at the candidates, with the
+arithmetic criterion_check uses: all_theta when every candidate
+passes; otherwise the roots are the candidates that are cyclic local
+minima and pass.
 """
 
 from __future__ import annotations
@@ -17,16 +33,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
 from .entanglement import partial_trace, purity
 from .states import PureState
-from .teleport import RoleAssignment, _arranged, _base_tableau, unitarity_defect
+from .teleport import (
+    RoleAssignment,
+    _arranged,
+    _base_tableau,
+    _require_tol,
+    unitarity_defect,
+)
 
 __all__ = [
-    "GRID_POINTS",
     "KIND_ALL",
     "KIND_DISCRETE",
     "KIND_NONE",
@@ -39,17 +59,11 @@ __all__ = [
     "scan",
 ]
 
-GRID_POINTS = 720
-# golden-section refinement width in theta
-REFINE_XTOL = 1e-12
-
 KIND_ALL = "all_theta"
 KIND_DISCRETE = "discrete_theta"
 KIND_NONE = "none"
 
 _KIND_ORDER = {KIND_ALL: 0, KIND_DISCRETE: 1, KIND_NONE: 2}
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -108,64 +122,6 @@ def enumerate_assignments() -> list[RoleAssignment]:
     return out
 
 
-def _defect_profile(
-    channel: PureState, assignment: RoleAssignment
-) -> Callable[[float], float]:
-    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
-
-    def profile(theta: float) -> float:
-        return max(
-            unitarity_defect(_base_tableau(grid, 1, theta)),
-            unitarity_defect(_base_tableau(grid, 2, theta)),
-        )
-
-    return profile
-
-
-def _golden_min(
-    fn: Callable[[float], float], lo: float, hi: float, xtol: float
-) -> tuple[float, float]:
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    while hi - lo > xtol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = fn(d)
-    mid = 0.5 * (lo + hi)
-    return mid, fn(mid)
-
-
-def _minima_runs(flags: np.ndarray) -> list[tuple[int, int]]:
-    """Cyclically-consecutive runs of True, as (start, end) index pairs."""
-    count = len(flags)
-    idxs = np.flatnonzero(flags)
-    if len(idxs) == 0:
-        return []
-    if len(idxs) == count:
-        return [(0, count - 1)]
-    runs = []
-    start = prev = int(idxs[0])
-    for k in idxs[1:]:
-        k = int(k)
-        if k == prev + 1:
-            prev = k
-        else:
-            runs.append((start, prev))
-            start = prev = k
-    runs.append((start, prev))
-    # merge a run ending at the last grid point into one starting at 0
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == count - 1:
-        first, last = runs[0], runs.pop()
-        runs[0] = (last[0] - count, first[1])
-    return runs
-
-
 def _canonical_root(theta: float) -> float:
     root = math.fmod(theta, math.pi)
     if root < 0.0:
@@ -175,33 +131,57 @@ def _canonical_root(theta: float) -> float:
     return abs(root)  # fold -0.0
 
 
+def _candidate_angles(grid: np.ndarray) -> np.ndarray:
+    """Sorted angles in [0, pi) that bound the monotone pieces of the profile."""
+    g0 = _base_tableau(grid, 1, 0.0)  # M(0)
+    g1 = -_base_tableau(grid, 2, 0.0)  # M(pi/2)
+    a, b, c = g0.conj().T @ g0, g1.conj().T @ g1, g0.conj().T @ g1
+    p, q, r = (a + b) / 2 - np.eye(4), (a - b) / 2, (c + c.conj().T) / 2
+
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
+        return float(np.vdot(x, y).real)
+
+    a1, b1 = 2 * dot(p, q), 2 * dot(p, r)
+    a2, b2 = (dot(q, q) - dot(r, r)) / 2, dot(q, r)
+    # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
+    crossing = math.atan2(b1, a1) / 2 + math.pi / 4
+    angles = [crossing, crossing + math.pi / 2]
+    # branch a2 cos 4theta + b2 sin 4theta +- (a1 cos 2theta + b1 sin 2theta):
+    # its derivative times z^2, z = exp(2i theta), is this quartic in z
+    for h in (complex(b1, a1) / 2, -complex(b1, a1) / 2):
+        quartic = [complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)]
+        angles.extend((np.angle(np.roots(quartic)) / 2).tolist())
+    angles.extend(k * math.pi / 8 for k in range(8))
+    return np.array(sorted({angle % math.pi for angle in angles}))
+
+
 def classify_theta(
     channel: PureState, assignment: RoleAssignment, tol: float = 1e-10
 ) -> ThetaClassification:
     """Classify the combined-defect profile over theta in [0, pi).
 
-    all_theta: every grid point passes.  discrete_theta: refined local
-    minima reach defect <= tol only at isolated angles.  none: no angle
-    passes.  Root locations are refined to REFINE_XTOL and deduplicated
+    all_theta: every candidate angle passes.  discrete_theta: some
+    candidates that are cyclic local minima pass.  none: no angle
+    passes.  Roots are canonicalized into [0, pi) and deduplicated
     modulo pi.
     """
-    profile = _defect_profile(channel, assignment)
-    step = math.pi / GRID_POINTS
-    values = np.array([profile(k * step) for k in range(GRID_POINTS)])
+    _require_tol(tol)
+    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
+    thetas = _candidate_angles(grid)
+    values = np.array(
+        [
+            max(unitarity_defect(_base_tableau(grid, n, theta)) for n in (1, 2))
+            for theta in thetas
+        ]
+    )
     if float(values.max()) <= tol:
+        # thetas[0] is the node 0
         return ThetaClassification(KIND_ALL, None, float(values[0]), 0.0)
 
-    best_defect = float(values.min())
-    best_theta = float(np.argmin(values)) * step
-    flags = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
-    roots = []
-    for start, end in _minima_runs(flags):
-        lo, hi = (start - 1) * step, (end + 1) * step
-        theta_min, defect_min = _golden_min(profile, lo, hi, REFINE_XTOL)
-        if defect_min < best_defect:
-            best_defect, best_theta = defect_min, _canonical_root(theta_min)
-        if defect_min <= tol:
-            roots.append(_canonical_root(theta_min))
+    best = int(np.argmin(values))
+    best_defect, best_theta = float(values[best]), _canonical_root(thetas[best])
+    minima = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
+    roots = [_canonical_root(theta) for theta in thetas[minima & (values <= tol)]]
 
     deduped: list[float] = []
     for root in sorted(roots):

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .entanglement import purity_summary
-from .scan import scan
+from .angles import scan
 from .states import (
     CATALOG_NAMES,
     PureState,
@@ -31,6 +31,7 @@ from .states import (
 )
 from .teleport import (
     RoleAssignment,
+    _require_tol,
     criterion_check,
     pauli_factorization_check,
     simulate,
@@ -79,6 +80,17 @@ def _parse_theta(text: str) -> float:
         raise CliError(
             f"bad theta {text!r}: expected radians or one of {aliases}"
         ) from None
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+        _require_tol(tol)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad tol {text!r}: expected a finite number >= 0"
+        ) from None
+    return tol
 
 
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
@@ -285,7 +297,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tol",
-        type=float,
+        type=_parse_tol,
         default=1e-10,
         help="numeric tolerance for pass/fail decisions (default 1e-10)",
     )

@@ -266,6 +266,11 @@ def transformation_operator(
     )
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Frobenius norm of M^dagger M - I; zero exactly for unitary M."""
     m = np.asarray(matrix, dtype=np.complex128)
@@ -324,6 +329,7 @@ def criterion_check(
     Also reports the purities of the two held pairs; unitarity forces
     both to be exactly 1/4, so a purity away from 1/4 explains a FAIL.
     """
+    _require_tol(tol)
     arranged = _arranged(channel, assignment)
     grid = arranged.amplitudes.reshape([2] * 5)
     defect_1 = unitarity_defect(_base_tableau(grid, 1, theta))

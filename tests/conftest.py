@@ -42,6 +42,16 @@ def random_channel(rng):
     return make_state(5, vec)
 
 
+def lu_rotated(channel, rng):
+    """``channel`` under a random local unitary, one Haar qubit gate per qubit."""
+    unitary = np.ones((1, 1))
+    for _ in range(channel.num_qubits):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        q, r = np.linalg.qr(z)
+        unitary = np.kron(unitary, q * (np.diag(r) / np.abs(np.diag(r))))
+    return make_state(channel.num_qubits, unitary @ channel.amplitudes)
+
+
 def random_input(rng):
     """Random normalized two-qubit input state."""
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -294,3 +294,36 @@ def test_random_input_norm_is_exact(capsys):
     norm_sq = sum(re * re + im * im for re, im in doc["input"])
     assert abs(norm_sq - 1.0) < 1e-12
     assert abs(doc["average_fidelity"] - 1.0) < 1e-10
+
+
+_ASSIGNMENT_ARGS = ("--alice", "1,2", "--bob", "3,4", "--charlie", "5", "--theta", "0")
+_SUBCOMMAND_ARGS = {
+    "purity": (),
+    "criterion": _ASSIGNMENT_ARGS,
+    "scan": (),
+    "teleport": (*_ASSIGNMENT_ARGS, "--input", "1,0,0,0"),
+    "eq5check": _ASSIGNMENT_ARGS,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e400", "tight"])
+def test_bad_tol_exit_two(capsys, command, tol):
+    code, out, err = run_cli(
+        capsys, command, "--state", "brown", *_SUBCOMMAND_ARGS[command], f"--tol={tol}"
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"telecrit {command}: error: argument --tol: bad tol {tol!r}: "
+        "expected a finite number >= 0"
+    ]
+
+
+def test_zero_tol_accepted(capsys):
+    code, _, err = run_cli(
+        capsys, "criterion", "--state", "brown", *_ASSIGNMENT_ARGS, "--tol", "0"
+    )
+    assert code in (0, 1)
+    assert err == ""

@@ -5,9 +5,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import lu_rotated
 
 from telecrit import (
-    GRID_POINTS,
     KIND_ALL,
     KIND_DISCRETE,
     KIND_NONE,
@@ -187,12 +187,54 @@ def test_scan_handles_channel_with_no_working_assignment():
     assert worst.min_defect > 1.0
 
 
-def test_grid_density_sees_narrow_roots():
-    # the refinement must localize roots far below the grid spacing
-    step = PI / GRID_POINTS
-    brown = named_state("brown")
-    cls = classify_theta(brown, RoleAssignment((1, 3), (2, 4), 5))
-    assert abs(cls.roots[0] - PI / 4) < step * 1e-3
+def test_brown_interleaved_roots_are_exact(brown, assign_13):
+    cls = classify_theta(brown, assign_13)
+    assert cls.kind == KIND_DISCRETE
+    assert len(cls.roots) == 2
+    assert abs(cls.roots[0] - PI / 4) < 1e-12
+    assert abs(cls.roots[1] - 3 * PI / 4) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["brown", "man_m5"])
+def test_discrete_roots_come_in_quarter_turn_pairs(name):
+    """Every discrete_theta entry has exactly two roots, pi/2 apart.
+
+    Charlie's outcome-2 operator is the outcome-1 operator at
+    theta - pi/2, so d2(theta) = d1(theta - pi/2), and both defects are
+    pi-periodic because M(theta + pi) = -M(theta).  A root t0 has
+    d1(t0) = d2(t0) = 0, hence d2(t0 + pi/2) = d1(t0) = 0 and
+    d1(t0 + pi/2) = d1(t0 - pi/2) = d2(t0) = 0: roots come in pairs.
+    There is only one pair: roots are zeros of d1^2 + d2^2, a constant
+    plus a sinusoid in 4 theta, which is >= 0 and so vanishes
+    identically (all_theta), nowhere, or at two angles of [0, pi).
+    """
+    channel = named_state(name)
+    rng = np.random.default_rng(7)
+    for state in [channel, *(lu_rotated(channel, rng) for _ in range(3))]:
+        for entry in scan(state).entries:
+            cls = entry.classification
+            if cls.kind != KIND_DISCRETE:
+                continue
+            assert len(cls.roots) == 2
+            assert abs(cls.roots[1] - cls.roots[0] - PI / 2) < 1e-9
+            for root in cls.roots:
+                assert criterion_check(state, entry.assignment, root).passed
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_invalid_tolerance_rejected(brown, assign_12, tol):
+    with pytest.raises(ValueError, match="tol"):
+        classify_theta(brown, assign_12, tol)
+    with pytest.raises(ValueError, match="tol"):
+        scan(brown, tol)
+    with pytest.raises(ValueError, match="tol"):
+        criterion_check(brown, assign_12, 0.0, tol)
+
+
+def test_zero_tolerance_accepted(brown, assign_12):
+    product = named_state("product_zero_n")
+    assert classify_theta(product, assign_12, 0.0).kind == KIND_NONE
+    assert criterion_check(brown, assign_12, 0.0, 0.0).tol == 0.0
 
 
 def test_classify_random_channel_is_stable():
