@@ -20,17 +20,27 @@ Operator layouts:
   the orientation in which the operators are usually tabulated.
 
 Unitarity is layout-independent, so every check accepts either.
+
+Engine: a call re-arranges the channel once, and ``_outcome_operators``
+contracts it with Charlie's bras and the stacked Bell bras of both sender
+pairs, giving all 32 operators at once.  ``_base_tableau`` reads the two
+base operators straight off the amplitudes instead; the criterion and
+the angle classifier use it, and ``pauli_factorization_check`` checks
+all 32 projected operators against it.  ``simulate`` projects the joint
+seven-qubit state onto all 32 outcome bras in one contraction, so its
+residuals never come from the operators, which only correct them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import partial_trace, purity
-from .states import PureState, permute_qubits, project_subsystem, tensor
+from .states import PureState, permute_qubits, tensor
 
 __all__ = [
     "LAYOUT_ACTION",
@@ -80,6 +90,15 @@ PAULI_FACTORS = {
 }
 
 
+# conjugated Bell bras of both sender measurements, stacked:
+# [i - 1, j - 1, unknown 1, channel 1, unknown 2, channel 2]
+_BELL_KETS = np.array(list(_BELL_AMPLITUDES.values()))
+_BELL_PAIR_BRAS = np.kron(_BELL_KETS, _BELL_KETS).conj().reshape(4, 4, 2, 2, 2, 2)
+# kron(F_i, F_j) at [i - 1, j - 1], the factors of the identity above
+_FACTORS = np.array(list(PAULI_FACTORS.values()))
+_FACTOR_KRON = np.kron(_FACTORS, _FACTORS).reshape(4, 4, 4, 4)
+
+
 def bell_state(index: int) -> PureState:
     """Two-qubit Bell state for an outcome index, per the dictionary above.
 
@@ -99,9 +118,15 @@ def charlie_state(theta: float, outcome: int) -> PureState:
     """
     if outcome not in (1, 2):
         raise ValueError(f"Charlie outcome must be 1 or 2, got {outcome}")
+    return PureState(1, _charlie_bras(theta)[outcome - 1])
+
+
+def _charlie_bras(theta: float) -> np.ndarray:
+    """Charlie's basis as rows [outcome - 1]; real, so bra equals ket."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
-    vec = (c, s) if outcome == 1 else (s, -c)
-    return PureState(1, np.array(vec, dtype=np.complex128))
+    return np.array([[c, s], [s, -c]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -211,25 +236,18 @@ def _base_tableau(grid: np.ndarray, charlie_outcome: int, theta: float) -> np.nd
     return _SCALE * (s * g0 - c * g1)
 
 
-def _projected_tableau(
-    grid: np.ndarray,
-    bell_first: int,
-    bell_second: int,
-    charlie_outcome: int,
-    theta: float,
-) -> np.ndarray:
-    """General operator by direct projection of the measurement bras.
+def _outcome_operators(grid: np.ndarray, theta: float) -> np.ndarray:
+    """All 32 outcome operators, action layout, at [i - 1, j - 1, n - 1].
 
-    Contracts the conjugated Bell amplitudes of both sender pairs and
-    Charlie's basis vector against the channel tensor; equals the base
-    operator times local factors, which pauli_factorization_check
-    verifies rather than assumes.
+    ``grid`` holds the arranged channel's 32 amplitudes, in any shape.
+    Charlie's bras contract his qubit, then the stacked Bell bras contract
+    Alice's pair; the unknown-qubit indices stay open as the columns.
     """
-    first = _BELL_AMPLITUDES[bell_first].reshape(2, 2).conj()
-    second = _BELL_AMPLITUDES[bell_second].reshape(2, 2).conj()
-    basis = charlie_state(theta, charlie_outcome).amplitudes.conj()
-    contracted = np.einsum("ka,lb,c,abmnc->klmn", first, second, basis, grid)
-    return (1.0 / _PREFACTOR) * contracted.reshape(4, 4)
+    charlie = grid.reshape(16, 2) @ _charlie_bras(theta).T  # [alice bob, n]
+    bell = _BELL_PAIR_BRAS.transpose(0, 1, 2, 4, 3, 5).reshape(64, 4)
+    projected = bell @ charlie.reshape(4, 8)
+    # [i, j, unknown pair, bob, n] -> [i, j, n, bob, unknown pair]
+    return (1.0 / _PREFACTOR) * projected.reshape(4, 4, 4, 4, 2).transpose(0, 1, 4, 3, 2)
 
 
 def transformation_operator(
@@ -245,22 +263,16 @@ def transformation_operator(
 
     ``bell_first``/``bell_second`` are the Bell outcome indices of the
     two sender measurements, ``charlie_outcome`` selects Charlie's basis
-    element.  The base outcome (1, 1, n) is assembled directly from the
-    channel amplitudes; other outcomes are built by projecting the
-    measurement bras.
+    element.  Every outcome is built by projecting the measurement bras.
     """
     if bell_first not in (1, 2, 3, 4) or bell_second not in (1, 2, 3, 4):
         raise ValueError("Bell outcome indices must be in 1..4")
     if charlie_outcome not in (1, 2):
         raise ValueError("Charlie outcome must be 1 or 2")
     grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
-    if (bell_first, bell_second) == (1, 1):
-        tableau = _base_tableau(grid, charlie_outcome, theta)
-    else:
-        tableau = _projected_tableau(
-            grid, bell_first, bell_second, charlie_outcome, theta
-        )
-    matrix = tableau if layout == LAYOUT_TABLEAU else tableau.T
+    outcome = (bell_first - 1, bell_second - 1, charlie_outcome - 1)
+    action = _outcome_operators(grid, theta)[outcome]
+    matrix = action.T if layout == LAYOUT_TABLEAU else action
     return TransformationOperator(
         matrix, bell_first, bell_second, charlie_outcome, theta, layout
     )
@@ -330,6 +342,7 @@ def criterion_check(
     both to be exactly 1/4, so a purity away from 1/4 explains a FAIL.
     """
     _require_tol(tol)
+    _charlie_bras(theta)  # rejects a non-finite angle
     arranged = _arranged(channel, assignment)
     grid = arranged.amplitudes.reshape([2] * 5)
     defect_1 = unitarity_defect(_base_tableau(grid, 1, theta))
@@ -362,23 +375,18 @@ def pauli_factorization_check(
 ) -> FactorizationReport:
     """Verify all 32 outcome operators factor through the two base ones.
 
-    Compares the projection-built operator for every outcome against the
-    base operator times the local correction factors, entrywise, in the
-    action layout.  Holds identically for any channel; this check guards
-    the Bell dictionary and factor pairing.
+    Compares the projection-built operator for every outcome, (1, 1, n)
+    included, against the base operator read off the amplitudes times
+    the local correction factors, entrywise, in the action layout.
+    Holds identically for any channel; this check guards the Bell
+    dictionary and factor pairing.
     """
-    max_dev = 0.0
-    for charlie_outcome in (1, 2):
-        base = transformation_operator(
-            channel, assignment, 1, 1, charlie_outcome, theta
-        ).action_matrix
-        for i in (1, 2, 3, 4):
-            for j in (1, 2, 3, 4):
-                direct = transformation_operator(
-                    channel, assignment, i, j, charlie_outcome, theta
-                ).action_matrix
-                product = base @ np.kron(PAULI_FACTORS[i], PAULI_FACTORS[j])
-                max_dev = max(max_dev, float(np.max(np.abs(direct - product))))
+    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
+    direct = _outcome_operators(grid, theta)
+    base = np.array([_base_tableau(grid, n, theta).T for n in (1, 2)])
+    # (2, 4, 4) against (4, 4, 1, 4, 4): every (i, j) pair, both n
+    product = base @ _FACTOR_KRON[:, :, None]
+    max_dev = float(np.max(np.abs(direct - product)))
     return FactorizationReport(max_dev <= tol, max_dev)
 
 
@@ -407,6 +415,12 @@ class TeleportationRecord:
 _SINGULAR_RTOL = 1e-12
 
 
+# <a_k|b_k> over the last axis; stacked (1, m) @ (m, 1) products round like
+# np.vdot of each pair, so reported numbers keep their last digits
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def simulate(
     channel: PureState,
     assignment: RoleAssignment,
@@ -416,12 +430,12 @@ def simulate(
 ) -> list[TeleportationRecord]:
     """Brute-force the full protocol over all 32 measurement outcomes.
 
-    Builds the seven-qubit joint state, projects every combination of
-    the two Bell outcomes and Charlie's outcome, and applies the
-    correction (the base-operator route) to Bob's residual.  Records are
-    ordered by (bell_first, bell_second, charlie_outcome).  Outcome
-    probabilities always sum to 1; for a faithful channel every outcome
-    has probability 1/32 and fidelity 1.
+    Builds the seven-qubit joint state and projects it onto every
+    combination of the two Bell outcomes and Charlie's outcome in one
+    contraction, then applies the correction (the outcome operator) to
+    Bob's residual.  Records are ordered by (bell_first, bell_second,
+    charlie_outcome).  Outcome probabilities always sum to 1; for a
+    faithful channel every outcome has probability 1/32 and fidelity 1.
 
     ``correction`` is "adjoint" (default; always defined) or "inverse"
     (marks the record unrecoverable when the operator is singular, in
@@ -434,46 +448,32 @@ def simulate(
     if correction not in ("adjoint", "inverse"):
         raise ValueError(f"correction must be 'adjoint' or 'inverse', got {correction!r}")
     arranged = _arranged(channel, assignment)
-    # joint qubits: 1-2 unknown pair, 3-4 Alice's channel pair,
-    # 5-6 Bob's pair, 7 Charlie
-    joint = tensor(input_state, arranged)
-    records = []
-    for i in (1, 2, 3, 4):
-        for j in (1, 2, 3, 4):
-            bell_bras = tensor(bell_state(i), bell_state(j))
-            for n in (1, 2):
-                bra = tensor(bell_bras, charlie_state(theta, n))
-                residual = project_subsystem(joint, bra, (1, 3, 2, 4, 7))
-                probability = float(np.vdot(residual.amplitudes, residual.amplitudes).real)
-                op = transformation_operator(channel, assignment, i, j, n, theta)
-                matrix = op.action_matrix
-                unrecoverable = False
-                if correction == "adjoint":
-                    corrected = matrix.conj().T @ residual.amplitudes
-                else:
-                    smallest = float(np.linalg.svd(matrix, compute_uv=False)[-1])
-                    largest = float(np.linalg.norm(matrix, 2))
-                    if smallest <= _SINGULAR_RTOL * max(largest, 1.0):
-                        unrecoverable = True
-                        corrected = np.array(residual.amplitudes)
-                    else:
-                        corrected = np.linalg.solve(matrix, residual.amplitudes)
-                norm = float(np.linalg.norm(corrected))
-                if norm > 0.0:
-                    corrected = corrected / norm
-                bob = PureState(2, corrected)
-                fidelity = (
-                    abs(complex(np.vdot(input_state.amplitudes, bob.amplitudes))) ** 2
-                    if norm > 0.0
-                    else 0.0
-                )
-                records.append(
-                    TeleportationRecord(
-                        outcome=(i, j, n),
-                        probability=probability,
-                        bob_corrected=bob,
-                        fidelity=fidelity,
-                        unrecoverable=unrecoverable,
-                    )
-                )
-    return records
+    operators = _outcome_operators(arranged.amplitudes, theta).reshape(32, 4, 4)
+    # joint qubits: 1-2 unknown pair, 3-4 Alice's channel pair, 5-6 Bob's
+    # pair, 7 Charlie; the measured ones go to rows in bra order (1, 3, 2, 4, 7)
+    joint = tensor(input_state, arranged).amplitudes.reshape([2] * 7)
+    measured = joint.transpose(0, 2, 1, 3, 6, 4, 5).reshape(32, 4)
+    # all 32 bras as rows [i, j, n], one vector-matrix product each
+    bras = np.kron(_BELL_PAIR_BRAS.reshape(16, 16), _charlie_bras(theta))
+    residuals = (bras[:, None, :] @ measured)[:, 0]
+    unrecoverable = np.zeros(32, dtype=bool)
+    if correction == "adjoint":
+        corrected = (operators.conj().transpose(0, 2, 1) @ residuals[..., None])[..., 0]
+    else:
+        spectrum = np.linalg.svd(operators, compute_uv=False)  # descending
+        unrecoverable = spectrum[:, -1] <= _SINGULAR_RTOL * np.maximum(spectrum[:, 0], 1.0)
+        # one singular matrix would fail the whole batched solve, so mask first
+        corrected, ok = residuals.copy(), ~unrecoverable
+        corrected[ok] = np.linalg.solve(operators[ok], residuals[ok, :, None])[..., 0]
+    re, im = corrected.real, corrected.imag
+    norms = np.sqrt(_row_dots(re, re) + _row_dots(im, im))  # as np.linalg.norm forms it
+    live = norms > 0.0
+    corrected[live] /= norms[live, None]
+    fidelities = np.where(live, np.abs(_row_dots(input_state.amplitudes, corrected)) ** 2, 0.0)
+    probabilities = _row_dots(residuals, residuals).real.tolist()
+    outcomes = itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2))
+    rows = zip(outcomes, probabilities, corrected, fidelities.tolist(), unrecoverable.tolist())
+    return [
+        TeleportationRecord(outcome, probability, PureState(2, bob), fidelity, flag)
+        for outcome, probability, bob, fidelity, flag in rows
+    ]

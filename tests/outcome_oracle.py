@@ -1,0 +1,178 @@
+"""Per-outcome operator and protocol code, kept as a test-only oracle.
+
+This is the code the batched contraction engine in ``telecrit.teleport``
+replaced: every outcome operator is rebuilt from the channel on its own
+(the base ones by amplitude slicing, the rest by an einsum projection),
+the factorization check makes 34 such calls, and ``simulate`` projects
+the seven-qubit joint state once per outcome.  Its logic is unchanged.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from telecrit.states import PureState, project_subsystem, tensor
+from telecrit.teleport import (
+    _BELL_AMPLITUDES,
+    _PREFACTOR,
+    _SINGULAR_RTOL,
+    LAYOUT_ACTION,
+    LAYOUT_TABLEAU,
+    PAULI_FACTORS,
+    FactorizationReport,
+    TeleportationRecord,
+    TransformationOperator,
+    _arranged,
+    _base_tableau,
+    bell_state,
+    charlie_state,
+)
+
+
+def _projected_tableau(
+    grid: np.ndarray,
+    bell_first: int,
+    bell_second: int,
+    charlie_outcome: int,
+    theta: float,
+) -> np.ndarray:
+    """General operator by direct projection of the measurement bras.
+
+    Contracts the conjugated Bell amplitudes of both sender pairs and
+    Charlie's basis vector against the channel tensor; equals the base
+    operator times local factors, which pauli_factorization_check
+    verifies rather than assumes.
+    """
+    first = _BELL_AMPLITUDES[bell_first].reshape(2, 2).conj()
+    second = _BELL_AMPLITUDES[bell_second].reshape(2, 2).conj()
+    basis = charlie_state(theta, charlie_outcome).amplitudes.conj()
+    contracted = np.einsum("ka,lb,c,abmnc->klmn", first, second, basis, grid)
+    return (1.0 / _PREFACTOR) * contracted.reshape(4, 4)
+
+
+def transformation_operator(
+    channel: PureState,
+    assignment,
+    bell_first: int,
+    bell_second: int,
+    charlie_outcome: int,
+    theta: float,
+    layout: str = LAYOUT_ACTION,
+) -> TransformationOperator:
+    """The 4x4 operator Bob's pair picks up for one measurement outcome.
+
+    ``bell_first``/``bell_second`` are the Bell outcome indices of the
+    two sender measurements, ``charlie_outcome`` selects Charlie's basis
+    element.  The base outcome (1, 1, n) is assembled directly from the
+    channel amplitudes; other outcomes are built by projecting the
+    measurement bras.
+    """
+    if bell_first not in (1, 2, 3, 4) or bell_second not in (1, 2, 3, 4):
+        raise ValueError("Bell outcome indices must be in 1..4")
+    if charlie_outcome not in (1, 2):
+        raise ValueError("Charlie outcome must be 1 or 2")
+    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
+    if (bell_first, bell_second) == (1, 1):
+        tableau = _base_tableau(grid, charlie_outcome, theta)
+    else:
+        tableau = _projected_tableau(
+            grid, bell_first, bell_second, charlie_outcome, theta
+        )
+    matrix = tableau if layout == LAYOUT_TABLEAU else tableau.T
+    return TransformationOperator(
+        matrix, bell_first, bell_second, charlie_outcome, theta, layout
+    )
+
+
+def pauli_factorization_check(
+    channel: PureState,
+    assignment,
+    theta: float,
+    tol: float = 1e-10,
+) -> FactorizationReport:
+    """Verify all 32 outcome operators factor through the two base ones.
+
+    Compares the projection-built operator for every outcome against the
+    base operator times the local correction factors, entrywise, in the
+    action layout.  Holds identically for any channel; this check guards
+    the Bell dictionary and factor pairing.
+    """
+    max_dev = 0.0
+    for charlie_outcome in (1, 2):
+        base = transformation_operator(
+            channel, assignment, 1, 1, charlie_outcome, theta
+        ).action_matrix
+        for i in (1, 2, 3, 4):
+            for j in (1, 2, 3, 4):
+                direct = transformation_operator(
+                    channel, assignment, i, j, charlie_outcome, theta
+                ).action_matrix
+                product = base @ np.kron(PAULI_FACTORS[i], PAULI_FACTORS[j])
+                max_dev = max(max_dev, float(np.max(np.abs(direct - product))))
+    return FactorizationReport(max_dev <= tol, max_dev)
+
+
+def simulate(
+    channel: PureState,
+    assignment,
+    theta: float,
+    input_state: PureState,
+    correction: str = "adjoint",
+) -> list[TeleportationRecord]:
+    """Brute-force the full protocol over all 32 measurement outcomes.
+
+    Builds the seven-qubit joint state, projects every combination of
+    the two Bell outcomes and Charlie's outcome, and applies the
+    correction (the base-operator route) to Bob's residual.  Records are
+    ordered by (bell_first, bell_second, charlie_outcome).
+    """
+    if input_state.num_qubits != 2:
+        raise ValueError("the input must be a two-qubit state")
+    if abs(input_state.norm**2 - 1.0) > 1e-6:
+        raise ValueError("the input state must be normalized")
+    if correction not in ("adjoint", "inverse"):
+        raise ValueError(f"correction must be 'adjoint' or 'inverse', got {correction!r}")
+    arranged = _arranged(channel, assignment)
+    # joint qubits: 1-2 unknown pair, 3-4 Alice's channel pair,
+    # 5-6 Bob's pair, 7 Charlie
+    joint = tensor(input_state, arranged)
+    records = []
+    for i in (1, 2, 3, 4):
+        for j in (1, 2, 3, 4):
+            bell_bras = tensor(bell_state(i), bell_state(j))
+            for n in (1, 2):
+                bra = tensor(bell_bras, charlie_state(theta, n))
+                residual = project_subsystem(joint, bra, (1, 3, 2, 4, 7))
+                probability = float(np.vdot(residual.amplitudes, residual.amplitudes).real)
+                op = transformation_operator(channel, assignment, i, j, n, theta)
+                matrix = op.action_matrix
+                unrecoverable = False
+                if correction == "adjoint":
+                    corrected = matrix.conj().T @ residual.amplitudes
+                else:
+                    smallest = float(np.linalg.svd(matrix, compute_uv=False)[-1])
+                    largest = float(np.linalg.norm(matrix, 2))
+                    if smallest <= _SINGULAR_RTOL * max(largest, 1.0):
+                        unrecoverable = True
+                        corrected = np.array(residual.amplitudes)
+                    else:
+                        corrected = np.linalg.solve(matrix, residual.amplitudes)
+                norm = float(np.linalg.norm(corrected))
+                if norm > 0.0:
+                    corrected = corrected / norm
+                bob = PureState(2, corrected)
+                fidelity = (
+                    abs(complex(np.vdot(input_state.amplitudes, bob.amplitudes))) ** 2
+                    if norm > 0.0
+                    else 0.0
+                )
+                records.append(
+                    TeleportationRecord(
+                        outcome=(i, j, n),
+                        probability=probability,
+                        bob_corrected=bob,
+                        fidelity=fidelity,
+                        unrecoverable=unrecoverable,
+                    )
+                )
+    return records

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from telecrit import named_state, save_state_json, save_state_text
+import telecrit.cli as cli
 from telecrit.cli import main
 
 
@@ -180,7 +181,7 @@ def test_product_zero_sized_state_name(capsys):
     )
     assert code == 0
     assert json.loads(out)["mmes"] is False
-    # non-five-qubit spellings load but purity rejects them
+    # other widths are rejected before the state is built
     code, _, err = run_cli(capsys, "purity", "--state", "product_zero_3")
     assert code == 2
     assert "five-qubit" in err
@@ -327,3 +328,42 @@ def test_zero_tol_accepted(capsys):
     )
     assert code in (0, 1)
     assert err == ""
+
+
+@pytest.mark.parametrize("command", ["criterion", "teleport", "eq5check"])
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_non_finite_theta_exit_two(capsys, command, theta):
+    roles = ("--alice", "1,2", "--bob", "3,4", "--charlie", "5")
+    extra = ("--input", "1,0,0,0") if command == "teleport" else ()
+    code, out, err = run_cli(
+        capsys, command, "--state", "brown", *roles, f"--theta={theta}", *extra,
+        "--output", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        f"error: bad theta {theta!r}: expected finite radians or one of "
+        "pi, pi/2, pi/3, pi/4, pi/6"
+    ]
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("width", [3, 4, 6])
+def test_product_zero_wrong_width_rejected_before_building(capsys, monkeypatch, command, width):
+    built = []
+    monkeypatch.setattr(cli, "named_state", lambda *a: built.append(a))
+    code, out, err = run_cli(
+        capsys, command, "--state", f"product_zero_{width}", *_SUBCOMMAND_ARGS[command]
+    )
+    assert code == 2
+    assert out == ""
+    assert built == []
+    assert err.splitlines() == [
+        f"error: bad state 'product_zero_{width}': every command needs a five-qubit channel"
+    ]
+
+
+def test_json_output_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        cli._print_json({"theta": math.nan})

@@ -57,6 +57,21 @@ def test_charlie_basis_is_orthonormal():
         charlie_state(0.0, 3)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_rejected(brown, assign_12, theta):
+    input_state = make_state(2, [1, 0, 0, 0])
+    calls = [
+        lambda: charlie_state(theta, 1),
+        lambda: transformation_operator(brown, assign_12, 2, 3, 1, theta),
+        lambda: criterion_check(brown, assign_12, theta),
+        lambda: pauli_factorization_check(brown, assign_12, theta),
+        lambda: simulate(brown, assign_12, theta, input_state),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="theta must be finite"):
+            call()
+
+
 def test_role_assignment_validation():
     with pytest.raises(ValueError, match="partition"):
         RoleAssignment((1, 2), (3, 4), 4)
