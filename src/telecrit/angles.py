@@ -55,7 +55,6 @@ __all__ = [
     "ScanReport",
     "enumerate_assignments",
     "classify_theta",
-    "optimal_theta",
     "scan",
 ]
 
@@ -196,17 +195,6 @@ def classify_theta(
             KIND_DISCRETE, tuple(deduped), best_defect, best_theta
         )
     return ThetaClassification(KIND_NONE, None, best_defect, best_theta)
-
-
-def optimal_theta(
-    channel: PureState, assignment: RoleAssignment, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Basis angle minimizing the combined defect, with that defect.
-
-    Returns (0.0, defect at 0) when every angle passes.
-    """
-    cls = classify_theta(channel, assignment, tol)
-    return cls.argmin_theta, cls.min_defect
 
 
 def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:

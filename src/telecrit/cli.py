@@ -55,18 +55,23 @@ class CliError(Exception):
 
 
 def _load_state(source: str) -> PureState:
+    wrong_width = f"bad state {source!r}: every command needs a five-qubit channel"
     match = _PRODUCT_ZERO.match(source)
     if match:
         # checked before building, since the state has 2**count amplitudes
         if int(match.group(1)) != 5:
-            raise CliError(f"bad state {source!r}: every command needs a five-qubit channel")
+            raise CliError(wrong_width)
         return named_state("product_zero_n", 5)
     if source in CATALOG_NAMES:
-        return named_state(source)
-    try:
-        return load_state_file(source)
-    except StateFileError as exc:
-        raise CliError(str(exc)) from exc
+        state = named_state(source)
+    else:
+        try:
+            state = load_state_file(source)
+        except StateFileError as exc:
+            raise CliError(str(exc)) from exc
+    if state.num_qubits != 5:
+        raise CliError(wrong_width)
+    return state
 
 
 def _parse_theta(text: str) -> float:
@@ -132,7 +137,8 @@ def _parse_input(text: str, seed: int) -> tuple[PureState, int | None]:
         coeffs = [complex(p.strip().replace(" ", "")) for p in parts]
     except ValueError:
         raise CliError(f"--input has a bad complex coefficient in {text!r}") from None
-    norm_sq = sum(abs(c) ** 2 for c in coeffs)
+    # float products overflow to inf, where abs(c) ** 2 raises OverflowError
+    norm_sq = sum(c.real * c.real + c.imag * c.imag for c in coeffs)
     if abs(norm_sq - 1.0) > 1e-6:
         raise CliError(
             f"--input squared norm {norm_sq!r} deviates from 1 by more than 1e-06"
@@ -220,8 +226,6 @@ def _render_eq5(doc: dict) -> None:
 
 def _cmd_purity(args: argparse.Namespace) -> int:
     state = _load_state(args.state)
-    if state.num_qubits != 5:
-        raise CliError(f"purity needs a five-qubit state, got {state.num_qubits} qubits")
     doc = purity_summary(state, args.tol)
     if args.output == "json":
         _print_json(doc)

@@ -97,20 +97,13 @@ def make_state(num_qubits: int, amplitudes: Sequence[complex]) -> PureState:
     Raises ValueError for a length mismatch, non-finite entries, or the
     zero vector.
     """
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.shape != (2**num_qubits,):
-        raise ValueError(
-            f"expected {2**num_qubits} amplitudes for {num_qubits} qubits, "
-            f"got shape {amps.shape}"
-        )
-    if not np.all(np.isfinite(amps)):
-        raise ValueError("amplitudes must be finite")
-    norm_sq = float(np.vdot(amps, amps).real)
+    raw = PureState(num_qubits, amplitudes)
+    norm_sq = float(np.vdot(raw.amplitudes, raw.amplitudes).real)
     if norm_sq == 0.0:
         raise ValueError("zero vector cannot be normalized")
     return PureState(
         num_qubits,
-        amps / math.sqrt(norm_sq),
+        raw.amplitudes / math.sqrt(norm_sq),
         renormalized=abs(norm_sq - 1.0) > NORM_TOL,
     )
 

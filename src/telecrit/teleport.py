@@ -10,16 +10,9 @@ a fixed 4x4 operator on Bob's pair; the teleportation is faithful for
 every input exactly when the two base operators (both Bell outcomes 1)
 are unitary, in which case all 32 outcome operators are unitary too.
 
-Operator layouts:
-
-* ``action``: Bob's unnormalized post-measurement amplitudes equal
-  1/(4*sqrt(2)) times matrix @ x, where x holds the four input
-  coefficients.
-* ``tableau``: the transpose; rows indexed by the collapsed two-bit
-  index of Alice's channel pair, columns by Bob's basis index.  This is
-  the orientation in which the operators are usually tabulated.
-
-Unitarity is layout-independent, so every check accepts either.
+Operators are plain 4x4 arrays in the action layout: Bob's unnormalized
+post-measurement amplitudes equal 1/(4*sqrt(2)) times matrix @ x, where
+x holds the four input coefficients; printed tables show the transpose.
 
 Engine: a call re-arranges the channel once, and ``_outcome_operators``
 contracts it with Charlie's bras and the stacked Bell bras of both sender
@@ -43,12 +36,8 @@ from .entanglement import partial_trace, purity
 from .states import PureState, permute_qubits, tensor
 
 __all__ = [
-    "LAYOUT_ACTION",
-    "LAYOUT_TABLEAU",
     "PAULI_FACTORS",
     "RoleAssignment",
-    "TransformationOperator",
-    "UnitarityVerdict",
     "CriterionReport",
     "FactorizationReport",
     "TeleportationRecord",
@@ -56,14 +45,10 @@ __all__ = [
     "charlie_state",
     "transformation_operator",
     "unitarity_defect",
-    "is_unitary",
     "criterion_check",
     "pauli_factorization_check",
     "simulate",
 ]
-
-LAYOUT_ACTION = "action"
-LAYOUT_TABLEAU = "tableau"
 
 # operator scale: with it, a faithful channel yields exactly unitary matrices
 _SCALE = 2.0 * math.sqrt(2.0)
@@ -178,49 +163,6 @@ def _arranged(channel: PureState, assignment: RoleAssignment) -> PureState:
     return permute_qubits(channel, assignment.relabeling())
 
 
-@dataclass(frozen=True, eq=False)
-class TransformationOperator:
-    """4x4 operator induced on Bob's pair by one measurement outcome."""
-
-    matrix: np.ndarray
-    bell_first: int
-    bell_second: int
-    charlie_outcome: int
-    theta: float
-    layout: str
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.shape != (4, 4):
-            raise ValueError(f"operator must be 4x4, got {m.shape}")
-        if self.layout not in (LAYOUT_ACTION, LAYOUT_TABLEAU):
-            raise ValueError(f"unknown layout {self.layout!r}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def action_matrix(self) -> np.ndarray:
-        return self.matrix if self.layout == LAYOUT_ACTION else self.matrix.T
-
-    @property
-    def tableau_matrix(self) -> np.ndarray:
-        return self.matrix if self.layout == LAYOUT_TABLEAU else self.matrix.T
-
-    def as_layout(self, layout: str) -> "TransformationOperator":
-        if layout == self.layout:
-            return self
-        if layout not in (LAYOUT_ACTION, LAYOUT_TABLEAU):
-            raise ValueError(f"unknown layout {layout!r}")
-        return TransformationOperator(
-            self.matrix.T,
-            self.bell_first,
-            self.bell_second,
-            self.charlie_outcome,
-            self.theta,
-            layout,
-        )
-
-
 def _base_tableau(grid: np.ndarray, charlie_outcome: int, theta: float) -> np.ndarray:
     """Base operator (both Bell outcomes 1) straight from the amplitudes.
 
@@ -257,13 +199,13 @@ def transformation_operator(
     bell_second: int,
     charlie_outcome: int,
     theta: float,
-    layout: str = LAYOUT_ACTION,
-) -> TransformationOperator:
+) -> np.ndarray:
     """The 4x4 operator Bob's pair picks up for one measurement outcome.
 
     ``bell_first``/``bell_second`` are the Bell outcome indices of the
     two sender measurements, ``charlie_outcome`` selects Charlie's basis
-    element.  Every outcome is built by projecting the measurement bras.
+    element.  Every outcome is built by projecting the measurement bras;
+    the result is in the action layout.
     """
     if bell_first not in (1, 2, 3, 4) or bell_second not in (1, 2, 3, 4):
         raise ValueError("Bell outcome indices must be in 1..4")
@@ -271,11 +213,7 @@ def transformation_operator(
         raise ValueError("Charlie outcome must be 1 or 2")
     grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
     outcome = (bell_first - 1, bell_second - 1, charlie_outcome - 1)
-    action = _outcome_operators(grid, theta)[outcome]
-    matrix = action.T if layout == LAYOUT_TABLEAU else action
-    return TransformationOperator(
-        matrix, bell_first, bell_second, charlie_outcome, theta, layout
-    )
+    return _outcome_operators(grid, theta)[outcome]
 
 
 def _require_tol(tol: float) -> None:
@@ -288,21 +226,6 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=np.complex128)
     gram = m.conj().T @ m
     return float(np.linalg.norm(gram - np.eye(m.shape[0])))
-
-
-@dataclass(frozen=True)
-class UnitarityVerdict:
-    unitary: bool
-    defect: float
-
-
-def is_unitary(
-    op: TransformationOperator | np.ndarray, tol: float = 1e-10
-) -> UnitarityVerdict:
-    """Unitarity test by Frobenius defect; layout-independent."""
-    matrix = op.matrix if isinstance(op, TransformationOperator) else op
-    defect = unitarity_defect(matrix)
-    return UnitarityVerdict(defect <= tol, defect)
 
 
 @dataclass(frozen=True)
@@ -381,6 +304,7 @@ def pauli_factorization_check(
     Holds identically for any channel; this check guards the Bell
     dictionary and factor pairing.
     """
+    _require_tol(tol)
     grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
     direct = _outcome_operators(grid, theta)
     base = np.array([_base_tableau(grid, n, theta).T for n in (1, 2)])

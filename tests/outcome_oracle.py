@@ -16,12 +16,9 @@ from telecrit.teleport import (
     _BELL_AMPLITUDES,
     _PREFACTOR,
     _SINGULAR_RTOL,
-    LAYOUT_ACTION,
-    LAYOUT_TABLEAU,
     PAULI_FACTORS,
     FactorizationReport,
     TeleportationRecord,
-    TransformationOperator,
     _arranged,
     _base_tableau,
     bell_state,
@@ -57,8 +54,7 @@ def transformation_operator(
     bell_second: int,
     charlie_outcome: int,
     theta: float,
-    layout: str = LAYOUT_ACTION,
-) -> TransformationOperator:
+) -> np.ndarray:
     """The 4x4 operator Bob's pair picks up for one measurement outcome.
 
     ``bell_first``/``bell_second`` are the Bell outcome indices of the
@@ -78,10 +74,7 @@ def transformation_operator(
         tableau = _projected_tableau(
             grid, bell_first, bell_second, charlie_outcome, theta
         )
-    matrix = tableau if layout == LAYOUT_TABLEAU else tableau.T
-    return TransformationOperator(
-        matrix, bell_first, bell_second, charlie_outcome, theta, layout
-    )
+    return tableau.T  # action layout
 
 
 def pauli_factorization_check(
@@ -101,12 +94,12 @@ def pauli_factorization_check(
     for charlie_outcome in (1, 2):
         base = transformation_operator(
             channel, assignment, 1, 1, charlie_outcome, theta
-        ).action_matrix
+        )
         for i in (1, 2, 3, 4):
             for j in (1, 2, 3, 4):
                 direct = transformation_operator(
                     channel, assignment, i, j, charlie_outcome, theta
-                ).action_matrix
+                )
                 product = base @ np.kron(PAULI_FACTORS[i], PAULI_FACTORS[j])
                 max_dev = max(max_dev, float(np.max(np.abs(direct - product))))
     return FactorizationReport(max_dev <= tol, max_dev)
@@ -144,8 +137,7 @@ def simulate(
                 bra = tensor(bell_bras, charlie_state(theta, n))
                 residual = project_subsystem(joint, bra, (1, 3, 2, 4, 7))
                 probability = float(np.vdot(residual.amplitudes, residual.amplitudes).real)
-                op = transformation_operator(channel, assignment, i, j, n, theta)
-                matrix = op.action_matrix
+                matrix = transformation_operator(channel, assignment, i, j, n, theta)
                 unrecoverable = False
                 if correction == "adjoint":
                     corrected = matrix.conj().T @ residual.amplitudes

@@ -93,9 +93,7 @@ def test_c03_golden_operator_matrices(assignment, theta):
     brown = named_state("brown")
     c, s = math.cos(theta), math.sin(theta)
     for outcome in (1, 2):
-        got = transformation_operator(
-            brown, assignment, 1, 1, outcome, theta, layout="tableau"
-        ).matrix
+        got = transformation_operator(brown, assignment, 1, 1, outcome, theta).T
         want = _golden_tableau(assignment.alice, outcome, c, s)
         assert np.max(np.abs(got - want)) < 1e-12
 

@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, JSON shapes, determinism, errors."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telecrit import named_state, save_state_json, save_state_text
 import telecrit.cli as cli
@@ -367,3 +371,81 @@ def test_product_zero_wrong_width_rejected_before_building(capsys, monkeypatch, 
 def test_json_output_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         cli._print_json({"theta": math.nan})
+
+
+@pytest.mark.parametrize("coefficients", ["1e308,1e308,0,0", "1e200+1e200j,0,0,0"])
+def test_huge_input_coefficients_exit_two(capsys, coefficients):
+    code, out, err = run_cli(
+        capsys, "teleport", "--state", "brown", *_ASSIGNMENT_ARGS, "--input", coefficients
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: --input squared norm inf deviates from 1 by more than 1e-06"
+    ]
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("source", ["bell_phi_plus", "file"])
+def test_wrong_width_state_exit_two(capsys, tmp_path, command, source):
+    if source == "file":
+        source = str(tmp_path / "three.txt")
+        save_state_text(named_state("product_zero_n", 3), source)
+    code, out, err = run_cli(capsys, command, "--state", source, *_SUBCOMMAND_ARGS[command])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: bad state {source!r}: every command needs a five-qubit channel"
+    ]
+
+
+# strings a user might type: numbers at the edges of float range and
+# complex literals, as many comma-separated as the flag takes, or free text
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.complex_numbers().map(str),
+    st.sampled_from(["pi", "pi/4", "random", "1e308", "-0", "nanj", "1e309"]),
+)
+_FIELDS = {"--alice": 2, "--bob": 2, "--input": 4}
+
+
+def _drawn(flag):
+    size = _FIELDS.get(flag, 1)
+    numbers = st.lists(_NUMBER, min_size=size, max_size=size).map(",".join)
+    return st.one_of(numbers, st.text(max_size=12))
+
+
+_FUZZ_BASE = {
+    "purity": {"--tol": "1e-10"},
+    "scan": {"--tol": "1e-10"},
+    "criterion": {
+        "--tol": "1e-10", "--alice": "1,2", "--bob": "3,4", "--charlie": "5", "--theta": "0.3"
+    },
+    "eq5check": {
+        "--tol": "1e-10", "--alice": "1,3", "--bob": "2,4", "--charlie": "5", "--theta": "pi/4"
+    },
+    "teleport": {
+        "--tol": "1e-10", "--alice": "1,2", "--bob": "3,4", "--charlie": "5",
+        "--theta": "0.3", "--input": "random", "--seed": "0",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"), [(cmd, flag) for cmd, base in _FUZZ_BASE.items() for flag in base]
+)
+@given(data=st.data())
+# derandomized: every run draws the same strings, so a failure reproduces
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_cli_fuzz_one_flag(command, flag, data):
+    flags = {**_FUZZ_BASE[command], flag: data.draw(_drawn(flag), label="value")}
+    state = data.draw(st.sampled_from(["brown", "man_m5", "ghz5"]), label="state")
+    argv = [command, f"--state={state}", *(f"{k}={v}" for k, v in flags.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""

@@ -17,7 +17,7 @@ from telecrit import (
     enumerate_assignments,
     make_state,
     named_state,
-    optimal_theta,
+    pauli_factorization_check,
     scan,
 )
 
@@ -107,23 +107,17 @@ def test_optimal_theta_agrees_with_classification(brown, man, assign_13, assign_
         (brown, assign_14),
         (man, RoleAssignment((1, 3), (2, 4), 5)),
     ):
-        theta, defect = optimal_theta(channel, assignment)
         cls = classify_theta(channel, assignment)
-        assert theta == cls.argmin_theta
-        assert defect == cls.min_defect
-        assert defect == pytest.approx(
-            max(
-                criterion_check(channel, assignment, theta).sigma111_defect,
-                criterion_check(channel, assignment, theta).sigma112_defect,
-            ),
-            abs=1e-9,
+        report = criterion_check(channel, assignment, cls.argmin_theta)
+        assert cls.min_defect == pytest.approx(
+            max(report.sigma111_defect, report.sigma112_defect), abs=1e-9
         )
 
 
 def test_optimal_theta_all_theta_convention(brown, assign_12):
-    theta, defect = optimal_theta(brown, assign_12)
-    assert theta == 0.0
-    assert defect < 1e-12
+    cls = classify_theta(brown, assign_12)
+    assert cls.argmin_theta == 0.0
+    assert cls.min_defect < 1e-12
 
 
 def test_scan_brown_counts_and_order(brown):
@@ -229,6 +223,8 @@ def test_invalid_tolerance_rejected(brown, assign_12, tol):
         scan(brown, tol)
     with pytest.raises(ValueError, match="tol"):
         criterion_check(brown, assign_12, 0.0, tol)
+    with pytest.raises(ValueError, match="tol"):
+        pauli_factorization_check(brown, assign_12, 0.3, tol)
 
 
 def test_zero_tolerance_accepted(brown, assign_12):
@@ -244,6 +240,3 @@ def test_classify_random_channel_is_stable():
     cls = classify_theta(channel, assignment)
     assert cls.kind == KIND_NONE
     assert cls.min_defect > 0.1
-    theta, defect = optimal_theta(channel, assignment)
-    assert theta == cls.argmin_theta
-    assert defect == cls.min_defect

@@ -11,11 +11,9 @@ from telecrit import (
     PAULI_FACTORS,
     PureState,
     RoleAssignment,
-    TransformationOperator,
     bell_state,
     charlie_state,
     criterion_check,
-    is_unitary,
     make_state,
     named_state,
     pauli_factorization_check,
@@ -85,39 +83,19 @@ def test_role_assignment_validation():
 
 
 def test_base_operator_golden_entries(brown, assign_12, assign_13, assign_14):
-    got = transformation_operator(
-        brown, assign_12, 1, 1, 1, 0.0, layout="tableau"
-    ).matrix
+    got = transformation_operator(brown, assign_12, 1, 1, 1, 0.0).T
     want = np.array([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     assert np.max(np.abs(got - want)) < 1e-12
 
     c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
-    got = transformation_operator(
-        brown, assign_13, 1, 1, 1, math.pi / 6, layout="tableau"
-    ).matrix
+    got = transformation_operator(brown, assign_13, 1, 1, 1, math.pi / 6).T
     want = np.array([[0, 0, c, -s], [s, -c, 0, 0], [s, c, 0, 0], [0, 0, c, s]])
     assert np.max(np.abs(got - want)) < 1e-12
 
     c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
-    got = transformation_operator(
-        brown, assign_14, 1, 1, 2, math.pi / 2, layout="tableau"
-    ).matrix
+    got = transformation_operator(brown, assign_14, 1, 1, 2, math.pi / 2).T
     want = np.array([[0, -c, s, 0], [0, -s, c, 0], [-c, 0, 0, s], [s, 0, 0, -c]])
     assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_operator_layouts_are_transposes(brown, assign_12):
-    op = transformation_operator(brown, assign_12, 2, 3, 1, 0.4)
-    assert op.layout == "action"
-    assert np.array_equal(op.tableau_matrix, op.action_matrix.T)
-    flipped = op.as_layout("tableau")
-    assert np.array_equal(flipped.matrix, op.matrix.T)
-    assert flipped.as_layout("action").layout == "action"
-    assert op.as_layout("action") is op
-    with pytest.raises(ValueError, match="layout"):
-        op.as_layout("rows")
-    with pytest.raises(ValueError, match="4x4"):
-        TransformationOperator(np.eye(3), 1, 1, 1, 0.0, "action")
 
 
 def test_operator_outcome_validation(brown, assign_12):
@@ -137,8 +115,8 @@ def test_base_operator_matches_projection_route(brown, assign_13):
     for theta in (0.0, 0.3, 1.1):
         for outcome in (1, 2):
             formula = transformation_operator(
-                brown, assign_13, 1, 1, outcome, theta, layout="tableau"
-            ).matrix
+                brown, assign_13, 1, 1, outcome, theta
+            ).T
             arranged = permute_qubits(brown, assign_13.relabeling())
             residual = project_subsystem(
                 arranged, charlie_state(theta, outcome), (5,)
@@ -161,17 +139,6 @@ def test_unitarity_defect_transpose_invariant(seed):
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert abs(unitarity_defect(matrix) - unitarity_defect(matrix.T)) < 1e-12
-
-
-def test_is_unitary_accepts_both_forms(brown, assign_12):
-    op = transformation_operator(brown, assign_12, 1, 1, 1, 0.9)
-    verdict = is_unitary(op)
-    assert verdict.unitary is True
-    assert verdict.defect < 1e-12
-    assert is_unitary(op.matrix).unitary is True
-    strict = is_unitary(2.0 * np.eye(4), tol=1.0)
-    assert strict.unitary is False
-    assert abs(strict.defect - 6.0) < 1e-12
 
 
 def test_criterion_passes_for_brown_fixed_pairs(brown, assign_12):
@@ -333,6 +300,25 @@ def test_simulate_singular_operators_marked_unrecoverable():
     # adjoint correction is always defined, so no flags there
     relaxed = simulate(channel, assignment, 0.3, input_state)
     assert not any(r.unrecoverable for r in relaxed)
+
+
+def test_simulate_singular_rule_has_absolute_floor():
+    # sum_k a_k |k>_alice |k>_bob |0>_charlie: the base operators are
+    # 2 sqrt2 cos(theta) diag(a) and 2 sqrt2 sin(theta) diag(a).  theta puts
+    # outcome 2's singular values at 1e-3 and 1e-13: well conditioned
+    # relative to its own norm, singular against the floor of 1
+    amps = np.zeros(32)
+    amps[[0, 10, 20, 30]] = [1.0, 1.0, 1.0, 1e-10]
+    channel = make_state(5, amps)
+    a0 = channel.amplitudes[0].real
+    theta = math.asin(1e-3 / (2.0 * math.sqrt(2.0) * a0))
+    input_state = make_state(2, [0.5, 0.5, 0.5, 0.5])
+    records = simulate(
+        channel, RoleAssignment((1, 2), (3, 4), 5), theta, input_state, correction="inverse"
+    )
+    flagged = [r.outcome for r in records if r.unrecoverable]
+    assert flagged == [r.outcome for r in records if r.outcome[2] == 2]
+    assert len(flagged) == 16
 
 
 def test_simulate_zero_probability_outcomes_report_zero_fidelity():

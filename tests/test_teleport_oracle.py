@@ -30,7 +30,7 @@ def _assert_agrees(channel, assignment, theta, input_state):
     for outcome in OUTCOMES:
         got = transformation_operator(channel, assignment, *outcome, theta)
         want = outcome_oracle.transformation_operator(channel, assignment, *outcome, theta)
-        assert np.max(np.abs(got.matrix - want.matrix)) < TOL
+        assert np.max(np.abs(got - want)) < TOL
 
     got = pauli_factorization_check(channel, assignment, theta)
     want = outcome_oracle.pauli_factorization_check(channel, assignment, theta)
