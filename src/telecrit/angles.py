@@ -26,24 +26,36 @@ verdict comes from evaluating both defects at the candidates, with the
 arithmetic criterion_check uses: all_theta when every candidate
 passes; otherwise the roots are the candidates that are cyclic local
 minima and pass.
+
+Engine: ``scan`` stacks the channel re-arranged for all 30 assignments
+with one gather through a precomputed index table, and ``_classify``
+runs every step on the stack: the coefficients as stacked products,
+all 60 quartics through one batched ``eigvals`` on np.roots' companion
+matrices, and every candidate of every assignment, both outcomes, in
+one stacked defect evaluation.  Each step keeps the rounding of its
+single-matrix form (unitarity_defect of _base_tableau, np.vdot,
+np.roots), so verdicts, roots and defects are those of criterion_check's
+arithmetic.  ``classify_theta`` is the same engine on a stack of one.
+The ten pair purities are computed once per scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from .entanglement import partial_trace, purity
-from .states import PureState
+from .states import PureState, permute_qubits
 from .teleport import (
+    _SCALE,
     RoleAssignment,
     _arranged,
-    _base_tableau,
+    _require_channel,
     _require_tol,
-    unitarity_defect,
+    _row_dots,
 )
 
 __all__ = [
@@ -130,28 +142,127 @@ def _canonical_root(theta: float) -> float:
     return abs(root)  # fold -0.0
 
 
-def _candidate_angles(grid: np.ndarray) -> np.ndarray:
-    """Sorted angles in [0, pi) that bound the monotone pieces of the profile."""
-    g0 = _base_tableau(grid, 1, 0.0)  # M(0)
-    g1 = -_base_tableau(grid, 2, 0.0)  # M(pi/2)
-    a, b, c = g0.conj().T @ g0, g1.conj().T @ g1, g0.conj().T @ g1
-    p, q, r = (a + b) / 2 - np.eye(4), (a - b) / 2, (c + c.conj().T) / 2
+# the nodes k pi/8, in every candidate set
+_NODES = [k * math.pi / 8 for k in range(8)]
 
-    def dot(x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.vdot(x, y).real)
 
-    a1, b1 = 2 * dot(p, q), 2 * dot(p, r)
-    a2, b2 = (dot(q, q) - dot(r, r)) / 2, dot(q, r)
-    # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
-    crossing = math.atan2(b1, a1) / 2 + math.pi / 4
-    angles = [crossing, crossing + math.pi / 2]
-    # branch a2 cos 4theta + b2 sin 4theta +- (a1 cos 2theta + b1 sin 2theta):
-    # its derivative times z^2, z = exp(2i theta), is this quartic in z
-    for h in (complex(b1, a1) / 2, -complex(b1, a1) / 2):
-        quartic = [complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)]
-        angles.extend((np.angle(np.roots(quartic)) / 2).tolist())
-    angles.extend(k * math.pi / 8 for k in range(8))
-    return np.array(sorted({angle % math.pi for angle in angles}))
+def _base_operators(g0: np.ndarray, g1: np.ndarray, c, s) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome-1 and outcome-2 base operators for stacked halves g0, g1.
+
+    ``c``/``s`` are cos/sin of the angle, scalars or broadcast against
+    the (n, 4, 4) stacks; every entry is _base_tableau's arithmetic.
+    """
+    return _SCALE * (c * g0 + s * g1), _SCALE * (s * g0 - c * g1)
+
+
+def _defects(m: np.ndarray) -> np.ndarray:
+    """unitarity_defect of every matrix in an (n, 4, 4) stack, bit for bit.
+
+    np.linalg.norm sums the dots of the strided real and imaginary views
+    of the flattened matrix; _row_dots of the same views calls the same
+    strided BLAS dot, where contiguous copies would round differently.
+    """
+    gap = (m.conj().transpose(0, 2, 1) @ m - np.eye(4)).reshape(-1, 16)
+    return np.sqrt(_row_dots(gap.real, gap.real) + _row_dots(gap.imag, gap.imag))
+
+
+def _root_angles(quartics: list[list[complex]]) -> list[list[float]]:
+    """np.angle(np.roots(quartic)) / 2 for every quartic.
+
+    Quartics with a nonzero leading coefficient get np.roots' companion
+    matrices, stacked into one eigvals call; the others (a2 = b2 = 0,
+    so np.roots strips zeros and changes degree) go through np.roots.
+    """
+    coeffs = np.array(quartics, dtype=np.complex128)
+    full = coeffs[:, 0] != 0
+    companion = np.repeat(np.eye(4, k=-1, dtype=np.complex128)[None], full.sum(), axis=0)
+    companion[:, 0] = -coeffs[full, 1:] / coeffs[full, :1]
+    stacked = iter((np.angle(np.linalg.eigvals(companion)) / 2).tolist())
+    return [
+        next(stacked) if whole else (np.angle(np.roots(row)) / 2).tolist()
+        for row, whole in zip(coeffs, full.tolist())
+    ]
+
+
+def _candidate_sets(g0: np.ndarray, g1: np.ndarray) -> list[list[float]]:
+    """Per row of the stacks, sorted angles in [0, pi) that bound the
+    monotone pieces of the profile."""
+    m0, m2 = _base_operators(g0, g1, 1.0, 0.0)  # M(0), -M(pi/2)
+    m1 = -m2
+    m0h, m1h = m0.conj().transpose(0, 2, 1), m1.conj().transpose(0, 2, 1)
+    a, b, c = m0h @ m0, m1h @ m1, m0h @ m1
+    p, q = (a + b) / 2 - np.eye(4), (a - b) / 2
+    r = (c + c.conj().transpose(0, 2, 1)) / 2
+    p, q, r = p.reshape(-1, 16), q.reshape(-1, 16), r.reshape(-1, 16)
+    # Re <x|y> as Python floats, rounded as np.vdot rounds them
+    dots = [_row_dots(x, y).real.tolist() for x, y in ((p, q), (p, r), (q, q), (r, r), (q, r))]
+
+    sets, quartics = [], []
+    for pq, pr, qq, rr, qr in zip(*dots):
+        a1, b1 = 2 * pq, 2 * pr
+        a2, b2 = (qq - rr) / 2, qr
+        # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
+        crossing = math.atan2(b1, a1) / 2 + math.pi / 4
+        sets.append([crossing, crossing + math.pi / 2, *_NODES])
+        # branch a2 cos 4theta + b2 sin 4theta +- (a1 cos 2theta + b1 sin 2theta):
+        # its derivative times z^2, z = exp(2i theta), is this quartic in z
+        for h in (complex(b1, a1) / 2, -complex(b1, a1) / 2):
+            quartics.append([complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)])
+    for k, angles in enumerate(_root_angles(quartics)):
+        sets[k // 2].extend(angles)
+    return [sorted({angle % math.pi for angle in angles}) for angles in sets]
+
+
+def _profiles(g0: np.ndarray, g1: np.ndarray, thetas: list[list[float]]) -> list[float]:
+    """max(d1, d2) at every candidate of every row, in one stacked evaluation.
+
+    ``thetas[k]`` are the angles of row k of the (m, 4, 4) halves; the
+    values come back flattened in the same order.
+    """
+    owner = np.repeat(np.arange(len(thetas)), [len(row) for row in thetas])
+    flat = [theta for row in thetas for theta in row]
+    c = np.array([math.cos(theta) for theta in flat])[:, None, None]
+    s = np.array([math.sin(theta) for theta in flat])[:, None, None]
+    both = np.concatenate(_base_operators(g0[owner], g1[owner], c, s))
+    return _defects(both).reshape(2, -1).max(axis=0).tolist()
+
+
+def _verdict(thetas: list[float], values: list[float], tol: float) -> ThetaClassification:
+    """Classification of one profile from its values at the candidates."""
+    if max(values) <= tol:
+        # thetas[0] is the node 0
+        return ThetaClassification(KIND_ALL, None, values[0], 0.0)
+
+    best = values.index(min(values))
+    count = len(values)
+    roots = [
+        _canonical_root(thetas[k])
+        for k, value in enumerate(values)
+        if value <= tol and value <= values[k - 1] and value <= values[(k + 1) % count]
+    ]
+    deduped: list[float] = []
+    for root in sorted(roots):
+        if all(
+            min(abs(root - other), math.pi - abs(root - other)) > 1e-6
+            for other in deduped
+        ):
+            deduped.append(root)
+
+    kind, found = (KIND_DISCRETE, tuple(deduped)) if deduped else (KIND_NONE, None)
+    return ThetaClassification(kind, found, values[best], _canonical_root(thetas[best]))
+
+
+def _classify(arranged: np.ndarray, tol: float) -> list[ThetaClassification]:
+    """Classify each row of an (m, 32) stack of arranged channels at once."""
+    halves = arranged.reshape(-1, 16, 2)
+    g0, g1 = halves[..., 0].reshape(-1, 4, 4), halves[..., 1].reshape(-1, 4, 4)
+    thetas = _candidate_sets(g0, g1)
+    values = _profiles(g0, g1, thetas)
+    bounds = list(accumulate(map(len, thetas), initial=0))
+    return [
+        _verdict(row, values[start:stop], tol)
+        for row, start, stop in zip(thetas, bounds, bounds[1:])
+    ]
 
 
 def classify_theta(
@@ -163,57 +274,45 @@ def classify_theta(
     candidates that are cyclic local minima pass.  none: no angle
     passes.  Roots are canonicalized into [0, pi) and deduplicated
     modulo pi.
+
+    The combined profile has period pi/2, so theta and theta + pi/2 are
+    exact ties; which of the two ``argmin_theta`` reports is decided by
+    last-bit rounding of their defects.
     """
     _require_tol(tol)
-    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
-    thetas = _candidate_angles(grid)
-    values = np.array(
-        [
-            max(unitarity_defect(_base_tableau(grid, n, theta)) for n in (1, 2))
-            for theta in thetas
-        ]
-    )
-    if float(values.max()) <= tol:
-        # thetas[0] is the node 0
-        return ThetaClassification(KIND_ALL, None, float(values[0]), 0.0)
+    return _classify(_arranged(channel, assignment).amplitudes[None], tol)[0]
 
-    best = int(np.argmin(values))
-    best_defect, best_theta = float(values[best]), _canonical_root(thetas[best])
-    minima = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
-    roots = [_canonical_root(theta) for theta in thetas[minima & (values <= tol)]]
 
-    deduped: list[float] = []
-    for root in sorted(roots):
-        if all(
-            min(abs(root - other), math.pi - abs(root - other)) > 1e-6
-            for other in deduped
-        ):
-            deduped.append(root)
-
-    if deduped:
-        return ThetaClassification(
-            KIND_DISCRETE, tuple(deduped), best_defect, best_theta
-        )
-    return ThetaClassification(KIND_NONE, None, best_defect, best_theta)
+# the 30 assignments of a scan and, in row k, the channel index each
+# amplitude of assignment k's arrangement reads (the basis indices,
+# re-arranged): channel.amplitudes[_GATHER] arranges all 30 at once
+_ASSIGNMENTS = tuple(enumerate_assignments())
+_GATHER = np.array(
+    [
+        permute_qubits(PureState(5, np.arange(32)), a.relabeling()).amplitudes.real
+        for a in _ASSIGNMENTS
+    ]
+).astype(np.intp)
 
 
 def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:
     """Classify every role assignment of a five-qubit channel.
 
-    Entries are sorted working-first: all_theta, then discrete_theta,
-    then none; ties by min_defect, then by assignment order.
+    All 30 assignments go through one classify pass, and each of the ten
+    pair purities is computed once.  Entries are sorted working-first:
+    all_theta, then discrete_theta, then none; ties by min_defect, then
+    by assignment order.
     """
-    entries = []
-    for assignment in enumerate_assignments():
-        cls = classify_theta(channel, assignment, tol)
-        entries.append(
-            ScanEntry(
-                assignment=assignment,
-                classification=cls,
-                purity_alice=purity(partial_trace(channel, assignment.alice)),
-                purity_bob=purity(partial_trace(channel, assignment.bob)),
-            )
-        )
+    _require_tol(tol)
+    _require_channel(channel)
+    classes = _classify(channel.amplitudes[_GATHER], tol)
+    pair_purity = {
+        pair: purity(partial_trace(channel, pair)) for pair in combinations(range(1, 6), 2)
+    }
+    entries = [
+        ScanEntry(assignment, cls, pair_purity[assignment.alice], pair_purity[assignment.bob])
+        for assignment, cls in zip(_ASSIGNMENTS, classes)
+    ]
     entries.sort(
         key=lambda e: (
             _KIND_ORDER[e.classification.kind],

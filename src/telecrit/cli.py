@@ -6,7 +6,8 @@ the other modules; JSON is the source of truth and the table renderers
 format the same values.
 
 Exit codes: 0 success, 1 criterion verdict FAIL (criterion command
-only), 2 input error.
+only), 2 input error, 141 (128 + SIGPIPE) when the reader closes
+standard output before the report is written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -48,6 +50,10 @@ _THETA_ALIASES = {
 }
 
 _PRODUCT_ZERO = re.compile(r"^product_zero_(\d+)$")
+
+# exit status when standard output is closed early, as a shell reports
+# a process killed by SIGPIPE; never read as a success or a verdict
+EXIT_BROKEN_PIPE = 128 + 13
 
 
 class CliError(Exception):
@@ -389,10 +395,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
     except (CliError, ValueError) as exc:  # StateFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the rest of the report has no reader; send it, and the flush at
+        # interpreter exit, to devnull so neither raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ __all__ = [
     "FIVE_QUBIT_CATALOG",
     "NORM_TOL",
     "STRICT_NORM_TOL",
+    "MAX_FILE_QUBITS",
     "make_state",
     "named_state",
     "tensor",
@@ -48,6 +50,9 @@ NORM_TOL = 1e-12
 # squared-norm drift beyond which file / CLI input is rejected as corrupt
 # rather than merely rounded
 STRICT_NORM_TOL = 1e-6
+# widest state a file may hold: 2**20 amplitudes take 16 MiB, and a
+# wider one is refused before anything of size 2**n is built
+MAX_FILE_QUBITS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,18 +99,21 @@ def make_state(num_qubits: int, amplitudes: Sequence[complex]) -> PureState:
 
     The vector is scaled to unit norm; ``renormalized`` on the result
     records whether that moved the squared norm by more than NORM_TOL.
-    Raises ValueError for a length mismatch, non-finite entries, or the
-    zero vector.
+    When the squared norm under- or overflows (0, subnormal or inf), the
+    vector is first divided by its largest component.  Raises ValueError
+    for a length mismatch, non-finite entries, or the zero vector.
     """
-    raw = PureState(num_qubits, amplitudes)
-    norm_sq = float(np.vdot(raw.amplitudes, raw.amplitudes).real)
-    if norm_sq == 0.0:
-        raise ValueError("zero vector cannot be normalized")
-    return PureState(
-        num_qubits,
-        raw.amplitudes / math.sqrt(norm_sq),
-        renormalized=abs(norm_sq - 1.0) > NORM_TOL,
-    )
+    amps = PureState(num_qubits, amplitudes).amplitudes
+    norm_sq = float(np.vdot(amps, amps).real)
+    renormalized = abs(norm_sq - 1.0) > NORM_TOL
+    if not sys.float_info.min <= norm_sq < math.inf:
+        parts = amps.view(np.float64)  # re, im interleaved
+        largest = float(np.max(np.abs(parts)))
+        if largest == 0.0:
+            raise ValueError("zero vector cannot be normalized")
+        amps = (parts / largest).view(np.complex128)
+        norm_sq = float(np.vdot(amps, amps).real)
+    return PureState(num_qubits, amps / math.sqrt(norm_sq), renormalized=renormalized)
 
 
 # Five-qubit catalog entries, as {index: sign} over the big-endian basis.
@@ -240,6 +248,14 @@ def _reject_norm_drift(amps: np.ndarray, path: str) -> None:
         )
 
 
+def _reject_width(num_qubits: int, path: str, lineno: int) -> None:
+    if num_qubits > MAX_FILE_QUBITS:
+        raise StateFileError(
+            f"{path}:{lineno}: {num_qubits} qubits exceeds the limit of "
+            f"{MAX_FILE_QUBITS} for state files"
+        )
+
+
 def _load_json_text(text: str, path: str) -> PureState:
     try:
         doc = json.loads(text)
@@ -253,6 +269,7 @@ def _load_json_text(text: str, path: str) -> PureState:
     pairs = doc["amplitudes"]
     if not isinstance(n, int) or n < 1:
         raise StateFileError(f"{path}:1: num_qubits must be a positive integer")
+    _reject_width(n, path, 1)
     if not isinstance(pairs, list) or len(pairs) != 2**n:
         raise StateFileError(
             f"{path}:1: amplitudes must list {2**n} [re, im] pairs for "
@@ -290,6 +307,7 @@ def _load_plain_text(text: str, path: str) -> PureState:
             raise StateFileError(f"{path}:{lineno}: bad bit string {bits!r}")
         if width is None:
             width = len(bits)
+            _reject_width(width, path, lineno)
         elif len(bits) != width:
             raise StateFileError(
                 f"{path}:{lineno}: bit string {bits!r} has length {len(bits)}, "
@@ -321,7 +339,8 @@ def load_state_file(path: str) -> PureState:
     2**n entries.  Text form: one 'bitstring re im' line per nonzero
     amplitude; blank lines and '#' comments are ignored.  Input whose
     squared norm deviates from 1 by more than STRICT_NORM_TOL is
-    rejected; smaller round-off is silently renormalized.
+    rejected; smaller round-off is silently renormalized.  States wider
+    than MAX_FILE_QUBITS are refused.
     """
     try:
         with open(path, encoding="utf-8") as handle:

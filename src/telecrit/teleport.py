@@ -156,10 +156,14 @@ class RoleAssignment:
         }
 
 
-def _arranged(channel: PureState, assignment: RoleAssignment) -> PureState:
-    """Channel relabeled so qubits run (alice 1, alice 2, bob 1, bob 2, charlie)."""
+def _require_channel(channel: PureState) -> None:
     if channel.num_qubits != 5:
         raise ValueError("the channel must be a five-qubit state")
+
+
+def _arranged(channel: PureState, assignment: RoleAssignment) -> PureState:
+    """Channel relabeled so qubits run (alice 1, alice 2, bob 1, bob 2, charlie)."""
+    _require_channel(channel)
     return permute_qubits(channel, assignment.relabeling())
 
 

@@ -1,0 +1,131 @@
+"""Per-assignment angle classifier and scan, kept as a test-only oracle.
+
+This is the code the batched engine in ``telecrit.angles`` replaced: the
+channel is re-arranged once per assignment, the candidate angles come
+from one assignment's coefficients and two ``np.roots`` calls, every
+candidate is checked by ``unitarity_defect(_base_tableau(...))`` on its
+own, and ``scan`` takes two partial traces per assignment.  Its logic is
+unchanged.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from telecrit.angles import (
+    _KIND_ORDER,
+    KIND_ALL,
+    KIND_DISCRETE,
+    KIND_NONE,
+    ScanEntry,
+    ScanReport,
+    ThetaClassification,
+    _canonical_root,
+    enumerate_assignments,
+)
+from telecrit.entanglement import partial_trace, purity
+from telecrit.states import PureState
+from telecrit.teleport import (
+    RoleAssignment,
+    _arranged,
+    _base_tableau,
+    _require_tol,
+    unitarity_defect,
+)
+
+
+def _candidate_angles(grid: np.ndarray) -> np.ndarray:
+    """Sorted angles in [0, pi) that bound the monotone pieces of the profile."""
+    g0 = _base_tableau(grid, 1, 0.0)  # M(0)
+    g1 = -_base_tableau(grid, 2, 0.0)  # M(pi/2)
+    a, b, c = g0.conj().T @ g0, g1.conj().T @ g1, g0.conj().T @ g1
+    p, q, r = (a + b) / 2 - np.eye(4), (a - b) / 2, (c + c.conj().T) / 2
+
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
+        return float(np.vdot(x, y).real)
+
+    a1, b1 = 2 * dot(p, q), 2 * dot(p, r)
+    a2, b2 = (dot(q, q) - dot(r, r)) / 2, dot(q, r)
+    # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
+    crossing = math.atan2(b1, a1) / 2 + math.pi / 4
+    angles = [crossing, crossing + math.pi / 2]
+    # branch a2 cos 4theta + b2 sin 4theta +- (a1 cos 2theta + b1 sin 2theta):
+    # its derivative times z^2, z = exp(2i theta), is this quartic in z
+    for h in (complex(b1, a1) / 2, -complex(b1, a1) / 2):
+        quartic = [complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)]
+        angles.extend((np.angle(np.roots(quartic)) / 2).tolist())
+    angles.extend(k * math.pi / 8 for k in range(8))
+    return np.array(sorted({angle % math.pi for angle in angles}))
+
+
+def classify_theta(
+    channel: PureState, assignment: RoleAssignment, tol: float = 1e-10
+) -> ThetaClassification:
+    """Classify the combined-defect profile over theta in [0, pi).
+
+    all_theta: every candidate angle passes.  discrete_theta: some
+    candidates that are cyclic local minima pass.  none: no angle
+    passes.  Roots are canonicalized into [0, pi) and deduplicated
+    modulo pi.
+    """
+    _require_tol(tol)
+    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
+    thetas = _candidate_angles(grid)
+    values = np.array(
+        [
+            max(unitarity_defect(_base_tableau(grid, n, theta)) for n in (1, 2))
+            for theta in thetas
+        ]
+    )
+    if float(values.max()) <= tol:
+        # thetas[0] is the node 0
+        return ThetaClassification(KIND_ALL, None, float(values[0]), 0.0)
+
+    best = int(np.argmin(values))
+    best_defect, best_theta = float(values[best]), _canonical_root(thetas[best])
+    minima = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
+    roots = [_canonical_root(theta) for theta in thetas[minima & (values <= tol)]]
+
+    deduped: list[float] = []
+    for root in sorted(roots):
+        if all(
+            min(abs(root - other), math.pi - abs(root - other)) > 1e-6
+            for other in deduped
+        ):
+            deduped.append(root)
+
+    if deduped:
+        return ThetaClassification(
+            KIND_DISCRETE, tuple(deduped), best_defect, best_theta
+        )
+    return ThetaClassification(KIND_NONE, None, best_defect, best_theta)
+
+
+def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:
+    """Classify every role assignment of a five-qubit channel.
+
+    Entries are sorted working-first: all_theta, then discrete_theta,
+    then none; ties by min_defect, then by assignment order.
+    """
+    entries = []
+    for assignment in enumerate_assignments():
+        cls = classify_theta(channel, assignment, tol)
+        entries.append(
+            ScanEntry(
+                assignment=assignment,
+                classification=cls,
+                purity_alice=purity(partial_trace(channel, assignment.alice)),
+                purity_bob=purity(partial_trace(channel, assignment.bob)),
+            )
+        )
+    entries.sort(
+        key=lambda e: (
+            _KIND_ORDER[e.classification.kind],
+            e.classification.min_defect,
+            e.assignment.alice,
+            e.assignment.bob,
+        )
+    )
+    return ScanReport(tuple(entries))

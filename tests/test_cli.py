@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -449,3 +452,25 @@ def test_cli_fuzz_one_flag(command, flag, data):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_closed_stdout_exits_broken_pipe(output):
+    # the read end is closed before the child starts, so its first write
+    # to standard output fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "telecrit.cli", "scan", "--state=brown", "--output", output],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""

@@ -1,0 +1,106 @@
+"""The batched angle engine agrees exactly with the per-assignment oracle."""
+
+import json
+
+import numpy as np
+import pytest
+from conftest import lu_rotated, random_channel
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import angles_oracle
+import telecrit.angles as angles
+from telecrit import (
+    RoleAssignment,
+    classify_theta,
+    enumerate_assignments,
+    named_state,
+    permute_qubits,
+    scan,
+)
+from telecrit.teleport import _base_tableau, unitarity_defect
+
+CATALOG = ("brown", "man_m5", "ghz5", "product_zero_n")
+TOLERANCES = (1e-10, 0.5, 10.0)
+
+
+def _assert_scan_matches(channel, tol):
+    got = scan(channel, tol).as_dicts()
+    want = angles_oracle.scan(channel, tol).as_dicts()
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # signed zeros included
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_matches_oracle(name):
+    channel = named_state(name)
+    for tol in TOLERANCES:
+        _assert_scan_matches(channel, tol)
+        for assignment in enumerate_assignments():
+            got = classify_theta(channel, assignment, tol)
+            assert got == angles_oracle.classify_theta(channel, assignment, tol)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(("dense", *CATALOG)),
+    st.sampled_from(TOLERANCES),
+)
+@settings(max_examples=20, deadline=None)
+def test_random_channels_match_oracle(seed, source, tol):
+    # dense random amplitudes, or a catalog state under random local unitaries
+    rng = np.random.default_rng(seed)
+    if source == "dense":
+        channel = random_channel(rng)
+    else:
+        channel = lu_rotated(named_state(source), rng)
+    _assert_scan_matches(channel, tol)
+    # classify_theta also takes assignments outside the 30 of the scan
+    base = enumerate_assignments()[int(rng.integers(30))]
+    alice, bob = base.alice, base.bob
+    if rng.integers(2):
+        alice, bob = alice[::-1], bob[::-1]
+    assignment = RoleAssignment(alice, bob, base.charlie)
+    got = classify_theta(channel, assignment, tol)
+    assert got == angles_oracle.classify_theta(channel, assignment, tol)
+
+
+def _halves(channel):
+    stacked = channel.amplitudes[angles._GATHER].reshape(-1, 16, 2)
+    return stacked[..., 0].reshape(-1, 4, 4), stacked[..., 1].reshape(-1, 4, 4)
+
+
+@pytest.mark.parametrize("source", ["brown", "man_m5", "dense", "lu_brown"])
+def test_batched_defects_are_criterion_arithmetic(source):
+    # every value the verdicts read is the criterion's own defect, to the bit
+    rng = np.random.default_rng(17)
+    if source == "dense":
+        channel = random_channel(rng)
+    elif source == "lu_brown":
+        channel = lu_rotated(named_state("brown"), rng)
+    else:
+        channel = named_state(source)
+    g0, g1 = _halves(channel)
+    thetas = angles._candidate_sets(g0, g1)
+    values = iter(angles._profiles(g0, g1, thetas))
+    for assignment, row in zip(enumerate_assignments(), thetas):
+        grid = permute_qubits(channel, assignment.relabeling()).amplitudes.reshape([2] * 5)
+        assert row == angles_oracle._candidate_angles(grid).tolist()
+        for theta in row:
+            want = max(unitarity_defect(_base_tableau(grid, n, theta)) for n in (1, 2))
+            assert next(values) == want
+    assert next(values, None) is None
+
+
+def test_gather_table_matches_permute_qubits():
+    channel = random_channel(np.random.default_rng(23))
+    for row, assignment in zip(angles._GATHER, enumerate_assignments()):
+        arranged = permute_qubits(channel, assignment.relabeling()).amplitudes
+        assert np.array_equal(channel.amplitudes[row], arranged)
+
+
+@pytest.mark.parametrize("width", [2, 6])
+def test_scan_refuses_other_widths(width):
+    channel = named_state("product_zero_n", width)
+    with pytest.raises(ValueError, match="five-qubit"):
+        scan(channel)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import telecrit.states as states
 from telecrit import (
     CATALOG_NAMES,
     FIVE_QUBIT_CATALOG,
+    MAX_FILE_QUBITS,
     PureState,
     StateFileError,
     inner_product,
@@ -122,6 +124,34 @@ def test_make_state_rejects_bad_input():
         make_state(1, [0, 0])
     with pytest.raises(ValueError, match="finite"):
         make_state(1, [np.nan, 1])
+
+
+@pytest.mark.parametrize(
+    "amplitudes, expected",
+    [
+        # squared norms overflow to inf
+        ([1e200, 0, 0, 0], [1, 0, 0, 0]),
+        ([1.7e308, -1.7e308j, 1.7e308, 1.7e308], [0.5, -0.5j, 0.5, 0.5]),
+        # squared norms underflow to 0 or a subnormal
+        ([1e-200, 0, 0, 0], [1, 0, 0, 0]),
+        ([0, 3e-170j, 0, 4e-170], [0, 0.6j, 0, 0.8]),
+        ([5e-324, 0, 0, 5e-324], [2**-0.5, 0, 0, 2**-0.5]),
+    ],
+)
+def test_make_state_at_the_edges_of_float_range(amplitudes, expected):
+    s = make_state(2, amplitudes)
+    assert s.renormalized is True
+    assert np.max(np.abs(s.amplitudes - expected)) < 1e-15
+    assert abs(s.norm - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_make_state_in_range_keeps_its_bits(scale):
+    # the plain route: one squared norm, one division
+    rng = np.random.default_rng(3)
+    raw = scale * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    plain = raw / math.sqrt(float(np.vdot(raw, raw).real))
+    assert make_state(3, raw).amplitudes.tobytes() == plain.tobytes()
 
 
 def test_amplitude_accessor(brown):
@@ -314,3 +344,41 @@ def test_json_loader_rejects_malformed(tmp_path, content, fragment):
 def test_loader_missing_file():
     with pytest.raises(StateFileError):
         load_state_file("/nonexistent/state.json")
+
+
+@pytest.fixture
+def no_huge_zeros(monkeypatch):
+    """np.zeros that refuses more than 2**20 elements instead of allocating."""
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        size = math.prod(shape) if isinstance(shape, tuple) else int(shape)
+        if size > 2**20:
+            raise AssertionError(f"np.zeros asked for {size} elements")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(states.np, "zeros", guarded)
+
+
+@pytest.mark.parametrize("width", [MAX_FILE_QUBITS + 1, 40])
+def test_text_loader_refuses_wide_states(tmp_path, no_huge_zeros, width):
+    path = tmp_path / "wide.txt"
+    path.write_text("# one basis state\n" + "1" * width + " 1.0 0.0\n")
+    with pytest.raises(StateFileError, match=f":2: {width} qubits exceeds the limit of 20"):
+        load_state_file(str(path))
+
+
+@pytest.mark.parametrize("width", [MAX_FILE_QUBITS + 1, 64])
+def test_json_loader_refuses_wide_states(tmp_path, no_huge_zeros, width):
+    path = tmp_path / "wide.json"
+    path.write_text(f'{{"num_qubits": {width}, "amplitudes": [[1, 0]]}}')
+    with pytest.raises(StateFileError, match=f":1: {width} qubits exceeds the limit of 20"):
+        load_state_file(str(path))
+
+
+def test_text_loader_accepts_the_widest_state(tmp_path, no_huge_zeros):
+    path = tmp_path / "widest.txt"
+    path.write_text("0" * MAX_FILE_QUBITS + " 1.0 0.0\n")
+    loaded = load_state_file(str(path))
+    assert loaded.num_qubits == MAX_FILE_QUBITS == 20
+    assert loaded.amplitudes[0] == 1
