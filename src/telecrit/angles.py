@@ -32,11 +32,13 @@ with one gather through a precomputed index table, and ``_classify``
 runs every step on the stack: the coefficients as stacked products,
 all 60 quartics through one batched ``eigvals`` on np.roots' companion
 matrices, and every candidate of every assignment, both outcomes, in
-one stacked defect evaluation.  Each step keeps the rounding of its
-single-matrix form (unitarity_defect of _base_tableau, np.vdot,
-np.roots), so verdicts, roots and defects are those of criterion_check's
-arithmetic.  ``classify_theta`` is the same engine on a stack of one.
-The ten pair purities are computed once per scan.
+one stacked defect evaluation.  The base operators and their defects
+come from the kernel criterion_check uses (teleport's _base_operators
+and _defects), and the other steps keep the rounding of their
+single-matrix forms (np.vdot, np.roots), so verdicts, roots and defects
+are those of criterion_check's arithmetic.  ``classify_theta`` is the
+same engine on a stack of one.  The ten pair purities are computed once
+per scan.
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ import numpy as np
 from .entanglement import partial_trace, purity
 from .states import PureState, permute_qubits
 from .teleport import (
-    _SCALE,
     RoleAssignment,
     _arranged,
+    _base_operators,
+    _defects,
     _require_channel,
     _require_tol,
     _row_dots,
@@ -102,9 +105,7 @@ class ScanEntry:
     def as_dict(self) -> dict:
         cls = self.classification
         return {
-            "alice": list(self.assignment.alice),
-            "bob": list(self.assignment.bob),
-            "charlie": self.assignment.charlie,
+            **self.assignment.as_dict(),
             "kind": cls.kind,
             "roots": None if cls.roots is None else list(cls.roots),
             "min_defect": cls.min_defect,
@@ -146,26 +147,6 @@ def _canonical_root(theta: float) -> float:
 _NODES = [k * math.pi / 8 for k in range(8)]
 
 
-def _base_operators(g0: np.ndarray, g1: np.ndarray, c, s) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome-1 and outcome-2 base operators for stacked halves g0, g1.
-
-    ``c``/``s`` are cos/sin of the angle, scalars or broadcast against
-    the (n, 4, 4) stacks; every entry is _base_tableau's arithmetic.
-    """
-    return _SCALE * (c * g0 + s * g1), _SCALE * (s * g0 - c * g1)
-
-
-def _defects(m: np.ndarray) -> np.ndarray:
-    """unitarity_defect of every matrix in an (n, 4, 4) stack, bit for bit.
-
-    np.linalg.norm sums the dots of the strided real and imaginary views
-    of the flattened matrix; _row_dots of the same views calls the same
-    strided BLAS dot, where contiguous copies would round differently.
-    """
-    gap = (m.conj().transpose(0, 2, 1) @ m - np.eye(4)).reshape(-1, 16)
-    return np.sqrt(_row_dots(gap.real, gap.real) + _row_dots(gap.imag, gap.imag))
-
-
 def _root_angles(quartics: list[list[complex]]) -> list[list[float]]:
     """np.angle(np.roots(quartic)) / 2 for every quartic.
 
@@ -184,10 +165,10 @@ def _root_angles(quartics: list[list[complex]]) -> list[list[float]]:
     ]
 
 
-def _candidate_sets(g0: np.ndarray, g1: np.ndarray) -> list[list[float]]:
-    """Per row of the stacks, sorted angles in [0, pi) that bound the
+def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
+    """Per row of the stack, sorted angles in [0, pi) that bound the
     monotone pieces of the profile."""
-    m0, m2 = _base_operators(g0, g1, 1.0, 0.0)  # M(0), -M(pi/2)
+    m0, m2 = _base_operators(arranged, 1.0, 0.0)  # M(0), -M(pi/2)
     m1 = -m2
     m0h, m1h = m0.conj().transpose(0, 2, 1), m1.conj().transpose(0, 2, 1)
     a, b, c = m0h @ m0, m1h @ m1, m0h @ m1
@@ -213,17 +194,17 @@ def _candidate_sets(g0: np.ndarray, g1: np.ndarray) -> list[list[float]]:
     return [sorted({angle % math.pi for angle in angles}) for angles in sets]
 
 
-def _profiles(g0: np.ndarray, g1: np.ndarray, thetas: list[list[float]]) -> list[float]:
+def _profiles(arranged: np.ndarray, thetas: list[list[float]]) -> list[float]:
     """max(d1, d2) at every candidate of every row, in one stacked evaluation.
 
-    ``thetas[k]`` are the angles of row k of the (m, 4, 4) halves; the
+    ``thetas[k]`` are the angles of row k of the (m, 32) stack; the
     values come back flattened in the same order.
     """
     owner = np.repeat(np.arange(len(thetas)), [len(row) for row in thetas])
     flat = [theta for row in thetas for theta in row]
     c = np.array([math.cos(theta) for theta in flat])[:, None, None]
     s = np.array([math.sin(theta) for theta in flat])[:, None, None]
-    both = np.concatenate(_base_operators(g0[owner], g1[owner], c, s))
+    both = _base_operators(arranged[owner], c, s).reshape(-1, 4, 4)
     return _defects(both).reshape(2, -1).max(axis=0).tolist()
 
 
@@ -254,10 +235,8 @@ def _verdict(thetas: list[float], values: list[float], tol: float) -> ThetaClass
 
 def _classify(arranged: np.ndarray, tol: float) -> list[ThetaClassification]:
     """Classify each row of an (m, 32) stack of arranged channels at once."""
-    halves = arranged.reshape(-1, 16, 2)
-    g0, g1 = halves[..., 0].reshape(-1, 4, 4), halves[..., 1].reshape(-1, 4, 4)
-    thetas = _candidate_sets(g0, g1)
-    values = _profiles(g0, g1, thetas)
+    thetas = _candidate_sets(arranged)
+    values = _profiles(arranged, thetas)
     bounds = list(accumulate(map(len, thetas), initial=0))
     return [
         _verdict(row, values[start:stop], tol)

@@ -5,9 +5,13 @@ one library routine, and renders the result.  All numeric work lives in
 the other modules; JSON is the source of truth and the table renderers
 format the same values.
 
+Each command returns its report and exit status; ``main`` writes the
+report once, as JSON or through the command's table renderer.
+
 Exit codes: 0 success, 1 criterion verdict FAIL (criterion command
-only), 2 input error, 141 (128 + SIGPIPE) when the reader closes
-standard output before the report is written.
+only), 2 input error, 74 (EX_IOERR) when the report cannot be written
+to standard output, 141 (128 + SIGPIPE) when the reader closes standard
+output before the report is written.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ _PRODUCT_ZERO = re.compile(r"^product_zero_(\d+)$")
 # exit status when standard output is closed early, as a shell reports
 # a process killed by SIGPIPE; never read as a success or a verdict
 EXIT_BROKEN_PIPE = 128 + 13
+# exit status when writing the report fails (EX_IOERR of sysexits.h),
+# e.g. on a full disk; likewise never read as a success or a verdict
+EXIT_OUTPUT_ERROR = 74
 
 
 class CliError(Exception):
@@ -181,9 +188,13 @@ def _render_assignment(doc: dict) -> str:
     return f"alice=({alice}) bob=({bob}) charlie={doc['charlie']}"
 
 
-def _render_criterion(doc: dict) -> None:
+def _print_setting(doc: dict) -> None:
     print(f"assignment: {_render_assignment(doc['assignment'])}")
     print(f"theta: {_fmt(doc['theta'])}")
+
+
+def _render_criterion(doc: dict) -> None:
+    _print_setting(doc)
     print(f"sigma111 defect: {_fmt(doc['sigma111_defect'])}")
     print(f"sigma112 defect: {_fmt(doc['sigma112_defect'])}")
     print(f"purity alice pair: {_fmt(doc['purity_alice_pair'])}")
@@ -208,8 +219,7 @@ def _render_scan(entries: list[dict]) -> None:
 
 
 def _render_teleport(doc: dict) -> None:
-    print(f"assignment: {_render_assignment(doc['assignment'])}")
-    print(f"theta: {_fmt(doc['theta'])}")
+    _print_setting(doc)
     if doc["seed"] is not None:
         print(f"seed: {doc['seed']}")
     print("outcome  probability  fidelity")
@@ -224,44 +234,26 @@ def _render_teleport(doc: dict) -> None:
 
 
 def _render_eq5(doc: dict) -> None:
-    print(f"assignment: {_render_assignment(doc['assignment'])}")
-    print(f"theta: {_fmt(doc['theta'])}")
+    _print_setting(doc)
     print(f"max deviation: {_fmt(doc['max_deviation'])}")
     print(f"holds: {_fmt(doc['holds'])}")
 
 
-def _cmd_purity(args: argparse.Namespace) -> int:
-    state = _load_state(args.state)
-    doc = purity_summary(state, args.tol)
-    if args.output == "json":
-        _print_json(doc)
-    else:
-        _render_purity(doc)
-    return 0
+def _cmd_purity(args: argparse.Namespace) -> tuple[dict, int]:
+    return purity_summary(_load_state(args.state), args.tol), 0
 
 
-def _cmd_criterion(args: argparse.Namespace) -> int:
+def _cmd_criterion(args: argparse.Namespace) -> tuple[dict, int]:
     state = _load_state(args.state)
     report = criterion_check(state, _assignment(args), _parse_theta(args.theta), args.tol)
-    doc = report.as_dict()
-    if args.output == "json":
-        _print_json(doc)
-    else:
-        _render_criterion(doc)
-    return 0 if report.passed else 1
+    return report.as_dict(), 0 if report.passed else 1
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    state = _load_state(args.state)
-    entries = scan(state, args.tol).as_dicts()
-    if args.output == "json":
-        _print_json(entries)
-    else:
-        _render_scan(entries)
-    return 0
+def _cmd_scan(args: argparse.Namespace) -> tuple[list[dict], int]:
+    return scan(_load_state(args.state), args.tol).as_dicts(), 0
 
 
-def _cmd_teleport(args: argparse.Namespace) -> int:
+def _cmd_teleport(args: argparse.Namespace) -> tuple[dict, int]:
     state = _load_state(args.state)
     input_state, seed = _parse_input(args.input, args.seed)
     assignment, theta = _assignment(args), _parse_theta(args.theta)
@@ -274,14 +266,10 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
         "records": [record.as_dict() for record in records],
         "average_fidelity": sum(r.probability * r.fidelity for r in records),
     }
-    if args.output == "json":
-        _print_json(doc)
-    else:
-        _render_teleport(doc)
-    return 0
+    return doc, 0
 
 
-def _cmd_eq5check(args: argparse.Namespace) -> int:
+def _cmd_eq5check(args: argparse.Namespace) -> tuple[dict, int]:
     state = _load_state(args.state)
     assignment, theta = _assignment(args), _parse_theta(args.theta)
     report = pauli_factorization_check(state, assignment, theta, args.tol)
@@ -291,11 +279,7 @@ def _cmd_eq5check(args: argparse.Namespace) -> int:
         "holds": report.holds,
         "max_deviation": report.max_deviation,
     }
-    if args.output == "json":
-        _print_json(doc)
-    else:
-        _render_eq5(doc)
-    return 0
+    return doc, 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -347,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("purity", help="pair/single reduction purities of a channel")
     _add_common(p)
-    p.set_defaults(func=_cmd_purity)
+    p.set_defaults(func=_cmd_purity, render=_render_purity)
 
     p = sub.add_parser(
         "criterion",
@@ -355,11 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     _add_assignment(p)
-    p.set_defaults(func=_cmd_criterion)
+    p.set_defaults(func=_cmd_criterion, render=_render_criterion)
 
     p = sub.add_parser("scan", help="classify all 30 role assignments of a channel")
     _add_common(p)
-    p.set_defaults(func=_cmd_scan)
+    p.set_defaults(func=_cmd_scan, render=_render_scan)
 
     p = sub.add_parser("teleport", help="simulate the full protocol, all 32 outcomes")
     _add_common(p)
@@ -375,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for --input random (default 0; echoed in the report)",
     )
-    p.set_defaults(func=_cmd_teleport)
+    p.set_defaults(func=_cmd_teleport, render=_render_teleport)
 
     p = sub.add_parser(
         "eq5check",
@@ -383,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     _add_assignment(p)
-    p.set_defaults(func=_cmd_eq5check)
+    p.set_defaults(func=_cmd_eq5check, render=_render_eq5)
 
     return parser
 
@@ -394,17 +378,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    render = _print_json if args.output == "json" else args.render
     try:
-        status = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+        doc, status = args.func(args)
+        render(doc)
+        sys.stdout.flush()  # a write error shows here rather than at exit
     except (CliError, ValueError) as exc:  # StateFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the rest of the report has no reader; send it, and the flush at
+    except OSError as exc:
+        # only writing the report raises one: the loader turns its own into
+        # StateFileError.  Send the rest of the report, and the flush at
         # interpreter exit, to devnull so neither raises again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT_ERROR
     return status
 
 

@@ -5,11 +5,11 @@ reductions: a five-qubit channel can carry a faithful controlled
 teleportation only if the sender and receiver pairs are maximally mixed
 (purity exactly 1/4), and a channel whose ten pair reductions are all
 maximally mixed is maximally multi-qubit entangled in this sense.
+Reduced density matrices are plain arrays, Hermitian by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -18,55 +18,23 @@ import numpy as np
 from .states import PureState
 
 __all__ = [
-    "DensityMatrix",
-    "PurityReport",
-    "MmesVerdict",
     "PAIR_PURITY_TARGET",
     "partial_trace",
     "purity",
-    "purity_table",
     "purity_expansion",
-    "mmes_check",
     "purity_summary",
 ]
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
 # purity of a maximally mixed two-qubit reduction
 PAIR_PURITY_TARGET = 0.25
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace matrix on a power-of-two dimension."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got {m.shape}")
-        dim = m.shape[0]
-        if dim < 2 or dim & (dim - 1):
-            raise ValueError(f"dimension must be a power of two, got {dim}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {np.trace(m)!r}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def partial_trace(s: PureState, keep: Iterable[int]) -> DensityMatrix:
+def partial_trace(s: PureState, keep: Iterable[int]) -> np.ndarray:
     """Reduced density matrix of the kept qubits, ascending label order.
 
     ``keep`` must be a nonempty proper subset of 1..n.  Row/column r, c
     of the result is sum_e psi(r, e) * conj(psi(c, e)) with e running
-    over the traced-out qubits.
+    over the traced-out qubits.  A trace other than 1 is refused.
     """
     n = s.num_qubits
     kept = sorted(set(keep))
@@ -77,35 +45,19 @@ def partial_trace(s: PureState, keep: Iterable[int]) -> DensityMatrix:
     traced = [q for q in range(1, n + 1) if q not in kept]
     axes = [q - 1 for q in kept] + [q - 1 for q in traced]
     grid = s.amplitudes.reshape([2] * n).transpose(axes).reshape(2 ** len(kept), -1)
-    return DensityMatrix(grid @ grid.conj().T)
+    rho = grid @ grid.conj().T
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
+        raise ValueError(f"trace must be 1, got {trace!r}")
+    return rho
 
 
-def purity(rho: DensityMatrix) -> float:
+def purity(rho: np.ndarray) -> float:
     """Tr(rho^2); 1 for pure, 1/dim for maximally mixed."""
-    value = np.trace(rho.matrix @ rho.matrix)
+    value = np.trace(rho @ rho)
     if abs(value.imag) > 1e-12:
         raise ValueError(f"purity has imaginary residue {value.imag!r}")
     return float(value.real)
-
-
-@dataclass(frozen=True)
-class PurityReport:
-    """All two-qubit and single-qubit reduction purities of a 5-qubit state."""
-
-    pair_purities: dict[tuple[int, int], float]
-    single_purities: dict[int, float]
-
-
-def purity_table(s: PureState) -> PurityReport:
-    """Purities of all ten pair reductions and five single reductions."""
-    if s.num_qubits != 5:
-        raise ValueError("purity_table is defined for five-qubit states")
-    pairs = {
-        pair: purity(partial_trace(s, pair))
-        for pair in combinations(range(1, 6), 2)
-    }
-    singles = {q: purity(partial_trace(s, (q,))) for q in range(1, 6)}
-    return PurityReport(pairs, singles)
 
 
 def purity_expansion(s: PureState) -> float:
@@ -129,38 +81,21 @@ def purity_expansion(s: PureState) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class MmesVerdict:
-    """Whether every pair reduction is maximally mixed, and the worst offender."""
-
-    maximal: bool
-    worst_pair: tuple[int, int]
-    max_deviation: float
-
-
-def mmes_check(s: PureState, tol: float = 1e-10) -> MmesVerdict:
-    """Check that all ten pair purities equal 1/4 within tol."""
-    report = purity_table(s)
-    worst_pair = min(report.pair_purities)
-    max_dev = -1.0
-    for pair in sorted(report.pair_purities):
-        dev = abs(report.pair_purities[pair] - PAIR_PURITY_TARGET)
-        if dev > max_dev:
-            worst_pair, max_dev = pair, dev
-    return MmesVerdict(max_dev <= tol, worst_pair, max_dev)
-
-
 def purity_summary(s: PureState, tol: float = 1e-10) -> dict:
-    """Assemble the serializable purity report consumed by the CLI."""
-    report = purity_table(s)
-    verdict = mmes_check(s, tol)
+    """Pair and single purities of a five-qubit state, and whether all ten
+    pairs are within tol of 1/4; ``worst_pair`` is the first pair in label
+    order with the largest deviation from it."""
+    if s.num_qubits != 5:
+        raise ValueError("purity_summary is defined for five-qubit states")
+    pairs = {
+        f"{a}{b}": purity(partial_trace(s, (a, b))) for a, b in combinations(range(1, 6), 2)
+    }
+    deviations = {pair: abs(value - PAIR_PURITY_TARGET) for pair, value in pairs.items()}
+    worst = max(deviations, key=deviations.__getitem__)
     return {
-        "pairs": {
-            f"{a}{b}": report.pair_purities[(a, b)]
-            for a, b in sorted(report.pair_purities)
-        },
-        "singles": {str(q): report.single_purities[q] for q in sorted(report.single_purities)},
-        "mmes": verdict.maximal,
-        "worst_pair": f"{verdict.worst_pair[0]}{verdict.worst_pair[1]}",
-        "max_deviation": verdict.max_deviation,
+        "pairs": pairs,
+        "singles": {str(q): purity(partial_trace(s, (q,))) for q in range(1, 6)},
+        "mmes": deviations[worst] <= tol,
+        "worst_pair": worst,
+        "max_deviation": deviations[worst],
     }

@@ -70,7 +70,8 @@ class PureState:
     renormalized: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_qubits, int) or self.num_qubits < 1:
+        n = self.num_qubits
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("num_qubits must be a positive integer")
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.num_qubits,):
@@ -267,7 +268,7 @@ def _load_json_text(text: str, path: str) -> PureState:
         )
     n = doc["num_qubits"]
     pairs = doc["amplitudes"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise StateFileError(f"{path}:1: num_qubits must be a positive integer")
     _reject_width(n, path, 1)
     if not isinstance(pairs, list) or len(pairs) != 2**n:

@@ -16,10 +16,12 @@ x holds the four input coefficients; printed tables show the transpose.
 
 Engine: a call re-arranges the channel once, and ``_outcome_operators``
 contracts it with Charlie's bras and the stacked Bell bras of both sender
-pairs, giving all 32 operators at once.  ``_base_tableau`` reads the two
-base operators straight off the amplitudes instead; the criterion and
-the angle classifier use it, and ``pauli_factorization_check`` checks
-all 32 projected operators against it.  ``simulate`` projects the joint
+pairs, giving all 32 operators at once.  One kernel, ``_base_operators``,
+reads both base operators straight off the amplitudes instead, for a
+whole stack of arranged channels and angles; the criterion, the angle
+classifier and the scan use it with ``_defects``, the one implementation
+of the unitarity defect, and ``pauli_factorization_check`` checks all 32
+projected operators against it.  ``simulate`` projects the joint
 seven-qubit state onto all 32 outcome bras in one contraction, so its
 residuals never come from the operators, which only correct them.
 """
@@ -167,19 +169,17 @@ def _arranged(channel: PureState, assignment: RoleAssignment) -> PureState:
     return permute_qubits(channel, assignment.relabeling())
 
 
-def _base_tableau(grid: np.ndarray, charlie_outcome: int, theta: float) -> np.ndarray:
-    """Base operator (both Bell outcomes 1) straight from the amplitudes.
+def _base_operators(arranged: np.ndarray, c, s) -> np.ndarray:
+    """Base operators (both Bell outcomes 1) of a stack of arranged channels,
+    as (2, m, 4, 4) at [charlie_outcome - 1], transposed from the action layout.
 
-    ``grid`` is the arranged channel reshaped (2, 2, 2, 2, 2).  Entry
-    [k][b] combines the two Charlie components of amplitude (k, b, .)
-    with the basis weights of the requested outcome.
+    G0/G1 at [k][b] are the Charlie components 0/1 of amplitude (k, b, .)
+    in each 32-amplitude row; ``c``/``s`` are cos/sin of the angle,
+    scalars or broadcast against the (m, 4, 4) halves.
     """
-    g0 = grid[..., 0].reshape(4, 4)
-    g1 = grid[..., 1].reshape(4, 4)
-    c, s = math.cos(theta), math.sin(theta)
-    if charlie_outcome == 1:
-        return _SCALE * (c * g0 + s * g1)
-    return _SCALE * (s * g0 - c * g1)
+    halves = arranged.reshape(-1, 16, 2)
+    g0, g1 = halves[..., 0].reshape(-1, 4, 4), halves[..., 1].reshape(-1, 4, 4)
+    return np.stack((_SCALE * (c * g0 + s * g1), _SCALE * (s * g0 - c * g1)))
 
 
 def _outcome_operators(grid: np.ndarray, theta: float) -> np.ndarray:
@@ -225,11 +225,20 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
+def _defects(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of M^dagger M - I for every matrix of an (n, d, d) stack.
+
+    Rounds as np.linalg.norm of each gap, which sums the dots of the strided
+    real and imaginary views; _row_dots of the same views calls the same
+    strided BLAS dot, where contiguous copies would round differently.
+    """
+    gap = (m.conj().transpose(0, 2, 1) @ m - np.eye(m.shape[-1])).reshape(len(m), -1)
+    return np.sqrt(_row_dots(gap.real, gap.real) + _row_dots(gap.imag, gap.imag))
+
+
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Frobenius norm of M^dagger M - I; zero exactly for unitary M."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    gram = m.conj().T @ m
-    return float(np.linalg.norm(gram - np.eye(m.shape[0])))
+    return float(_defects(np.asarray(matrix, dtype=np.complex128)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -271,9 +280,8 @@ def criterion_check(
     _require_tol(tol)
     _charlie_bras(theta)  # rejects a non-finite angle
     arranged = _arranged(channel, assignment)
-    grid = arranged.amplitudes.reshape([2] * 5)
-    defect_1 = unitarity_defect(_base_tableau(grid, 1, theta))
-    defect_2 = unitarity_defect(_base_tableau(grid, 2, theta))
+    base = _base_operators(arranged.amplitudes, math.cos(theta), math.sin(theta))
+    defect_1, defect_2 = _defects(base.reshape(2, 4, 4)).tolist()
     return CriterionReport(
         assignment=assignment,
         theta=theta,
@@ -309,10 +317,11 @@ def pauli_factorization_check(
     dictionary and factor pairing.
     """
     _require_tol(tol)
-    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
-    direct = _outcome_operators(grid, theta)
-    base = np.array([_base_tableau(grid, n, theta).T for n in (1, 2)])
-    # (2, 4, 4) against (4, 4, 1, 4, 4): every (i, j) pair, both n
+    arranged = _arranged(channel, assignment).amplitudes
+    direct = _outcome_operators(arranged, theta)
+    base = _base_operators(arranged, math.cos(theta), math.sin(theta))
+    # action layout, contiguous; (2, 4, 4) against (4, 4, 1, 4, 4): every (i, j), both n
+    base = np.ascontiguousarray(base.reshape(2, 4, 4).transpose(0, 2, 1))
     product = base @ _FACTOR_KRON[:, :, None]
     max_dev = float(np.max(np.abs(direct - product)))
     return FactorizationReport(max_dev <= tol, max_dev)

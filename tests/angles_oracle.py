@@ -3,9 +3,9 @@
 This is the code the batched engine in ``telecrit.angles`` replaced: the
 channel is re-arranged once per assignment, the candidate angles come
 from one assignment's coefficients and two ``np.roots`` calls, every
-candidate is checked by ``unitarity_defect(_base_tableau(...))`` on its
-own, and ``scan`` takes two partial traces per assignment.  Its logic is
-unchanged.
+candidate is checked by ``unitarity_defect`` of each base operator on
+its own, and ``scan`` takes two partial traces per assignment.  Its
+logic is unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from telecrit.states import PureState
 from telecrit.teleport import (
     RoleAssignment,
     _arranged,
-    _base_tableau,
+    _base_operators,
     _require_tol,
     unitarity_defect,
 )
@@ -38,8 +38,8 @@ from telecrit.teleport import (
 
 def _candidate_angles(grid: np.ndarray) -> np.ndarray:
     """Sorted angles in [0, pi) that bound the monotone pieces of the profile."""
-    g0 = _base_tableau(grid, 1, 0.0)  # M(0)
-    g1 = -_base_tableau(grid, 2, 0.0)  # M(pi/2)
+    g0, g1 = _base_operators(grid, 1.0, 0.0)[:, 0]
+    g1 = -g1  # M(0), M(pi/2)
     a, b, c = g0.conj().T @ g0, g1.conj().T @ g1, g0.conj().T @ g1
     p, q, r = (a + b) / 2 - np.eye(4), (a - b) / 2, (c + c.conj().T) / 2
 
@@ -75,8 +75,8 @@ def classify_theta(
     thetas = _candidate_angles(grid)
     values = np.array(
         [
-            max(unitarity_defect(_base_tableau(grid, n, theta)) for n in (1, 2))
-            for theta in thetas
+            max(map(unitarity_defect, _base_operators(grid, math.cos(t), math.sin(t))[:, 0]))
+            for t in thetas
         ]
     )
     if float(values.max()) <= tol:

@@ -9,6 +9,8 @@ the seven-qubit joint state once per outcome.  Its logic is unchanged.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from telecrit.states import PureState, project_subsystem, tensor
@@ -20,7 +22,7 @@ from telecrit.teleport import (
     FactorizationReport,
     TeleportationRecord,
     _arranged,
-    _base_tableau,
+    _base_operators,
     bell_state,
     charlie_state,
 )
@@ -69,7 +71,7 @@ def transformation_operator(
         raise ValueError("Charlie outcome must be 1 or 2")
     grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
     if (bell_first, bell_second) == (1, 1):
-        tableau = _base_tableau(grid, charlie_outcome, theta)
+        tableau = _base_operators(grid, math.cos(theta), math.sin(theta))[charlie_outcome - 1, 0]
     else:
         tableau = _projected_tableau(
             grid, bell_first, bell_second, charlie_outcome, theta

@@ -22,13 +22,12 @@ from telecrit import (
     criterion_check,
     enumerate_assignments,
     make_state,
-    mmes_check,
     named_state,
     partial_trace,
     pauli_factorization_check,
     purity,
     purity_expansion,
-    purity_table,
+    purity_summary,
     simulate,
     transformation_operator,
 )
@@ -51,22 +50,21 @@ def _random_input(rng):
 
 def test_c01_man_state_purity_table():
     man = named_state("man_m5")
-    report = purity_table(man)
-    half_pairs = ((1, 3), (2, 4))
-    for pair, value in report.pair_purities.items():
+    doc = purity_summary(man)
+    half_pairs = ("13", "24")
+    for pair, value in doc["pairs"].items():
         expected = 0.5 if pair in half_pairs else 0.25
         assert abs(value - expected) < 1e-12, pair
-    verdict = mmes_check(man)
-    assert verdict.maximal is False
-    assert abs(verdict.max_deviation - 0.25) < 1e-12
+    assert doc["mmes"] is False
+    assert abs(doc["max_deviation"] - 0.25) < 1e-12
 
 
 def test_c02_brown_state_purity_table():
     brown = named_state("brown")
-    report = purity_table(brown)
-    for pair, value in report.pair_purities.items():
+    doc = purity_summary(brown)
+    for pair, value in doc["pairs"].items():
         assert abs(value - 0.25) < 1e-12, pair
-    assert mmes_check(brown).maximal is True
+    assert doc["mmes"] is True
 
 
 # tableau rows of the two base operators for the brown channel, as

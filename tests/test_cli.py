@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from telecrit import named_state, save_state_json, save_state_text
@@ -454,23 +454,121 @@ def test_cli_fuzz_one_flag(command, flag, data):
         assert out.getvalue() == ""
 
 
+def _damaged_json(draw, n, vec):
+    doc = {"num_qubits": n, "amplitudes": [[z.real, z.imag] for z in vec.tolist()]}
+    junk = st.one_of(
+        st.integers(-2, 8), st.booleans(), st.none(), st.floats(), st.text(max_size=3)
+    )
+    damage = draw(st.sampled_from(["none", "width", "amplitude", "truncate", "drop"]))
+    if damage == "width":
+        doc["num_qubits"] = draw(junk)
+    elif damage == "amplitude":
+        doc["amplitudes"][draw(st.integers(0, 2**n - 1))] = draw(st.one_of(junk, st.lists(junk)))
+    elif damage == "truncate":
+        del doc["amplitudes"][draw(st.integers(0, 2**n - 1)) :]
+    elif damage == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return json.dumps(doc)
+
+
+def _damaged_text(draw, n, vec):
+    lines = [
+        f"{k:0{n}b} {z.real!r} {z.imag!r}" for k, z in enumerate(vec.tolist()) if z != 0
+    ]
+    damage = draw(st.sampled_from(["none", "replace", "insert", "duplicate", "width", "scale"]))
+    k = draw(st.integers(0, len(lines) - 1))
+    if damage == "replace":
+        lines[k] = draw(st.text(max_size=12))
+    elif damage == "insert":
+        lines.insert(k, draw(st.sampled_from(["", "# comment", "0 1", "2 0 0", "1 x 0"])))
+    elif damage == "duplicate":
+        lines.append(lines[k])
+    elif damage == "width":
+        lines[k] = "0" + lines[k]
+    elif damage == "scale":
+        bits, re_s, im_s = lines[k].split()
+        lines[k] = f"{bits} {2 * float(re_s)!r} {im_s}"
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _state_file_text(draw):
+    """Contents of a JSON or text state file: a unit vector on at most six
+    qubits, often five, then at most one damage."""
+    n = draw(st.one_of(st.just(5), st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    vec[rng.random(2**n) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    if not vec.any():
+        vec[0] = 1.0
+    vec /= np.linalg.norm(vec)
+    form = _damaged_json if draw(st.booleans()) else _damaged_text
+    return form(draw, n, vec)
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_BASE))
+@given(text=_state_file_text())
+# derandomized, and one file rewritten per example
+@settings(
+    max_examples=15,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_cli_fuzz_state_file(tmp_path, command, text):
+    path = tmp_path / "state"
+    path.write_text(text)
+    argv = [command, f"--state={path}", *(f"{k}={v}" for k, v in _FUZZ_BASE[command].items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+
+
+def _run_module(argv, stdout):
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "telecrit.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize("output", ["json", "table"])
 def test_closed_stdout_exits_broken_pipe(output):
     # the read end is closed before the child starts, so its first write
     # to standard output fails
     read_end, write_end = os.pipe()
     os.close(read_end)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "telecrit.cli", "scan", "--state=brown", "--output", output],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
+        proc = _run_module(["scan", "--state=brown", "--output", output], write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("output", ["json", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--state=brown"],
+        # a FAIL verdict (exit 1) whose report cannot be written
+        ["criterion", "--state=man_m5", *_ASSIGNMENT_ARGS[:-1], "pi/4"],
+    ],
+    ids=["scan", "criterion"],
+)
+def test_full_stdout_exits_output_error(argv, output):
+    with open("/dev/full", "wb") as full:
+        proc = _run_module([*argv, "--output", output], full)
+    assert proc.returncode == cli.EXIT_OUTPUT_ERROR == 74
+    assert proc.stderr.decode().splitlines() == [
+        "error: cannot write output: [Errno 28] No space left on device"
+    ]

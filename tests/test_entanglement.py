@@ -1,4 +1,4 @@
-"""Partial trace, purity tables, the closed-form pair-purity expansion."""
+"""Partial trace, the purity summary, the closed-form pair-purity expansion."""
 
 import numpy as np
 import pytest
@@ -6,24 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telecrit import (
-    DensityMatrix,
     PAIR_PURITY_TARGET,
     PureState,
+    RoleAssignment,
+    criterion_check,
     make_state,
-    mmes_check,
     named_state,
     partial_trace,
     purity,
     purity_expansion,
     purity_summary,
-    purity_table,
+    scan,
     tensor,
 )
 
 
 def test_partial_trace_bell_is_maximally_mixed():
     rho = partial_trace(named_state("bell_phi_plus"), (1,))
-    assert np.max(np.abs(rho.matrix - 0.5 * np.eye(2))) < 1e-15
+    assert np.max(np.abs(rho - 0.5 * np.eye(2))) < 1e-15
     assert abs(purity(rho) - 0.5) < 1e-15
 
 
@@ -31,14 +31,14 @@ def test_partial_trace_product_state_stays_pure():
     s = tensor(named_state("bell_psi_plus"), PureState(1, [0, 1]))
     rho = partial_trace(s, (3,))
     assert abs(purity(rho) - 1.0) < 1e-14
-    assert abs(rho.matrix[1, 1] - 1.0) < 1e-15
+    assert abs(rho[1, 1] - 1.0) < 1e-15
 
 
 def test_partial_trace_ghz_pair():
     rho = partial_trace(named_state("ghz5"), (1, 2))
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[3, 3] = 0.5
-    assert np.max(np.abs(rho.matrix - expected)) < 1e-15
+    assert np.max(np.abs(rho - expected)) < 1e-15
     assert abs(purity(rho) - 0.5) < 1e-15
 
 
@@ -51,44 +51,58 @@ def test_partial_trace_keep_validation(brown):
         partial_trace(brown, (1, 2, 3, 4, 5))
 
 
-def test_density_matrix_validation():
-    with pytest.raises(ValueError, match="square"):
-        DensityMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="power of two"):
-        DensityMatrix(np.eye(3) / 3.0)
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
-    with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(np.eye(2))
-    assert DensityMatrix(np.eye(4) / 4.0).dim == 4
+def test_density_matrix_validation(brown):
+    # a reduction of a unit state is Hermitian with unit trace by construction
+    rng = np.random.default_rng(7)
+    s = make_state(5, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    for keep in ((1,), (2, 5), (1, 3, 4)):
+        rho = partial_trace(s, keep)
+        assert rho.shape == (2 ** len(keep),) * 2
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+    # an unnormalized state's reduction is refused
+    with pytest.raises(ValueError, match="trace must be 1"):
+        partial_trace(PureState(5, 2 * brown.amplitudes), (1, 2))
+
+
+def test_unnormalized_channel_is_refused(brown):
+    # PureState keeps amplitudes as given; only partial_trace's trace check
+    # stands between an unnormalized channel and a report
+    doubled = PureState(5, 2 * brown.amplitudes)
+    with pytest.raises(ValueError, match="trace must be 1"):
+        scan(doubled)
+    with pytest.raises(ValueError, match="trace must be 1"):
+        criterion_check(doubled, RoleAssignment((1, 2), (3, 4), 5), 0.0)
+    with pytest.raises(ValueError, match="trace must be 1"):
+        purity_summary(doubled)
 
 
 def test_purity_of_maximally_mixed_pair():
-    assert purity(DensityMatrix(np.eye(4) / 4.0)) == pytest.approx(0.25, abs=1e-15)
+    assert purity(np.eye(4) / 4.0) == pytest.approx(0.25, abs=1e-15)
     assert PAIR_PURITY_TARGET == 0.25
 
 
 def test_man_purity_table(man):
-    report = purity_table(man)
-    for pair, value in report.pair_purities.items():
-        expected = 0.5 if pair in ((1, 3), (2, 4)) else 0.25
+    doc = purity_summary(man)
+    for pair, value in doc["pairs"].items():
+        expected = 0.5 if pair in ("13", "24") else 0.25
         assert abs(value - expected) < 1e-12, pair
-    for q, value in report.single_purities.items():
+    for q, value in doc["singles"].items():
         assert abs(value - 0.5) < 1e-12, q
 
 
 def test_brown_purity_table(brown):
-    report = purity_table(brown)
-    assert len(report.pair_purities) == 10
-    for pair, value in report.pair_purities.items():
+    doc = purity_summary(brown)
+    assert len(doc["pairs"]) == 10
+    for pair, value in doc["pairs"].items():
         assert abs(value - 0.25) < 1e-12, pair
-    for q, value in report.single_purities.items():
+    for q, value in doc["singles"].items():
         assert abs(value - 0.5) < 1e-12, q
 
 
 def test_purity_table_needs_five_qubits():
     with pytest.raises(ValueError, match="five"):
-        purity_table(named_state("bell_phi_plus"))
+        purity_summary(named_state("bell_phi_plus"))
 
 
 def test_purity_expansion_matches_partial_trace(man, brown):
@@ -121,23 +135,23 @@ def test_complementary_reductions_share_purity(seed):
 
 
 def test_mmes_verdicts(man, brown):
-    good = mmes_check(brown)
-    assert good.maximal is True
-    assert good.max_deviation < 1e-12
+    good = purity_summary(brown)
+    assert good["mmes"] is True
+    assert good["max_deviation"] < 1e-12
 
-    bad = mmes_check(man)
-    assert bad.maximal is False
-    assert bad.worst_pair == (1, 3)
-    assert abs(bad.max_deviation - 0.25) < 1e-12
+    bad = purity_summary(man)
+    assert bad["mmes"] is False
+    assert bad["worst_pair"] == "13"
+    assert abs(bad["max_deviation"] - 0.25) < 1e-12
 
-    flat = mmes_check(named_state("product_zero_n"))
-    assert flat.maximal is False
-    assert flat.worst_pair == (1, 2)  # lexicographic tie-break on equal deviation
-    assert abs(flat.max_deviation - 0.75) < 1e-12
+    flat = purity_summary(named_state("product_zero_n"))
+    assert flat["mmes"] is False
+    assert flat["worst_pair"] == "12"  # lexicographic tie-break on equal deviation
+    assert abs(flat["max_deviation"] - 0.75) < 1e-12
 
 
 def test_mmes_tolerance_is_respected(man):
-    assert mmes_check(man, tol=0.3).maximal is True
+    assert purity_summary(man, tol=0.3)["mmes"] is True
 
 
 def test_purity_summary_shape(brown):

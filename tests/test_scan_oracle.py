@@ -1,6 +1,7 @@
 """The batched angle engine agrees exactly with the per-assignment oracle."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from telecrit import (
     permute_qubits,
     scan,
 )
-from telecrit.teleport import _base_tableau, unitarity_defect
+from telecrit.teleport import _base_operators
 
 CATALOG = ("brown", "man_m5", "ghz5", "product_zero_n")
 TOLERANCES = (1e-10, 0.5, 10.0)
@@ -65,11 +66,6 @@ def test_random_channels_match_oracle(seed, source, tol):
     assert got == angles_oracle.classify_theta(channel, assignment, tol)
 
 
-def _halves(channel):
-    stacked = channel.amplitudes[angles._GATHER].reshape(-1, 16, 2)
-    return stacked[..., 0].reshape(-1, 4, 4), stacked[..., 1].reshape(-1, 4, 4)
-
-
 @pytest.mark.parametrize("source", ["brown", "man_m5", "dense", "lu_brown"])
 def test_batched_defects_are_criterion_arithmetic(source):
     # every value the verdicts read is the criterion's own defect, to the bit
@@ -80,14 +76,16 @@ def test_batched_defects_are_criterion_arithmetic(source):
         channel = lu_rotated(named_state("brown"), rng)
     else:
         channel = named_state(source)
-    g0, g1 = _halves(channel)
-    thetas = angles._candidate_sets(g0, g1)
-    values = iter(angles._profiles(g0, g1, thetas))
+    arranged = channel.amplitudes[angles._GATHER]
+    thetas = angles._candidate_sets(arranged)
+    values = iter(angles._profiles(arranged, thetas))
     for assignment, row in zip(enumerate_assignments(), thetas):
         grid = permute_qubits(channel, assignment.relabeling()).amplitudes.reshape([2] * 5)
         assert row == angles_oracle._candidate_angles(grid).tolist()
         for theta in row:
-            want = max(unitarity_defect(_base_tableau(grid, n, theta)) for n in (1, 2))
+            # the single-matrix form, one base operator at a time
+            base = _base_operators(grid, math.cos(theta), math.sin(theta))[:, 0]
+            want = max(float(np.linalg.norm(m.conj().T @ m - np.eye(4))) for m in base)
             assert next(values) == want
     assert next(values, None) is None
 

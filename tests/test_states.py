@@ -124,6 +124,9 @@ def test_make_state_rejects_bad_input():
         make_state(1, [0, 0])
     with pytest.raises(ValueError, match="finite"):
         make_state(1, [np.nan, 1])
+    # bool is an int subclass, but True is no qubit count
+    with pytest.raises(ValueError, match="positive integer"):
+        PureState(True, [1, 0])
 
 
 @pytest.mark.parametrize(
@@ -331,6 +334,7 @@ def test_loader_accepts_tiny_round_off(tmp_path):
         ('{"num_qubits": 2, "amplitudes": [[1, 0]]}', "4"),
         ('{"num_qubits": 1, "amplitudes": [[1, 0], "x"]}', "pair"),
         ('{"num_qubits": 0, "amplitudes": []}', "positive"),
+        ('{"num_qubits": true, "amplitudes": [[1, 0], [0, 0]]}', "positive"),
         ('{"nope": 1', "invalid JSON"),
     ],
 )

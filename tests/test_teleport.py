@@ -139,6 +139,9 @@ def test_unitarity_defect_transpose_invariant(seed):
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert abs(unitarity_defect(matrix) - unitarity_defect(matrix.T)) < 1e-12
+    # bit for bit the single-matrix form
+    gap = matrix.conj().T @ matrix - np.eye(4)
+    assert unitarity_defect(matrix) == float(np.linalg.norm(gap))
 
 
 def test_criterion_passes_for_brown_fixed_pairs(brown, assign_12):
