@@ -28,7 +28,8 @@ passes; otherwise the roots are the candidates that are cyclic local
 minima and pass.
 
 Engine: ``scan`` stacks the channel re-arranged for all 30 assignments
-with one gather through a precomputed index table, and ``_classify``
+with one gather through the rows of their cached gather indices (those
+every per-assignment call reads), and ``_classify``
 runs every step on the stack: the coefficients as stacked products,
 all 60 quartics through one batched ``eigvals`` on np.roots' companion
 matrices, and every candidate of every assignment, both outcomes, in
@@ -50,7 +51,7 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from .entanglement import partial_trace, purity
-from .states import PureState, permute_qubits
+from .states import PureState
 from .teleport import (
     RoleAssignment,
     _arranged,
@@ -259,19 +260,13 @@ def classify_theta(
     last-bit rounding of their defects.
     """
     _require_tol(tol)
-    return _classify(_arranged(channel, assignment).amplitudes[None], tol)[0]
+    return _classify(_arranged(channel, assignment)[None], tol)[0]
 
 
-# the 30 assignments of a scan and, in row k, the channel index each
-# amplitude of assignment k's arrangement reads (the basis indices,
-# re-arranged): channel.amplitudes[_GATHER] arranges all 30 at once
+# the 30 assignments of a scan and, in row k, assignment k's gather index:
+# channel.amplitudes[_GATHER] arranges all 30 at once, as _arranged does one
 _ASSIGNMENTS = tuple(enumerate_assignments())
-_GATHER = np.array(
-    [
-        permute_qubits(PureState(5, np.arange(32)), a.relabeling()).amplitudes.real
-        for a in _ASSIGNMENTS
-    ]
-).astype(np.intp)
+_GATHER = np.array([a._gather for a in _ASSIGNMENTS])
 
 
 def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:

@@ -9,9 +9,10 @@ Each command returns its report and exit status; ``main`` writes the
 report once, as JSON or through the command's table renderer.
 
 Exit codes: 0 success, 1 criterion verdict FAIL (criterion command
-only), 2 input error, 74 (EX_IOERR) when the report cannot be written
-to standard output, 141 (128 + SIGPIPE) when the reader closes standard
-output before the report is written.
+only), 2 input error, 71 (EX_OSERR) when the command runs out of memory,
+74 (EX_IOERR) when the report cannot be written to standard output, 141
+(128 + SIGPIPE) when the reader closes standard output before the report
+is written.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ EXIT_BROKEN_PIPE = 128 + 13
 # exit status when writing the report fails (EX_IOERR of sysexits.h),
 # e.g. on a full disk; likewise never read as a success or a verdict
 EXIT_OUTPUT_ERROR = 74
+# exit status when a command runs out of memory (EX_OSERR of sysexits.h),
+# so a failed allocation never reads as a criterion FAIL
+EXIT_OUT_OF_MEMORY = 71
 
 
 class CliError(Exception):
@@ -110,6 +114,18 @@ def _parse_tol(text: str) -> float:
             f"bad tol {text!r}: expected a finite number >= 0"
         ) from None
     return tol
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+        if seed < 0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad seed {text!r}: expected an integer >= 0"
+        ) from None
+    return seed
 
 
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
@@ -355,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--seed",
-        type=int,
+        type=_parse_seed,
         default=0,
         help="seed for --input random (default 0; echoed in the report)",
     )
@@ -386,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as exc:  # StateFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     except OSError as exc:
         # only writing the report raises one: the loader turns its own into
         # StateFileError.  Send the rest of the report, and the flush at

@@ -10,6 +10,11 @@ Conventions, binding for the whole package:
 * Values are immutable after construction and every operation returns a
   new state, so states can be shared freely.
 
+Every state passes one check: a positive width, 2**n amplitudes, all
+finite.  ``PureState`` runs it on one vector; a batch of k states is
+built as one (k, 2**n) stack, checked once, read-only, one row per
+state.
+
 States built by :func:`make_state`, the catalog, :func:`tensor` and
 :func:`permute_qubits` are unit norm.  :func:`project_subsystem` returns
 an *unnormalized* residual whose squared norm is the probability of the
@@ -70,17 +75,8 @@ class PureState:
     renormalized: bool = False
 
     def __post_init__(self) -> None:
-        n = self.num_qubits
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError("num_qubits must be a positive integer")
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes for "
-                f"{self.num_qubits} qubits, got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
+        _check_amplitudes(self.num_qubits, amps, amps.shape)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -93,6 +89,36 @@ class PureState:
         if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
             raise ValueError(f"need a {self.num_qubits}-bit string, got {bits!r}")
         return complex(self.amplitudes[int(bits, 2)])
+
+
+def _check_amplitudes(num_qubits: int, amps: np.ndarray, shape: tuple) -> None:
+    """The checks every state passes: a positive width, ``shape`` (that of
+    one state's vector) of 2**num_qubits, and finite ``amps``."""
+    n = num_qubits
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError("num_qubits must be a positive integer")
+    if shape != (2**n,):
+        raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got shape {shape}")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+
+
+def _stacked_states(num_qubits: int, rows: np.ndarray) -> list[PureState]:
+    """One state per row of a (k, 2**num_qubits) array.
+
+    The stack is copied and checked once, as ``PureState`` checks a single
+    vector, and made read-only; each state holds one of its rows and
+    skips ``__post_init__``, whose checks the stack has passed.
+    """
+    amps = np.array(rows, dtype=np.complex128)
+    _check_amplitudes(num_qubits, amps, amps.shape[1:])
+    amps.setflags(write=False)
+    states = []
+    for row in amps:
+        state = object.__new__(PureState)
+        vars(state).update(num_qubits=num_qubits, amplitudes=row, renormalized=False)
+        states.append(state)
+    return states
 
 
 def make_state(num_qubits: int, amplitudes: Sequence[complex]) -> PureState:
@@ -181,9 +207,9 @@ def named_state(name: str, num_qubits: int | None = None) -> PureState:
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product; a's qubits keep labels 1..n_a, b's become n_a+1.."""
-    return PureState(
-        a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes)
-    )
+    # the products of np.kron on vectors, without its reshaping
+    product = np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)
+    return PureState(a.num_qubits + b.num_qubits, product)
 
 
 def permute_qubits(s: PureState, perm: Mapping[int, int]) -> PureState:

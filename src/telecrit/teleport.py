@@ -14,7 +14,9 @@ Operators are plain 4x4 arrays in the action layout: Bob's unnormalized
 post-measurement amplitudes equal 1/(4*sqrt(2)) times matrix @ x, where
 x holds the four input coefficients; printed tables show the transpose.
 
-Engine: a call re-arranges the channel once, and ``_outcome_operators``
+Engine: a call re-arranges the channel once, through the gather index
+cached on its ``RoleAssignment`` (the one arrangement route; ``scan``
+stacks the same indices of all 30 assignments), and ``_outcome_operators``
 contracts it with Charlie's bras and the stacked Bell bras of both sender
 pairs, giving all 32 operators at once.  One kernel, ``_base_operators``,
 reads both base operators straight off the amplitudes instead, for a
@@ -23,7 +25,8 @@ classifier and the scan use it with ``_defects``, the one implementation
 of the unitarity defect, and ``pauli_factorization_check`` checks all 32
 projected operators against it.  ``simulate`` projects the joint
 seven-qubit state onto all 32 outcome bras in one contraction, so its
-residuals never come from the operators, which only correct them.
+residuals never come from the operators, which only correct them; Bob's
+32 corrected states are one stack, checked once.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .entanglement import partial_trace, purity
-from .states import PureState, permute_qubits, tensor
+from .states import PureState, _stacked_states
 
 __all__ = [
     "PAULI_FACTORS",
@@ -140,6 +144,21 @@ class RoleAssignment:
                 f"bob={self.bob} charlie={self.charlie}"
             )
 
+    @cached_property
+    def _gather(self) -> np.ndarray:
+        """Read-only index table: ``amplitudes[self._gather]`` is a channel
+        re-arranged as ``relabeling`` orders it, as permute_qubits would.
+
+        Bit 5 - new of arranged index k is bit 5 - old of the channel
+        index it reads, for each label ``old`` moved to ``new``.
+        """
+        k = np.arange(32)
+        index = np.zeros(32, dtype=np.intp)
+        for old, new in self.relabeling().items():
+            index |= ((k >> (5 - new)) & 1) << (5 - old)
+        index.setflags(write=False)
+        return index
+
     def relabeling(self) -> dict[int, int]:
         """Old-label -> new-label map putting roles in canonical order."""
         return {
@@ -163,10 +182,11 @@ def _require_channel(channel: PureState) -> None:
         raise ValueError("the channel must be a five-qubit state")
 
 
-def _arranged(channel: PureState, assignment: RoleAssignment) -> PureState:
-    """Channel relabeled so qubits run (alice 1, alice 2, bob 1, bob 2, charlie)."""
+def _arranged(channel: PureState, assignment: RoleAssignment) -> np.ndarray:
+    """Channel amplitudes with qubits running (alice 1, alice 2, bob 1, bob 2,
+    charlie), read through the assignment's cached gather index."""
     _require_channel(channel)
-    return permute_qubits(channel, assignment.relabeling())
+    return channel.amplitudes[assignment._gather]
 
 
 def _base_operators(arranged: np.ndarray, c, s) -> np.ndarray:
@@ -215,9 +235,8 @@ def transformation_operator(
         raise ValueError("Bell outcome indices must be in 1..4")
     if charlie_outcome not in (1, 2):
         raise ValueError("Charlie outcome must be 1 or 2")
-    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
     outcome = (bell_first - 1, bell_second - 1, charlie_outcome - 1)
-    return _outcome_operators(grid, theta)[outcome]
+    return _outcome_operators(_arranged(channel, assignment), theta)[outcome]
 
 
 def _require_tol(tol: float) -> None:
@@ -279,7 +298,7 @@ def criterion_check(
     """
     _require_tol(tol)
     _charlie_bras(theta)  # rejects a non-finite angle
-    arranged = _arranged(channel, assignment)
+    arranged = PureState(5, _arranged(channel, assignment))
     base = _base_operators(arranged.amplitudes, math.cos(theta), math.sin(theta))
     defect_1, defect_2 = _defects(base.reshape(2, 4, 4)).tolist()
     return CriterionReport(
@@ -317,7 +336,7 @@ def pauli_factorization_check(
     dictionary and factor pairing.
     """
     _require_tol(tol)
-    arranged = _arranged(channel, assignment).amplitudes
+    arranged = _arranged(channel, assignment)
     direct = _outcome_operators(arranged, theta)
     base = _base_operators(arranged, math.cos(theta), math.sin(theta))
     # action layout, contiguous; (2, 4, 4) against (4, 4, 1, 4, 4): every (i, j), both n
@@ -385,13 +404,15 @@ def simulate(
     if correction not in ("adjoint", "inverse"):
         raise ValueError(f"correction must be 'adjoint' or 'inverse', got {correction!r}")
     arranged = _arranged(channel, assignment)
-    operators = _outcome_operators(arranged.amplitudes, theta).reshape(32, 4, 4)
+    operators = _outcome_operators(arranged, theta).reshape(32, 4, 4)
     # joint qubits: 1-2 unknown pair, 3-4 Alice's channel pair, 5-6 Bob's
     # pair, 7 Charlie; the measured ones go to rows in bra order (1, 3, 2, 4, 7)
-    joint = tensor(input_state, arranged).amplitudes.reshape([2] * 7)
+    joint = np.multiply.outer(input_state.amplitudes, arranged).reshape([2] * 7)
     measured = joint.transpose(0, 2, 1, 3, 6, 4, 5).reshape(32, 4)
-    # all 32 bras as rows [i, j, n], one vector-matrix product each
-    bras = np.kron(_BELL_PAIR_BRAS.reshape(16, 16), _charlie_bras(theta))
+    # all 32 bras as rows [i, j, n], one vector-matrix product each; the
+    # products np.kron of the Bell pair bras and Charlie's would form
+    charlie = _charlie_bras(theta)
+    bras = (_BELL_PAIR_BRAS.reshape(16, 1, 16, 1) * charlie[:, None, :]).reshape(32, 32)
     residuals = (bras[:, None, :] @ measured)[:, 0]
     unrecoverable = np.zeros(32, dtype=bool)
     if correction == "adjoint":
@@ -409,8 +430,6 @@ def simulate(
     fidelities = np.where(live, np.abs(_row_dots(input_state.amplitudes, corrected)) ** 2, 0.0)
     probabilities = _row_dots(residuals, residuals).real.tolist()
     outcomes = itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2))
-    rows = zip(outcomes, probabilities, corrected, fidelities.tolist(), unrecoverable.tolist())
-    return [
-        TeleportationRecord(outcome, probability, PureState(2, bob), fidelity, flag)
-        for outcome, probability, bob, fidelity, flag in rows
-    ]
+    bobs = _stacked_states(2, corrected)
+    rows = zip(outcomes, probabilities, bobs, fidelities.tolist(), unrecoverable.tolist())
+    return [TeleportationRecord(*row) for row in rows]

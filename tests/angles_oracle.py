@@ -71,7 +71,7 @@ def classify_theta(
     modulo pi.
     """
     _require_tol(tol)
-    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
+    grid = _arranged(channel, assignment).reshape([2] * 5)
     thetas = _candidate_angles(grid)
     values = np.array(
         [

@@ -35,7 +35,7 @@ def _defect_profile(channel, assignment) -> Callable[[float], float]:
     if key in _LAST_PROFILE:
         return _LAST_PROFILE[key]
     _LAST_PROFILE.clear()
-    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
+    grid = _arranged(channel, assignment).reshape([2] * 5)
     memo: dict[float, float] = {}
 
     def profile(theta: float) -> float:

@@ -69,7 +69,7 @@ def transformation_operator(
         raise ValueError("Bell outcome indices must be in 1..4")
     if charlie_outcome not in (1, 2):
         raise ValueError("Charlie outcome must be 1 or 2")
-    grid = _arranged(channel, assignment).amplitudes.reshape([2] * 5)
+    grid = _arranged(channel, assignment).reshape([2] * 5)
     if (bell_first, bell_second) == (1, 1):
         tableau = _base_operators(grid, math.cos(theta), math.sin(theta))[charlie_outcome - 1, 0]
     else:
@@ -127,7 +127,7 @@ def simulate(
         raise ValueError("the input state must be normalized")
     if correction not in ("adjoint", "inverse"):
         raise ValueError(f"correction must be 'adjoint' or 'inverse', got {correction!r}")
-    arranged = _arranged(channel, assignment)
+    arranged = PureState(5, _arranged(channel, assignment))
     # joint qubits: 1-2 unknown pair, 3-4 Alice's channel pair,
     # 5-6 Bob's pair, 7 Charlie
     joint = tensor(input_state, arranged)

@@ -329,6 +329,21 @@ def test_bad_tol_exit_two(capsys, command, tol):
     ]
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "seven"])
+def test_bad_seed_exit_two(capsys, seed):
+    code, out, err = run_cli(
+        capsys, "teleport", "--state", "brown", *_ASSIGNMENT_ARGS,
+        "--input", "random", f"--seed={seed}",
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"telecrit teleport: error: argument --seed: bad seed {seed!r}: "
+        "expected an integer >= 0"
+    ]
+
+
 def test_zero_tol_accepted(capsys):
     code, _, err = run_cli(
         capsys, "criterion", "--state", "brown", *_ASSIGNMENT_ARGS, "--tol", "0"
@@ -572,3 +587,14 @@ def test_full_stdout_exits_output_error(argv, output):
     assert proc.stderr.decode().splitlines() == [
         "error: cannot write output: [Errno 28] No space left on device"
     ]
+
+
+def test_out_of_memory_exits_documented_code(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_purity", exhausted)
+    code, out, err = run_cli(capsys, "purity", "--state", "brown")
+    assert code == cli.EXIT_OUT_OF_MEMORY == 71
+    assert out == ""
+    assert err.splitlines() == ["error: out of memory"]

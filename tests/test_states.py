@@ -1,6 +1,7 @@
 """State construction, catalog goldens, qubit shuffling, projection, file I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,44 @@ def test_tensor_orders_factors():
     assert abs(joint.amplitude("000") - 1 / math.sqrt(2)) < 1e-15
     assert abs(joint.amplitude("110") - 1 / math.sqrt(2)) < 1e-15
     assert joint.num_qubits == 3
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tensor_is_bit_identical_to_kron(seed):
+    rng = np.random.default_rng(seed)
+    for n_a, n_b in ((1, 1), (2, 3), (3, 2), (1, 4)):
+        a = make_state(n_a, rng.standard_normal(2**n_a) + 1j * rng.standard_normal(2**n_a))
+        b = make_state(n_b, rng.standard_normal(2**n_b) + 1j * rng.standard_normal(2**n_b))
+        want = np.kron(a.amplitudes, b.amplitudes)
+        assert tensor(a, b).amplitudes.tobytes() == want.tobytes()
+
+
+def test_stacked_states_are_checked_as_pure_states():
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    stacked = states._stacked_states(2, rows)
+    want = rows.copy()
+    rows[:] = 0.0  # the stack holds its own copy
+    for state, row in zip(stacked, want, strict=True):
+        assert state.num_qubits == 2 and state.renormalized is False
+        assert state.amplitudes.dtype == np.complex128 and state.amplitudes.shape == (4,)
+        assert not state.amplitudes.flags.writeable
+        assert state.amplitudes.tobytes() == row.tobytes()
+    # a bad row or width is refused with PureState's own message
+    for bad_value in (np.nan, np.inf, complex(0, -np.inf)):
+        bad = rows.copy()
+        bad[2, 1] = bad_value
+        with pytest.raises(ValueError) as single:
+            PureState(2, bad[2])
+        with pytest.raises(ValueError, match=re.escape(str(single.value))):
+            states._stacked_states(2, bad)
+    for width in (8, 2):
+        with pytest.raises(ValueError) as single:
+            PureState(2, np.ones(width))
+        with pytest.raises(ValueError, match=re.escape(str(single.value))):
+            states._stacked_states(2, np.ones((3, width)))
+    with pytest.raises(ValueError, match="positive integer"):
+        states._stacked_states(True, rows)
 
 
 def test_permute_qubits_explicit():

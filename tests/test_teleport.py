@@ -1,5 +1,6 @@
 """Transformation operators, the unitarity criterion, protocol simulation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import telecrit.angles as angles
 from telecrit import (
     PAULI_FACTORS,
     PureState,
@@ -80,6 +82,23 @@ def test_role_assignment_validation():
     asg = RoleAssignment((2, 4), (5, 1), 3)
     assert asg.relabeling() == {2: 1, 4: 2, 5: 3, 1: 4, 3: 5}
     assert asg.as_dict() == {"alice": [2, 4], "bob": [5, 1], "charlie": 3}
+
+
+def test_gather_index_is_the_permute_qubits_arrangement():
+    # the basis indices, re-arranged by permute_qubits, for every ordered
+    # role assignment, reversed within-role orders included
+    basis = PureState(5, np.arange(32))
+    for order in itertools.permutations(range(1, 6)):
+        assignment = RoleAssignment(order[:2], order[2:4], order[4])
+        want = permute_qubits(basis, assignment.relabeling()).amplitudes.real
+        gather = assignment._gather
+        assert gather.dtype == np.intp and not gather.flags.writeable
+        assert np.array_equal(gather, want.astype(np.intp))
+        assert assignment._gather is gather  # cached on the assignment
+    # scan arranges through the same cache
+    assert angles._GATHER.shape == (30, 32)
+    for assignment, row in zip(angles._ASSIGNMENTS, angles._GATHER, strict=True):
+        assert np.array_equal(row, assignment._gather)
 
 
 def test_base_operator_golden_entries(brown, assign_12, assign_13, assign_14):
@@ -266,6 +285,18 @@ def test_simulate_faithful_channel_is_uniform(brown, assign_12):
     doc = records[0].as_dict()
     assert doc["outcome"] == [1, 1, 1]
     assert "unrecoverable" not in doc
+
+
+def test_simulate_bob_states_are_read_only_unit_rows(brown):
+    input_state = make_state(2, [0.5, 0.5j, -0.5, 0.5])
+    records = simulate(brown, RoleAssignment((2, 1), (4, 3), 5), 0.3, input_state)
+    for record in records:
+        bob = record.bob_corrected
+        assert bob.num_qubits == 2 and bob.renormalized is False
+        assert bob.amplitudes.dtype == np.complex128 and bob.amplitudes.shape == (4,)
+        assert not bob.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            bob.amplitudes[0] = 0.0
 
 
 def test_simulate_fidelity_is_overlap_with_input(brown):
