@@ -6,7 +6,7 @@ arbitrary two-qubit state exactly when the two base transformation
 operators induced on the receiver's pair are unitary.  This package
 extracts those operators for any channel, role assignment, and
 controller basis angle, tests the criterion, relates it to reduction
-purities, and verifies everything by brute-force protocol simulation.
+purities, and runs the protocol over all 32 measurement outcomes.
 """
 
 from . import angles, entanglement, states, teleport

@@ -50,7 +50,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .entanglement import partial_trace, purity
+from .entanglement import _require_tol, partial_trace, purity
 from .states import PureState
 from .teleport import (
     RoleAssignment,
@@ -58,7 +58,6 @@ from .teleport import (
     _base_operators,
     _defects,
     _require_channel,
-    _require_tol,
     _row_dots,
 )
 

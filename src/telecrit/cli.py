@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .entanglement import purity_summary
+from .entanglement import _require_tol, purity_summary
 from .angles import scan
 from .states import (
     CATALOG_NAMES,
@@ -38,7 +38,6 @@ from .states import (
 )
 from .teleport import (
     RoleAssignment,
-    _require_tol,
     criterion_check,
     pauli_factorization_check,
     simulate,

@@ -6,10 +6,14 @@ teleportation only if the sender and receiver pairs are maximally mixed
 (purity exactly 1/4), and a channel whose ten pair reductions are all
 maximally mixed is maximally multi-qubit entangled in this sense.
 Reduced density matrices are plain arrays, Hermitian by construction.
+Every purity the package reports, the criterion's and the scan's
+included, is :func:`purity` of a :func:`partial_trace` of the channel
+in its own labels, so one pair purity prints the same digits everywhere.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Iterable
 
@@ -21,12 +25,16 @@ __all__ = [
     "PAIR_PURITY_TARGET",
     "partial_trace",
     "purity",
-    "purity_expansion",
     "purity_summary",
 ]
 
 # purity of a maximally mixed two-qubit reduction
 PAIR_PURITY_TARGET = 0.25
+
+
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def partial_trace(s: PureState, keep: Iterable[int]) -> np.ndarray:
@@ -60,31 +68,11 @@ def purity(rho: np.ndarray) -> float:
     return float(value.real)
 
 
-def purity_expansion(s: PureState) -> float:
-    """Purity of the {1, 2} pair by the closed-form amplitude expansion.
-
-    Groups the 32 amplitudes into four rows of eight by the first two
-    bits; the purity is the sum of the squared row norms plus twice the
-    squared magnitude of each of the six pairwise row overlaps.  This is
-    an independent cross-check of the partial-trace route and never
-    builds a density matrix.
-    """
-    if s.num_qubits != 5:
-        raise ValueError("purity_expansion is defined for five-qubit states")
-    rows = s.amplitudes.reshape(4, 8)
-    total = 0.0
-    for r in range(4):
-        total += float(np.vdot(rows[r], rows[r]).real) ** 2
-    for r, t in combinations(range(4), 2):
-        overlap = complex(np.dot(rows[r], rows[t].conj()))
-        total += 2.0 * abs(overlap) ** 2
-    return total
-
-
 def purity_summary(s: PureState, tol: float = 1e-10) -> dict:
     """Pair and single purities of a five-qubit state, and whether all ten
     pairs are within tol of 1/4; ``worst_pair`` is the first pair in label
     order with the largest deviation from it."""
+    _require_tol(tol)
     if s.num_qubits != 5:
         raise ValueError("purity_summary is defined for five-qubit states")
     pairs = {

@@ -10,15 +10,9 @@ Conventions, binding for the whole package:
 * Values are immutable after construction and every operation returns a
   new state, so states can be shared freely.
 
-Every state passes one check: a positive width, 2**n amplitudes, all
-finite.  ``PureState`` runs it on one vector; a batch of k states is
-built as one (k, 2**n) stack, checked once, read-only, one row per
-state.
-
-States built by :func:`make_state`, the catalog, :func:`tensor` and
-:func:`permute_qubits` are unit norm.  :func:`project_subsystem` returns
-an *unnormalized* residual whose squared norm is the probability of the
-projected measurement outcome.
+Every state passes one check on construction: a positive width, 2**n
+amplitudes, all finite.  States built by :func:`make_state`, the
+catalog and :func:`tensor` are unit norm.
 """
 
 from __future__ import annotations
@@ -42,9 +36,6 @@ __all__ = [
     "make_state",
     "named_state",
     "tensor",
-    "permute_qubits",
-    "inner_product",
-    "project_subsystem",
     "load_state_file",
     "save_state_json",
     "save_state_text",
@@ -76,7 +67,15 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        _check_amplitudes(self.num_qubits, amps, amps.shape)
+        n = self.num_qubits
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError("num_qubits must be a positive integer")
+        if amps.shape != (2**n,):
+            raise ValueError(
+                f"expected {2**n} amplitudes for {n} qubits, got shape {amps.shape}"
+            )
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -89,36 +88,6 @@ class PureState:
         if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
             raise ValueError(f"need a {self.num_qubits}-bit string, got {bits!r}")
         return complex(self.amplitudes[int(bits, 2)])
-
-
-def _check_amplitudes(num_qubits: int, amps: np.ndarray, shape: tuple) -> None:
-    """The checks every state passes: a positive width, ``shape`` (that of
-    one state's vector) of 2**num_qubits, and finite ``amps``."""
-    n = num_qubits
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("num_qubits must be a positive integer")
-    if shape != (2**n,):
-        raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got shape {shape}")
-    if not np.isfinite(amps).all():
-        raise ValueError("amplitudes must be finite")
-
-
-def _stacked_states(num_qubits: int, rows: np.ndarray) -> list[PureState]:
-    """One state per row of a (k, 2**num_qubits) array.
-
-    The stack is copied and checked once, as ``PureState`` checks a single
-    vector, and made read-only; each state holds one of its rows and
-    skips ``__post_init__``, whose checks the stack has passed.
-    """
-    amps = np.array(rows, dtype=np.complex128)
-    _check_amplitudes(num_qubits, amps, amps.shape[1:])
-    amps.setflags(write=False)
-    states = []
-    for row in amps:
-        state = object.__new__(PureState)
-        vars(state).update(num_qubits=num_qubits, amplitudes=row, renormalized=False)
-        states.append(state)
-    return states
 
 
 def make_state(num_qubits: int, amplitudes: Sequence[complex]) -> PureState:
@@ -210,56 +179,6 @@ def tensor(a: PureState, b: PureState) -> PureState:
     # the products of np.kron on vectors, without its reshaping
     product = np.multiply.outer(a.amplitudes, b.amplitudes).reshape(-1)
     return PureState(a.num_qubits + b.num_qubits, product)
-
-
-def permute_qubits(s: PureState, perm: Mapping[int, int]) -> PureState:
-    """Relabel qubits: the bit of old qubit q moves to new label perm[q].
-
-    ``perm`` must be a bijection on 1..n.  The amplitude at the
-    bit-permuted index equals the original amplitude.
-    """
-    n = s.num_qubits
-    if sorted(perm.keys()) != list(range(1, n + 1)) or sorted(
-        perm.values()
-    ) != list(range(1, n + 1)):
-        raise ValueError(f"perm must be a bijection on 1..{n}, got {dict(perm)!r}")
-    # new tensor axis (new - 1) is fed from old axis (old - 1)
-    axes = [0] * n
-    for old, new in perm.items():
-        axes[new - 1] = old - 1
-    shuffled = s.amplitudes.reshape([2] * n).transpose(axes)
-    return PureState(n, shuffled.reshape(-1))
-
-
-def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b> with the first argument conjugated."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states must have the same number of qubits")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def project_subsystem(
-    s: PureState, bra: PureState, labels: Sequence[int]
-) -> PureState:
-    """Apply <bra| on the given qubit labels of s; return the residual.
-
-    ``labels[t]`` is the qubit of ``s`` measured by qubit t+1 of ``bra``;
-    the residual lives on the remaining qubits in ascending label order
-    and is *not* normalized: its squared norm is the probability of the
-    outcome ``bra``.  ``bra`` is assumed normalized.
-    """
-    n, m = s.num_qubits, bra.num_qubits
-    labels = list(labels)
-    if len(labels) != m:
-        raise ValueError(f"bra covers {m} qubits but {len(labels)} labels given")
-    if len(set(labels)) != m or not all(1 <= q <= n for q in labels):
-        raise ValueError(f"labels must be distinct and within 1..{n}")
-    if m >= n:
-        raise ValueError("bra must leave at least one unmeasured qubit")
-    keep = [q for q in range(1, n + 1) if q not in set(labels)]
-    axes = [q - 1 for q in labels] + [q - 1 for q in keep]
-    grid = s.amplitudes.reshape([2] * n).transpose(axes).reshape(2**m, -1)
-    return PureState(n - m, bra.amplitudes.conj() @ grid)
 
 
 class StateFileError(ValueError):

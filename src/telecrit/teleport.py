@@ -23,10 +23,12 @@ reads both base operators straight off the amplitudes instead, for a
 whole stack of arranged channels and angles; the criterion, the angle
 classifier and the scan use it with ``_defects``, the one implementation
 of the unitarity defect, and ``pauli_factorization_check`` checks all 32
-projected operators against it.  ``simulate`` projects the joint
-seven-qubit state onto all 32 outcome bras in one contraction, so its
-residuals never come from the operators, which only correct them; Bob's
-32 corrected states are one stack, checked once.
+projected operators against it.  These are the only two contractions of
+the channel.  ``simulate`` reads Bob's residuals off the 32 operators
+and corrects them with the same operators; Bob's corrected states are
+the rows of one read-only (32, 4) array.  The brute-force simulation of
+the seven-qubit joint state, which checks these routes independently,
+lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .entanglement import partial_trace, purity
-from .states import PureState, _stacked_states
+from .entanglement import _require_tol, partial_trace, purity
+from .states import PureState
 
 __all__ = [
     "PAULI_FACTORS",
@@ -47,8 +49,6 @@ __all__ = [
     "CriterionReport",
     "FactorizationReport",
     "TeleportationRecord",
-    "bell_state",
-    "charlie_state",
     "transformation_operator",
     "unitarity_defect",
     "criterion_check",
@@ -90,28 +90,6 @@ _FACTORS = np.array(list(PAULI_FACTORS.values()))
 _FACTOR_KRON = np.kron(_FACTORS, _FACTORS).reshape(4, 4, 4, 4)
 
 
-def bell_state(index: int) -> PureState:
-    """Two-qubit Bell state for an outcome index, per the dictionary above.
-
-    Qubit 1 is the measured unknown-state qubit, qubit 2 the channel
-    qubit it is paired with; the order matters only for index 4.
-    """
-    if index not in _BELL_AMPLITUDES:
-        raise ValueError(f"Bell outcome index must be 1..4, got {index}")
-    return PureState(2, _BELL_AMPLITUDES[index])
-
-
-def charlie_state(theta: float, outcome: int) -> PureState:
-    """Element of Charlie's rotated measurement basis.
-
-    Outcome 1 is cos(theta)|0> + sin(theta)|1>, outcome 2 the orthogonal
-    sin(theta)|0> - cos(theta)|1>.  Only real angles are supported.
-    """
-    if outcome not in (1, 2):
-        raise ValueError(f"Charlie outcome must be 1 or 2, got {outcome}")
-    return PureState(1, _charlie_bras(theta)[outcome - 1])
-
-
 def _charlie_bras(theta: float) -> np.ndarray:
     """Charlie's basis as rows [outcome - 1]; real, so bra equals ket."""
     if not math.isfinite(theta):
@@ -138,7 +116,8 @@ class RoleAssignment:
         object.__setattr__(self, "alice", tuple(self.alice))
         object.__setattr__(self, "bob", tuple(self.bob))
         labels = [*self.alice, *self.bob, self.charlie]
-        if sorted(labels) != [1, 2, 3, 4, 5]:
+        integers = all(type(q) is int for q in labels)  # no bool, float or numpy scalar
+        if not integers or sorted(labels) != [1, 2, 3, 4, 5]:
             raise ValueError(
                 f"roles must partition qubits 1..5, got alice={self.alice} "
                 f"bob={self.bob} charlie={self.charlie}"
@@ -147,7 +126,7 @@ class RoleAssignment:
     @cached_property
     def _gather(self) -> np.ndarray:
         """Read-only index table: ``amplitudes[self._gather]`` is a channel
-        re-arranged as ``relabeling`` orders it, as permute_qubits would.
+        re-arranged as ``relabeling`` orders it.
 
         Bit 5 - new of arranged index k is bit 5 - old of the channel
         index it reads, for each label ``old`` moved to ``new``.
@@ -239,11 +218,6 @@ def transformation_operator(
     return _outcome_operators(_arranged(channel, assignment), theta)[outcome]
 
 
-def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-
-
 def _defects(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of M^dagger M - I for every matrix of an (n, d, d) stack.
 
@@ -298,8 +272,7 @@ def criterion_check(
     """
     _require_tol(tol)
     _charlie_bras(theta)  # rejects a non-finite angle
-    arranged = PureState(5, _arranged(channel, assignment))
-    base = _base_operators(arranged.amplitudes, math.cos(theta), math.sin(theta))
+    base = _base_operators(_arranged(channel, assignment), math.cos(theta), math.sin(theta))
     defect_1, defect_2 = _defects(base.reshape(2, 4, 4)).tolist()
     return CriterionReport(
         assignment=assignment,
@@ -307,8 +280,8 @@ def criterion_check(
         sigma111_defect=defect_1,
         sigma112_defect=defect_2,
         passed=defect_1 <= tol and defect_2 <= tol,
-        purity_alice_pair=purity(partial_trace(arranged, (1, 2))),
-        purity_bob_pair=purity(partial_trace(arranged, (3, 4))),
+        purity_alice_pair=purity(partial_trace(channel, assignment.alice)),
+        purity_bob_pair=purity(partial_trace(channel, assignment.bob)),
         tol=tol,
     )
 
@@ -348,11 +321,15 @@ def pauli_factorization_check(
 
 @dataclass(frozen=True, eq=False)
 class TeleportationRecord:
-    """One measurement outcome of a full protocol run."""
+    """One measurement outcome of a full protocol run.
+
+    ``bob_corrected`` is Bob's normalized corrected state, a read-only
+    (4,) complex128 row (zero when the corrected residual vanishes).
+    """
 
     outcome: tuple[int, int, int]
     probability: float
-    bob_corrected: PureState
+    bob_corrected: np.ndarray
     fidelity: float
     unrecoverable: bool = False
 
@@ -384,14 +361,15 @@ def simulate(
     input_state: PureState,
     correction: str = "adjoint",
 ) -> list[TeleportationRecord]:
-    """Brute-force the full protocol over all 32 measurement outcomes.
+    """Run the full protocol over all 32 measurement outcomes.
 
-    Builds the seven-qubit joint state and projects it onto every
-    combination of the two Bell outcomes and Charlie's outcome in one
-    contraction, then applies the correction (the outcome operator) to
-    Bob's residual.  Records are ordered by (bell_first, bell_second,
-    charlie_outcome).  Outcome probabilities always sum to 1; for a
-    faithful channel every outcome has probability 1/32 and fidelity 1.
+    Bob's unnormalized residual for outcome (i, j, n) is the outcome
+    operator applied to the input coefficients, times the measurement
+    prefactor; its squared norm is the outcome probability.  The
+    correction (the same operator) is then applied to the residual.
+    Records are ordered by (bell_first, bell_second, charlie_outcome).
+    Outcome probabilities always sum to 1; for a faithful channel every
+    outcome has probability 1/32 and fidelity 1.
 
     ``correction`` is "adjoint" (default; always defined) or "inverse"
     (marks the record unrecoverable when the operator is singular, in
@@ -403,17 +381,8 @@ def simulate(
         raise ValueError("the input state must be normalized")
     if correction not in ("adjoint", "inverse"):
         raise ValueError(f"correction must be 'adjoint' or 'inverse', got {correction!r}")
-    arranged = _arranged(channel, assignment)
-    operators = _outcome_operators(arranged, theta).reshape(32, 4, 4)
-    # joint qubits: 1-2 unknown pair, 3-4 Alice's channel pair, 5-6 Bob's
-    # pair, 7 Charlie; the measured ones go to rows in bra order (1, 3, 2, 4, 7)
-    joint = np.multiply.outer(input_state.amplitudes, arranged).reshape([2] * 7)
-    measured = joint.transpose(0, 2, 1, 3, 6, 4, 5).reshape(32, 4)
-    # all 32 bras as rows [i, j, n], one vector-matrix product each; the
-    # products np.kron of the Bell pair bras and Charlie's would form
-    charlie = _charlie_bras(theta)
-    bras = (_BELL_PAIR_BRAS.reshape(16, 1, 16, 1) * charlie[:, None, :]).reshape(32, 32)
-    residuals = (bras[:, None, :] @ measured)[:, 0]
+    operators = _outcome_operators(_arranged(channel, assignment), theta).reshape(32, 4, 4)
+    residuals = _PREFACTOR * (operators @ input_state.amplitudes)
     unrecoverable = np.zeros(32, dtype=bool)
     if correction == "adjoint":
         corrected = (operators.conj().transpose(0, 2, 1) @ residuals[..., None])[..., 0]
@@ -427,9 +396,9 @@ def simulate(
     norms = np.sqrt(_row_dots(re, re) + _row_dots(im, im))  # as np.linalg.norm forms it
     live = norms > 0.0
     corrected[live] /= norms[live, None]
+    corrected.setflags(write=False)
     fidelities = np.where(live, np.abs(_row_dots(input_state.amplitudes, corrected)) ** 2, 0.0)
     probabilities = _row_dots(residuals, residuals).real.tolist()
     outcomes = itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2))
-    bobs = _stacked_states(2, corrected)
-    rows = zip(outcomes, probabilities, bobs, fidelities.tolist(), unrecoverable.tolist())
+    rows = zip(outcomes, probabilities, corrected, fidelities.tolist(), unrecoverable.tolist())
     return [TeleportationRecord(*row) for row in rows]

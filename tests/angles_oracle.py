@@ -25,13 +25,12 @@ from telecrit.angles import (
     _canonical_root,
     enumerate_assignments,
 )
-from telecrit.entanglement import partial_trace, purity
+from telecrit.entanglement import _require_tol, partial_trace, purity
 from telecrit.states import PureState
 from telecrit.teleport import (
     RoleAssignment,
     _arranged,
     _base_operators,
-    _require_tol,
     unitarity_defect,
 )
 

@@ -4,16 +4,22 @@ This is the code the batched contraction engine in ``telecrit.teleport``
 replaced: every outcome operator is rebuilt from the channel on its own
 (the base ones by amplitude slicing, the rest by an einsum projection),
 the factorization check makes 34 such calls, and ``simulate`` projects
-the seven-qubit joint state once per outcome.  Its logic is unchanged.
+the seven-qubit joint state once per outcome, so its residuals never
+come from the outcome operators.  The state primitives it is built from
+(Bell and Charlie states, qubit relabeling, subsystem projection) and
+the closed-form purity expansion live here too: nothing in the library
+uses them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
+from itertools import combinations
 
 import numpy as np
 
-from telecrit.states import PureState, project_subsystem, tensor
+from telecrit.states import PureState, tensor
 from telecrit.teleport import (
     _BELL_AMPLITUDES,
     _PREFACTOR,
@@ -23,9 +29,94 @@ from telecrit.teleport import (
     TeleportationRecord,
     _arranged,
     _base_operators,
-    bell_state,
-    charlie_state,
+    _charlie_bras,
 )
+
+
+def bell_state(index: int) -> PureState:
+    """Two-qubit Bell state for an outcome index, per the library's dictionary.
+
+    Qubit 1 is the measured unknown-state qubit, qubit 2 the channel
+    qubit it is paired with; the order matters only for index 4.
+    """
+    if index not in _BELL_AMPLITUDES:
+        raise ValueError(f"Bell outcome index must be 1..4, got {index}")
+    return PureState(2, _BELL_AMPLITUDES[index])
+
+
+def charlie_state(theta: float, outcome: int) -> PureState:
+    """Element of Charlie's rotated measurement basis.
+
+    Outcome 1 is cos(theta)|0> + sin(theta)|1>, outcome 2 the orthogonal
+    sin(theta)|0> - cos(theta)|1>.  Only real angles are supported.
+    """
+    if outcome not in (1, 2):
+        raise ValueError(f"Charlie outcome must be 1 or 2, got {outcome}")
+    return PureState(1, _charlie_bras(theta)[outcome - 1])
+
+
+def permute_qubits(s: PureState, perm: Mapping[int, int]) -> PureState:
+    """Relabel qubits: the bit of old qubit q moves to new label perm[q].
+
+    ``perm`` must be a bijection on 1..n.  The amplitude at the
+    bit-permuted index equals the original amplitude.
+    """
+    n = s.num_qubits
+    if sorted(perm.keys()) != list(range(1, n + 1)) or sorted(
+        perm.values()
+    ) != list(range(1, n + 1)):
+        raise ValueError(f"perm must be a bijection on 1..{n}, got {dict(perm)!r}")
+    # new tensor axis (new - 1) is fed from old axis (old - 1)
+    axes = [0] * n
+    for old, new in perm.items():
+        axes[new - 1] = old - 1
+    shuffled = s.amplitudes.reshape([2] * n).transpose(axes)
+    return PureState(n, shuffled.reshape(-1))
+
+
+def project_subsystem(
+    s: PureState, bra: PureState, labels: Sequence[int]
+) -> PureState:
+    """Apply <bra| on the given qubit labels of s; return the residual.
+
+    ``labels[t]`` is the qubit of ``s`` measured by qubit t+1 of ``bra``;
+    the residual lives on the remaining qubits in ascending label order
+    and is *not* normalized: its squared norm is the probability of the
+    outcome ``bra``.  ``bra`` is assumed normalized.
+    """
+    n, m = s.num_qubits, bra.num_qubits
+    labels = list(labels)
+    if len(labels) != m:
+        raise ValueError(f"bra covers {m} qubits but {len(labels)} labels given")
+    if len(set(labels)) != m or not all(1 <= q <= n for q in labels):
+        raise ValueError(f"labels must be distinct and within 1..{n}")
+    if m >= n:
+        raise ValueError("bra must leave at least one unmeasured qubit")
+    keep = [q for q in range(1, n + 1) if q not in set(labels)]
+    axes = [q - 1 for q in labels] + [q - 1 for q in keep]
+    grid = s.amplitudes.reshape([2] * n).transpose(axes).reshape(2**m, -1)
+    return PureState(n - m, bra.amplitudes.conj() @ grid)
+
+
+def purity_expansion(s: PureState) -> float:
+    """Purity of the {1, 2} pair by the closed-form amplitude expansion.
+
+    Groups the 32 amplitudes into four rows of eight by the first two
+    bits; the purity is the sum of the squared row norms plus twice the
+    squared magnitude of each of the six pairwise row overlaps.  This is
+    an independent cross-check of the partial-trace route and never
+    builds a density matrix.
+    """
+    if s.num_qubits != 5:
+        raise ValueError("purity_expansion is defined for five-qubit states")
+    rows = s.amplitudes.reshape(4, 8)
+    total = 0.0
+    for r in range(4):
+        total += float(np.vdot(rows[r], rows[r]).real) ** 2
+    for r, t in combinations(range(4), 2):
+        overlap = complex(np.dot(rows[r], rows[t].conj()))
+        total += 2.0 * abs(overlap) ** 2
+    return total
 
 
 def _projected_tableau(
@@ -164,7 +255,7 @@ def simulate(
                     TeleportationRecord(
                         outcome=(i, j, n),
                         probability=probability,
-                        bob_corrected=bob,
+                        bob_corrected=bob.amplitudes,
                         fidelity=fidelity,
                         unrecoverable=unrecoverable,
                     )

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from outcome_oracle import purity_expansion
 from telecrit import (
     FIVE_QUBIT_CATALOG,
     KIND_ALL,
@@ -26,7 +27,6 @@ from telecrit import (
     partial_trace,
     pauli_factorization_check,
     purity,
-    purity_expansion,
     purity_summary,
     simulate,
     transformation_operator,

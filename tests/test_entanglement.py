@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outcome_oracle import purity_expansion
 from telecrit import (
     PAIR_PURITY_TARGET,
     PureState,
@@ -14,7 +15,6 @@ from telecrit import (
     named_state,
     partial_trace,
     purity,
-    purity_expansion,
     purity_summary,
     scan,
     tensor,
@@ -164,3 +164,19 @@ def test_purity_summary_shape(brown):
     assert doc["mmes"] is True
     assert doc["worst_pair"] == "12"
     assert doc["max_deviation"] < 1e-12
+
+
+def test_criterion_purities_equal_scan_and_summary_bit_for_bit():
+    # every pair purity comes from one route, so criterion, scan and the
+    # summary report the same float, whatever the within-role order
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        channel = make_state(5, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+        pairs = purity_summary(channel)["pairs"]
+        for entry in scan(channel).entries:
+            a = entry.assignment
+            alice, bob = pairs["%d%d" % a.alice], pairs["%d%d" % a.bob]
+            assert (entry.purity_alice, entry.purity_bob) == (alice, bob)
+            for assignment in (a, RoleAssignment(a.alice[::-1], a.bob[::-1], a.charlie)):
+                report = criterion_check(channel, assignment, 0.3)
+                assert (report.purity_alice_pair, report.purity_bob_pair) == (alice, bob)

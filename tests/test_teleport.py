@@ -8,19 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import telecrit
 import telecrit.angles as angles
+from outcome_oracle import bell_state, charlie_state, permute_qubits, project_subsystem
 from telecrit import (
     PAULI_FACTORS,
     PureState,
     RoleAssignment,
-    bell_state,
-    charlie_state,
     criterion_check,
     make_state,
     named_state,
     pauli_factorization_check,
-    permute_qubits,
-    project_subsystem,
     simulate,
     transformation_operator,
     unitarity_defect,
@@ -82,6 +80,16 @@ def test_role_assignment_validation():
     asg = RoleAssignment((2, 4), (5, 1), 3)
     assert asg.relabeling() == {2: 1, 4: 2, 5: 3, 1: 4, 3: 5}
     assert asg.as_dict() == {"alice": [2, 4], "bob": [5, 1], "charlie": 3}
+
+
+def test_role_assignment_refuses_non_integer_labels():
+    # True == 1 and 1.0 == 1, so a plain partition test would take both
+    for alice in ((True, 2), (1.0, 2)):
+        with pytest.raises(ValueError, match=r"roles must partition qubits 1\.\.5"):
+            RoleAssignment(alice, (3, 4), 5)
+    for charlie in (5.0, np.int64(5)):
+        with pytest.raises(ValueError, match="partition"):
+            RoleAssignment((1, 2), (3, 4), charlie)
 
 
 def test_gather_index_is_the_permute_qubits_arrangement():
@@ -281,7 +289,7 @@ def test_simulate_faithful_channel_is_uniform(brown, assign_12):
     for record in records:
         assert abs(record.probability - 1.0 / 32.0) < 1e-12
         assert abs(record.fidelity - 1.0) < 1e-12
-        assert abs(record.bob_corrected.norm - 1.0) < 1e-12
+        assert abs(np.linalg.norm(record.bob_corrected) - 1.0) < 1e-12
     doc = records[0].as_dict()
     assert doc["outcome"] == [1, 1, 1]
     assert "unrecoverable" not in doc
@@ -292,11 +300,11 @@ def test_simulate_bob_states_are_read_only_unit_rows(brown):
     records = simulate(brown, RoleAssignment((2, 1), (4, 3), 5), 0.3, input_state)
     for record in records:
         bob = record.bob_corrected
-        assert bob.num_qubits == 2 and bob.renormalized is False
-        assert bob.amplitudes.dtype == np.complex128 and bob.amplitudes.shape == (4,)
-        assert not bob.amplitudes.flags.writeable
+        assert bob.dtype == np.complex128 and bob.shape == (4,)
+        assert abs(np.linalg.norm(bob) - 1.0) < 1e-12
+        assert not bob.flags.writeable
         with pytest.raises(ValueError):
-            bob.amplitudes[0] = 0.0
+            bob[0] = 0.0
 
 
 def test_simulate_fidelity_is_overlap_with_input(brown):
@@ -305,7 +313,7 @@ def test_simulate_fidelity_is_overlap_with_input(brown):
     input_state = make_state(2, vec / np.linalg.norm(vec))
     records = simulate(brown, RoleAssignment((1, 3), (2, 4), 5), 0.2, input_state)
     for record in records:
-        overlap = np.vdot(input_state.amplitudes, record.bob_corrected.amplitudes)
+        overlap = np.vdot(input_state.amplitudes, record.bob_corrected)
         assert abs(record.fidelity - abs(overlap) ** 2) < 1e-12
     # off the working angles some outcome must lose fidelity
     assert min(r.fidelity for r in records) < 0.999
@@ -318,9 +326,7 @@ def test_simulate_inverse_equals_adjoint_when_unitary(brown, assign_12):
     for left, right in zip(adjoint, inverse):
         assert not left.unrecoverable and not right.unrecoverable
         assert abs(left.fidelity - right.fidelity) < 1e-10
-        assert np.max(
-            np.abs(left.bob_corrected.amplitudes - right.bob_corrected.amplitudes)
-        ) < 1e-10
+        assert np.max(np.abs(left.bob_corrected - right.bob_corrected)) < 1e-10
 
 
 def test_simulate_singular_operators_marked_unrecoverable():
@@ -388,3 +394,24 @@ def test_outcome_probabilities_always_sum_to_one(seed, theta):
     input_state = make_state(2, vec / np.linalg.norm(vec))
     records = simulate(channel, RoleAssignment((3, 1), (5, 2), 4), theta, input_state)
     assert abs(sum(r.probability for r in records) - 1.0) < 1e-12
+
+
+def test_public_names():
+    # the benchmark's tracer finds each layer through one of its names:
+    # tensor, partial_trace, criterion_check and scan
+    assert sorted(telecrit.__all__) == sorted([
+        "__version__",
+        "PureState", "StateFileError", "CATALOG_NAMES", "FIVE_QUBIT_CATALOG",
+        "NORM_TOL", "STRICT_NORM_TOL", "MAX_FILE_QUBITS", "make_state",
+        "named_state", "tensor", "load_state_file", "save_state_json",
+        "save_state_text",
+        "PAIR_PURITY_TARGET", "partial_trace", "purity", "purity_summary",
+        "PAULI_FACTORS", "RoleAssignment", "CriterionReport",
+        "FactorizationReport", "TeleportationRecord", "transformation_operator",
+        "unitarity_defect", "criterion_check", "pauli_factorization_check",
+        "simulate",
+        "KIND_ALL", "KIND_DISCRETE", "KIND_NONE", "ThetaClassification",
+        "ScanEntry", "ScanReport", "enumerate_assignments", "classify_theta",
+        "scan",
+    ])
+    assert len(telecrit.__all__) == len(set(telecrit.__all__)) == 37

@@ -45,9 +45,7 @@ def _assert_agrees(channel, assignment, theta, input_state):
             assert abs(left.probability - right.probability) < TOL
             assert abs(left.fidelity - right.fidelity) < TOL
             assert left.unrecoverable is right.unrecoverable
-            assert np.max(
-                np.abs(left.bob_corrected.amplitudes - right.bob_corrected.amplitudes)
-            ) < TOL
+            assert np.max(np.abs(left.bob_corrected - right.bob_corrected)) < TOL
 
 
 @pytest.mark.parametrize("name", CATALOG)
