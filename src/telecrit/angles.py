@@ -38,8 +38,9 @@ come from the kernel criterion_check uses (teleport's _base_operators
 and _defects), and the other steps keep the rounding of their
 single-matrix forms (np.vdot, np.roots), so verdicts, roots and defects
 are those of criterion_check's arithmetic.  ``classify_theta`` is the
-same engine on a stack of one.  The ten pair purities are computed once
-per scan.
+same engine on a stack of one.  The pair purities are read from the
+channel's purity memo (entanglement), so the ten are computed once per
+channel, however many scans and criterion checks read them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .entanglement import _require_tol, partial_trace, purity
+from .entanglement import _reduced_purity, _require_tol
 from .states import PureState
 from .teleport import (
     RoleAssignment,
@@ -271,19 +272,22 @@ _GATHER = np.array([a._gather for a in _ASSIGNMENTS])
 def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:
     """Classify every role assignment of a five-qubit channel.
 
-    All 30 assignments go through one classify pass, and each of the ten
-    pair purities is computed once.  Entries are sorted working-first:
+    All 30 assignments go through one classify pass; the pair purities
+    come from the channel's memo, so each of the ten is computed at most
+    once per channel.  Entries are sorted working-first:
     all_theta, then discrete_theta, then none; ties by min_defect, then
     by assignment order.
     """
     _require_tol(tol)
     _require_channel(channel)
     classes = _classify(channel.amplitudes[_GATHER], tol)
-    pair_purity = {
-        pair: purity(partial_trace(channel, pair)) for pair in combinations(range(1, 6), 2)
-    }
     entries = [
-        ScanEntry(assignment, cls, pair_purity[assignment.alice], pair_purity[assignment.bob])
+        ScanEntry(
+            assignment,
+            cls,
+            _reduced_purity(channel, assignment.alice),
+            _reduced_purity(channel, assignment.bob),
+        )
         for assignment, cls in zip(_ASSIGNMENTS, classes)
     ]
     entries.sort(

@@ -6,9 +6,15 @@ teleportation only if the sender and receiver pairs are maximally mixed
 (purity exactly 1/4), and a channel whose ten pair reductions are all
 maximally mixed is maximally multi-qubit entangled in this sense.
 Reduced density matrices are plain arrays, Hermitian by construction.
-Every purity the package reports, the criterion's and the scan's
-included, is :func:`purity` of a :func:`partial_trace` of the channel
-in its own labels, so one pair purity prints the same digits everywhere.
+Every purity the package reports, the criterion's, the scan's and
+:func:`purity_summary`'s, is :func:`purity` of a :func:`partial_trace`
+of the channel in its own labels, read through one per-channel memo
+(``_reduced_purity``): it is computed once per state object and sorted
+kept labels, on first use, and stored on the state, so it dies with the
+state.  One pair purity therefore prints the same digits everywhere,
+and a sweep over many assignments and angles traces each pair once.  A
+reduction that raises, such as one with trace other than 1, is never
+stored and raises again on the next call.
 """
 
 from __future__ import annotations
@@ -68,6 +74,16 @@ def purity(rho: np.ndarray) -> float:
     return float(value.real)
 
 
+def _reduced_purity(s: PureState, keep: Iterable[int]) -> float:
+    """``purity(partial_trace(s, keep))``, memoized on ``s`` by sorted labels."""
+    kept = tuple(sorted(set(keep)))
+    memo = s._purities
+    value = memo.get(kept)
+    if value is None:
+        value = memo[kept] = purity(partial_trace(s, kept))
+    return value
+
+
 def purity_summary(s: PureState, tol: float = 1e-10) -> dict:
     """Pair and single purities of a five-qubit state, and whether all ten
     pairs are within tol of 1/4; ``worst_pair`` is the first pair in label
@@ -75,14 +91,12 @@ def purity_summary(s: PureState, tol: float = 1e-10) -> dict:
     _require_tol(tol)
     if s.num_qubits != 5:
         raise ValueError("purity_summary is defined for five-qubit states")
-    pairs = {
-        f"{a}{b}": purity(partial_trace(s, (a, b))) for a, b in combinations(range(1, 6), 2)
-    }
+    pairs = {f"{a}{b}": _reduced_purity(s, (a, b)) for a, b in combinations(range(1, 6), 2)}
     deviations = {pair: abs(value - PAIR_PURITY_TARGET) for pair, value in pairs.items()}
     worst = max(deviations, key=deviations.__getitem__)
     return {
         "pairs": pairs,
-        "singles": {str(q): purity(partial_trace(s, (q,))) for q in range(1, 6)},
+        "singles": {str(q): _reduced_purity(s, (q,)) for q in range(1, 6)},
         "mmes": deviations[worst] <= tol,
         "worst_pair": worst,
         "max_deviation": deviations[worst],

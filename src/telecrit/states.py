@@ -22,6 +22,7 @@ import math
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,12 @@ class PureState:
         if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
             raise ValueError(f"need a {self.num_qubits}-bit string, got {bits!r}")
         return complex(self.amplitudes[int(bits, 2)])
+
+    @cached_property
+    def _purities(self) -> dict:
+        """Memo for ``entanglement``'s purities of this state's
+        reductions; it lives and dies with the state."""
+        return {}
 
 
 def make_state(num_qubits: int, amplitudes: Sequence[complex]) -> PureState:

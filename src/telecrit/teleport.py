@@ -23,12 +23,18 @@ reads both base operators straight off the amplitudes instead, for a
 whole stack of arranged channels and angles; the criterion, the angle
 classifier and the scan use it with ``_defects``, the one implementation
 of the unitarity defect, and ``pauli_factorization_check`` checks all 32
-projected operators against it.  These are the only two contractions of
-the channel.  ``simulate`` reads Bob's residuals off the 32 operators
-and corrects them with the same operators; Bob's corrected states are
-the rows of one read-only (32, 4) array.  The brute-force simulation of
-the seven-qubit joint state, which checks these routes independently,
-lives with the test oracles.
+projected operators against it.  Each correction factor kron(F_i, F_j)
+is a signed permutation, so the check forms base @ kron(F_i, F_j) as a
+column gather times +-1 (``_FACTOR_COLUMNS``/``_FACTOR_SIGNS``, derived
+from ``_FACTOR_KRON`` at import), which gives the matrix product's
+values exactly.  These are the only two contractions of the channel.
+The pair purities the criterion reports come from the channel's purity
+memo (see entanglement).  ``simulate`` reads Bob's residuals off the 32
+operators and corrects them with the same operators; Bob's corrected
+states are the rows of one read-only (32, 4) array, and each outcome is
+a ``TeleportationRecord``, an immutable named tuple built straight from
+its row.  The brute-force simulation of the seven-qubit joint state,
+which checks these routes independently, lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -36,11 +42,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import _require_tol, partial_trace, purity
+from .entanglement import _reduced_purity, _require_tol
 from .states import PureState
 
 __all__ = [
@@ -81,19 +88,45 @@ PAULI_FACTORS = {
 }
 
 
-# conjugated Bell bras of both sender measurements, stacked:
-# [i - 1, j - 1, unknown 1, channel 1, unknown 2, channel 2]
+# conjugated Bell bras of both sender measurements, stacked as (64, 4) rows
+# [i - 1, j - 1, unknown 1, unknown 2] by columns [channel 1, channel 2]
 _BELL_KETS = np.array(list(_BELL_AMPLITUDES.values()))
-_BELL_PAIR_BRAS = np.kron(_BELL_KETS, _BELL_KETS).conj().reshape(4, 4, 2, 2, 2, 2)
+_BELL_PAIR_ROWS = (
+    np.kron(_BELL_KETS, _BELL_KETS)
+    .conj()
+    .reshape(4, 4, 2, 2, 2, 2)  # [i, j, unknown 1, channel 1, unknown 2, channel 2]
+    .transpose(0, 1, 2, 4, 3, 5)
+    .reshape(64, 4)
+)
 # kron(F_i, F_j) at [i - 1, j - 1], the factors of the identity above
 _FACTORS = np.array(list(PAULI_FACTORS.values()))
 _FACTOR_KRON = np.kron(_FACTORS, _FACTORS).reshape(4, 4, 4, 4)
 
 
-def _charlie_bras(theta: float) -> np.ndarray:
-    """Charlie's basis as rows [outcome - 1]; real, so bra equals ket."""
+def _signed_columns(kron: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table and signs of a stack of signed permutation matrices.
+
+    ``columns[..., c]`` is the row of the one nonzero entry in column c
+    and ``signs[..., c]`` its value (+1 or -1), so
+    ``m @ kron[k] == m[..., columns[k]] * signs[k]``, exactly.
+    """
+    columns = np.argmax(np.abs(kron), axis=-2)
+    signs = np.take_along_axis(kron.real, columns[..., None, :], axis=-2)[..., 0, :]
+    return columns, signs
+
+
+# _FACTOR_KRON as a column gather and signs, both [i - 1, j - 1, column]
+_FACTOR_COLUMNS, _FACTOR_SIGNS = _signed_columns(_FACTOR_KRON)
+
+
+def _require_theta(theta: float) -> None:
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
+
+
+def _charlie_bras(theta: float) -> np.ndarray:
+    """Charlie's basis as rows [outcome - 1]; real, so bra equals ket."""
+    _require_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [s, -c]], dtype=np.complex128)
 
@@ -189,8 +222,7 @@ def _outcome_operators(grid: np.ndarray, theta: float) -> np.ndarray:
     Alice's pair; the unknown-qubit indices stay open as the columns.
     """
     charlie = grid.reshape(16, 2) @ _charlie_bras(theta).T  # [alice bob, n]
-    bell = _BELL_PAIR_BRAS.transpose(0, 1, 2, 4, 3, 5).reshape(64, 4)
-    projected = bell @ charlie.reshape(4, 8)
+    projected = _BELL_PAIR_ROWS @ charlie.reshape(4, 8)
     # [i, j, unknown pair, bob, n] -> [i, j, n, bob, unknown pair]
     return (1.0 / _PREFACTOR) * projected.reshape(4, 4, 4, 4, 2).transpose(0, 1, 4, 3, 2)
 
@@ -218,6 +250,15 @@ def transformation_operator(
     return _outcome_operators(_arranged(channel, assignment), theta)[outcome]
 
 
+@lru_cache(maxsize=4)
+def _identity(d: int) -> np.ndarray:
+    """Read-only d x d identity, built once per size; the last few sizes
+    are kept, so a large one-off matrix does not pin its identity."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def _defects(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of M^dagger M - I for every matrix of an (n, d, d) stack.
 
@@ -225,13 +266,19 @@ def _defects(m: np.ndarray) -> np.ndarray:
     real and imaginary views; _row_dots of the same views calls the same
     strided BLAS dot, where contiguous copies would round differently.
     """
-    gap = (m.conj().transpose(0, 2, 1) @ m - np.eye(m.shape[-1])).reshape(len(m), -1)
+    gap = (m.conj().transpose(0, 2, 1) @ m - _identity(m.shape[-1])).reshape(len(m), -1)
     return np.sqrt(_row_dots(gap.real, gap.real) + _row_dots(gap.imag, gap.imag))
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Frobenius norm of M^dagger M - I; zero exactly for unitary M."""
-    return float(_defects(np.asarray(matrix, dtype=np.complex128)[None])[0])
+    """Frobenius norm of M^dagger M - I; zero exactly for unitary M.
+
+    ``matrix`` must be 2-D and square; anything else raises ValueError.
+    """
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"unitarity_defect needs a square 2-D matrix, got shape {m.shape}")
+    return float(_defects(m[None])[0])
 
 
 @dataclass(frozen=True)
@@ -271,7 +318,7 @@ def criterion_check(
     both to be exactly 1/4, so a purity away from 1/4 explains a FAIL.
     """
     _require_tol(tol)
-    _charlie_bras(theta)  # rejects a non-finite angle
+    _require_theta(theta)
     base = _base_operators(_arranged(channel, assignment), math.cos(theta), math.sin(theta))
     defect_1, defect_2 = _defects(base.reshape(2, 4, 4)).tolist()
     return CriterionReport(
@@ -280,8 +327,8 @@ def criterion_check(
         sigma111_defect=defect_1,
         sigma112_defect=defect_2,
         passed=defect_1 <= tol and defect_2 <= tol,
-        purity_alice_pair=purity(partial_trace(channel, assignment.alice)),
-        purity_bob_pair=purity(partial_trace(channel, assignment.bob)),
+        purity_alice_pair=_reduced_purity(channel, assignment.alice),
+        purity_bob_pair=_reduced_purity(channel, assignment.bob),
         tol=tol,
     )
 
@@ -305,6 +352,8 @@ def pauli_factorization_check(
     Compares the projection-built operator for every outcome, (1, 1, n)
     included, against the base operator read off the amplitudes times
     the local correction factors, entrywise, in the action layout.
+    Each kron(F_i, F_j) is a signed permutation, so the product is a
+    column gather times +-1, exactly the matrix product's values.
     Holds identically for any channel; this check guards the Bell
     dictionary and factor pairing.
     """
@@ -312,16 +361,14 @@ def pauli_factorization_check(
     arranged = _arranged(channel, assignment)
     direct = _outcome_operators(arranged, theta)
     base = _base_operators(arranged, math.cos(theta), math.sin(theta))
-    # action layout, contiguous; (2, 4, 4) against (4, 4, 1, 4, 4): every (i, j), both n
-    base = np.ascontiguousarray(base.reshape(2, 4, 4).transpose(0, 2, 1))
-    product = base @ _FACTOR_KRON[:, :, None]
-    max_dev = float(np.max(np.abs(direct - product)))
+    # action layout [n, row, column], gathered to [n, row, i, j, column]
+    product = base.reshape(2, 4, 4).transpose(0, 2, 1)[..., _FACTOR_COLUMNS] * _FACTOR_SIGNS
+    max_dev = float(np.max(np.abs(direct - product.transpose(2, 3, 0, 1, 4))))
     return FactorizationReport(max_dev <= tol, max_dev)
 
 
-@dataclass(frozen=True, eq=False)
-class TeleportationRecord:
-    """One measurement outcome of a full protocol run.
+class TeleportationRecord(NamedTuple):
+    """One measurement outcome of a full protocol run; an immutable tuple.
 
     ``bob_corrected`` is Bob's normalized corrected state, a read-only
     (4,) complex128 row (zero when the corrected residual vanishes).
@@ -401,4 +448,4 @@ def simulate(
     probabilities = _row_dots(residuals, residuals).real.tolist()
     outcomes = itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2))
     rows = zip(outcomes, probabilities, corrected, fidelities.tolist(), unrecoverable.tolist())
-    return [TeleportationRecord(*row) for row in rows]
+    return list(map(TeleportationRecord._make, rows))

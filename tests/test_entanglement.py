@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import telecrit.entanglement as entanglement
 from outcome_oracle import purity_expansion
 from telecrit import (
     PAIR_PURITY_TARGET,
     PureState,
     RoleAssignment,
     criterion_check,
+    enumerate_assignments,
     make_state,
     named_state,
     partial_trace,
@@ -67,14 +69,46 @@ def test_density_matrix_validation(brown):
 
 def test_unnormalized_channel_is_refused(brown):
     # PureState keeps amplitudes as given; only partial_trace's trace check
-    # stands between an unnormalized channel and a report
+    # stands between an unnormalized channel and a report; a reduction that
+    # raises is never memoized, so every reader raises again on a second call
     doubled = PureState(5, 2 * brown.amplitudes)
-    with pytest.raises(ValueError, match="trace must be 1"):
-        scan(doubled)
-    with pytest.raises(ValueError, match="trace must be 1"):
-        criterion_check(doubled, RoleAssignment((1, 2), (3, 4), 5), 0.0)
-    with pytest.raises(ValueError, match="trace must be 1"):
-        purity_summary(doubled)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="trace must be 1"):
+            scan(doubled)
+        with pytest.raises(ValueError, match="trace must be 1"):
+            criterion_check(doubled, RoleAssignment((1, 2), (3, 4), 5), 0.0)
+        with pytest.raises(ValueError, match="trace must be 1"):
+            purity_summary(doubled)
+
+
+def _spy_on_partial_trace(monkeypatch):
+    """Count entanglement.partial_trace calls by kept-set size."""
+    calls = {1: 0, 2: 0}
+    real = entanglement.partial_trace
+
+    def spy(s, keep):
+        calls[len(keep)] += 1
+        return real(s, keep)
+
+    monkeypatch.setattr(entanglement, "partial_trace", spy)
+    return calls
+
+
+def test_pair_purities_are_traced_once_per_channel(monkeypatch):
+    rng = np.random.default_rng(12)
+    channel = make_state(5, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    calls = _spy_on_partial_trace(monkeypatch)
+    scan(channel)
+    assignments = [*enumerate_assignments(), RoleAssignment((2, 1), (4, 3), 5)]
+    for assignment in assignments:
+        for theta in (0.0, 0.3, 1.2):
+            criterion_check(channel, assignment, theta)
+    summary = purity_summary(channel)
+    assert calls == {1: 5, 2: 10}
+    # a distinct but equal channel object computes its own purities
+    twin = PureState(5, channel.amplitudes)
+    assert purity_summary(twin) == summary
+    assert calls == {1: 10, 2: 20}
 
 
 def test_purity_of_maximally_mixed_pair():

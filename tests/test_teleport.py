@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from telecrit import (
     PAULI_FACTORS,
     PureState,
     RoleAssignment,
+    TeleportationRecord,
     criterion_check,
     make_state,
     named_state,
@@ -160,6 +162,24 @@ def test_unitarity_defect_basics():
     assert unitarity_defect(rotation) < 1e-15
 
 
+def test_unitarity_defect_any_square_size():
+    # the identity is built once per size: interleaved sizes each get their own
+    rng = np.random.default_rng(11)
+    for d in (3, 8, 4, 3, 8):
+        matrix = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        gap = matrix.conj().T @ matrix - np.eye(d)
+        assert unitarity_defect(matrix) == float(np.linalg.norm(gap))
+        # 2I has gram 4I, so the defect is ||3I||_F = 3 sqrt(d)
+        assert abs(unitarity_defect(2.0 * np.eye(d)) - 3.0 * math.sqrt(d)) < 1e-14
+        assert unitarity_defect(np.eye(d)) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 4, 4), ()])
+def test_unitarity_defect_refuses_non_square_input(shape):
+    with pytest.raises(ValueError, match=re.escape(f"square 2-D matrix, got shape {shape}")):
+        unitarity_defect(np.ones(shape))
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_unitarity_defect_transpose_invariant(seed):
@@ -218,6 +238,19 @@ def test_factorization_binds_bell_dictionary(brown, assign_13):
     assert report.holds is True
     assert report.max_deviation < 1e-12
     assert PAULI_FACTORS[4][0, 1] == -1  # antisymmetric partner of outcome 4
+
+
+def test_factor_gather_tables_rebuild_the_kron_products():
+    teleport = telecrit.teleport
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for i, j in itertools.product(range(4), range(4)):
+        columns, signs = teleport._FACTOR_COLUMNS[i, j], teleport._FACTOR_SIGNS[i, j]
+        rebuilt = np.zeros((4, 4), dtype=np.complex128)
+        rebuilt[columns, range(4)] = signs
+        assert np.array_equal(rebuilt, teleport._FACTOR_KRON[i, j])
+        # the gather gives the matrix product's values exactly
+        assert np.array_equal(m[:, columns] * signs, m @ teleport._FACTOR_KRON[i, j])
 
 
 def test_factorization_holds_for_random_channels(assign_14):
@@ -305,6 +338,21 @@ def test_simulate_bob_states_are_read_only_unit_rows(brown):
         assert not bob.flags.writeable
         with pytest.raises(ValueError):
             bob[0] = 0.0
+
+
+def test_records_are_immutable_with_unchanged_fields(brown, assign_12):
+    record = simulate(brown, assign_12, 0.0, make_state(2, [1, 0, 0, 0]))[0]
+    fields = ("outcome", "probability", "bob_corrected", "fidelity", "unrecoverable")
+    assert TeleportationRecord._fields == fields
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert record.unrecoverable is False
+    assert TeleportationRecord((1, 1, 1), 0.5, record.bob_corrected, 1.0).unrecoverable is False
+    doc = {"outcome": [1, 1, 1], "probability": record.probability, "fidelity": record.fidelity}
+    assert record.as_dict() == doc
+    flagged = TeleportationRecord((1, 1, 1), 0.5, record.bob_corrected, 1.0, True)
+    assert flagged.as_dict() == {**doc, "probability": 0.5, "fidelity": 1.0, "unrecoverable": True}
 
 
 def test_simulate_fidelity_is_overlap_with_input(brown):

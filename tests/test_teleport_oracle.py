@@ -77,7 +77,11 @@ def test_factorization_compares_every_outcome(brown, monkeypatch):
     corrupted = np.array(
         [[np.kron(factors[i], factors[j]) for j in (1, 2, 3, 4)] for i in (1, 2, 3, 4)]
     )
-    monkeypatch.setattr(teleport, "_FACTOR_KRON", corrupted)
+    # the check reads the gather tables, so corrupt those, derived from the
+    # corrupted kron as the real ones are from _FACTOR_KRON
+    columns, signs = teleport._signed_columns(corrupted)
+    monkeypatch.setattr(teleport, "_FACTOR_COLUMNS", columns)
+    monkeypatch.setattr(teleport, "_FACTOR_SIGNS", signs)
     report = pauli_factorization_check(brown, RoleAssignment((1, 2), (3, 4), 5), 0.3)
     assert report.holds is False
     assert report.max_deviation >= 0.5
