@@ -29,18 +29,23 @@ minima and pass.
 
 Engine: ``scan`` stacks the channel re-arranged for all 30 assignments
 with one gather through the rows of their cached gather indices (those
-every per-assignment call reads), and ``_classify``
-runs every step on the stack: the coefficients as stacked products,
-all 60 quartics through one batched ``eigvals`` on np.roots' companion
-matrices, and every candidate of every assignment, both outcomes, in
-one stacked defect evaluation.  The base operators and their defects
-come from the kernel criterion_check uses (teleport's _base_operators
-and _defects), and the other steps keep the rounding of their
-single-matrix forms (np.vdot, np.roots), so verdicts, roots and defects
-are those of criterion_check's arithmetic.  ``classify_theta`` is the
-same engine on a stack of one.  The pair purities are read from the
-channel's purity memo (entanglement), so the ten are computed once per
-channel, however many scans and criterion checks read them.
+every per-assignment call reads), and ``_classify`` classifies each
+distinct row of the stack once (a symmetric channel such as ghz5 gives
+all 30 assignments the same arranged amplitudes) and runs every step
+on the distinct rows: the coefficients as stacked products, the
+quartics through one batched ``eigvals`` per degree on np.roots'
+companion matrices (a2 = b2 = 0 leaves a quadratic, and an all-zero
+quartic has no roots and is skipped), and every candidate of every
+row, both outcomes, in one stacked defect evaluation.  Every step works
+row by row, so a duplicate row would get the same bits.  The base
+operators and their defects come from the kernel criterion_check uses
+(teleport's _base_operators and _defects), and the other steps keep
+the rounding of their single-matrix forms (np.vdot, np.roots), so
+verdicts, roots and defects are those of criterion_check's arithmetic.
+``classify_theta`` is the same engine on a stack of one.  The pair
+purities are read from the channel's purity memo (entanglement), so the
+ten are computed once per channel, however many scans and criterion
+checks read them.
 """
 
 from __future__ import annotations
@@ -149,21 +154,32 @@ _NODES = [k * math.pi / 8 for k in range(8)]
 
 
 def _root_angles(quartics: list[list[complex]]) -> list[list[float]]:
-    """np.angle(np.roots(quartic)) / 2 for every quartic.
+    """np.angle(np.roots(quartic)) / 2 for every quartic [w, h, 0, h*, w*].
 
-    Quartics with a nonzero leading coefficient get np.roots' companion
-    matrices, stacked into one eigvals call; the others (a2 = b2 = 0,
-    so np.roots strips zeros and changes degree) go through np.roots.
+    np.roots strips leading and trailing zeros, so w = 0 (a2 = b2 = 0)
+    leaves the quadratic [h, 0, h*] and one root at 0, appended last,
+    and w = h = 0 leaves no roots.  Each degree gets np.roots' companion
+    matrices, stacked into one eigvals call.
     """
     coeffs = np.array(quartics, dtype=np.complex128)
-    full = coeffs[:, 0] != 0
-    companion = np.repeat(np.eye(4, k=-1, dtype=np.complex128)[None], full.sum(), axis=0)
-    companion[:, 0] = -coeffs[full, 1:] / coeffs[full, :1]
-    stacked = iter((np.angle(np.linalg.eigvals(companion)) / 2).tolist())
-    return [
-        next(stacked) if whole else (np.angle(np.roots(row)) / 2).tolist()
-        for row, whole in zip(coeffs, full.tolist())
-    ]
+    angles: list[list[float]] = [[] for _ in quartics]
+    quartic = coeffs[:, 0] != 0
+    quadratic = ~quartic & (coeffs[:, 1] != 0)
+    for rows, poly in ((quartic, coeffs), (quadratic, coeffs[:, 1:4])):
+        poly = poly[rows]
+        if not len(poly):
+            continue
+        degree = poly.shape[1] - 1
+        companion = np.repeat(
+            np.eye(degree, k=-1, dtype=np.complex128)[None], len(poly), axis=0
+        )
+        companion[:, 0] = -poly[:, 1:] / poly[:, :1]
+        roots = (np.angle(np.linalg.eigvals(companion)) / 2).tolist()
+        for k, row in zip(np.flatnonzero(rows).tolist(), roots):
+            angles[k] = row
+    for k in np.flatnonzero(quadratic).tolist():
+        angles[k].append(0.0)  # np.angle(0j) / 2
+    return angles
 
 
 def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
@@ -235,14 +251,24 @@ def _verdict(thetas: list[float], values: list[float], tol: float) -> ThetaClass
 
 
 def _classify(arranged: np.ndarray, tol: float) -> list[ThetaClassification]:
-    """Classify each row of an (m, 32) stack of arranged channels at once."""
-    thetas = _candidate_sets(arranged)
-    values = _profiles(arranged, thetas)
+    """Classify each row of an (m, 32) stack of arranged channels at once.
+
+    Every step works row by row, so only the first row of each distinct
+    byte string is classified and its duplicates share the result.
+    """
+    keys = [row.tobytes() for row in arranged]
+    first: dict[bytes, int] = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
+    distinct = arranged[list(first.values())]
+    thetas = _candidate_sets(distinct)
+    values = _profiles(distinct, thetas)
     bounds = list(accumulate(map(len, thetas), initial=0))
-    return [
-        _verdict(row, values[start:stop], tol)
-        for row, start, stop in zip(thetas, bounds, bounds[1:])
-    ]
+    found = {
+        key: _verdict(row, values[start:stop], tol)
+        for key, row, start, stop in zip(first, thetas, bounds, bounds[1:])
+    }
+    return [found[key] for key in keys]
 
 
 def classify_theta(

@@ -233,12 +233,17 @@ def _load_json_text(text: str, path: str) -> PureState:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise StateFileError(
                 f"{path}:1: amplitude {k} must be an [re, im] pair, got {pair!r}"
             )
-        amps[k] = complex(pair[0], pair[1])
+        try:
+            amps[k] = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise StateFileError(
+                f"{path}:1: amplitude {k} is too large for a float"
+            ) from exc
     _reject_norm_drift(amps, path)
     return make_state(n, amps)
 

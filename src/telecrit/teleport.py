@@ -33,8 +33,9 @@ memo (see entanglement).  ``simulate`` reads Bob's residuals off the 32
 operators and corrects them with the same operators; Bob's corrected
 states are the rows of one read-only (32, 4) array, and each outcome is
 a ``TeleportationRecord``, an immutable named tuple built straight from
-its row.  The brute-force simulation of the seven-qubit joint state,
-which checks these routes independently, lives with the test oracles.
+its row that compares and hashes by identity.  The brute-force
+simulation of the seven-qubit joint state, which checks these routes
+independently, lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -372,6 +373,8 @@ class TeleportationRecord(NamedTuple):
 
     ``bob_corrected`` is Bob's normalized corrected state, a read-only
     (4,) complex128 row (zero when the corrected residual vanishes).
+    Records compare and hash by identity, since an array field has no
+    single truth value.
     """
 
     outcome: tuple[int, int, int]
@@ -379,6 +382,14 @@ class TeleportationRecord(NamedTuple):
     bob_corrected: np.ndarray
     fidelity: float
     unrecoverable: bool = False
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other
+
+    __hash__ = object.__hash__
 
     def as_dict(self) -> dict:
         doc = {

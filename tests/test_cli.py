@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from telecrit import named_state, save_state_json, save_state_text
@@ -521,8 +521,15 @@ def _state_file_text(draw):
     return form(draw, n, vec)
 
 
+# an exact JSON integer beyond float range, and a boolean pair
+_HUGE_AMPLITUDE = '{"num_qubits": 5, "amplitudes": [[1%s, 0]%s]}' % ("0" * 400, ", [0, 0]" * 31)
+_BOOLEAN_AMPLITUDE = '{"num_qubits": 5, "amplitudes": [[true, false]%s]}' % (", [0, 0]" * 31)
+
+
 @pytest.mark.parametrize("command", sorted(_FUZZ_BASE))
 @given(text=_state_file_text())
+@example(text=_HUGE_AMPLITUDE)
+@example(text=_BOOLEAN_AMPLITUDE)
 # derandomized, and one file rewritten per example
 @settings(
     max_examples=15,

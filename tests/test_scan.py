@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from conftest import lu_rotated
 
+import telecrit.angles as angles
+
 from telecrit import (
     KIND_ALL,
     KIND_DISCRETE,
@@ -243,3 +245,50 @@ def test_classify_random_channel_is_stable():
     cls = classify_theta(channel, assignment)
     assert cls.kind == KIND_NONE
     assert cls.min_defect > 0.1
+
+
+def _quartic(a1, b1, a2, b2, sign):
+    """One branch's quartic, built as the classifier builds it."""
+    h = sign * complex(b1, a1) / 2
+    return [complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)]
+
+
+@pytest.mark.parametrize(
+    "quartics",
+    [
+        # nonzero leading coefficient
+        [_quartic(0.4, -1.2, -0.7, 0.3, s) for s in (1, -1)] + [_quartic(0.0, 0.0, 2.0, 0.0, 1)],
+        # a2 = b2 = 0 with h != 0: the quadratic [h, 0, h*] and a root at 0
+        [_quartic(a1, b1, 0.0, 0.0, s) for a1, b1 in ((1.0, 0.0), (0.3, -2.5)) for s in (1, -1)],
+        # all zero: no roots
+        [_quartic(0.0, 0.0, 0.0, 0.0, 1)],
+        # signed zeros in every coefficient
+        [
+            _quartic(-0.0, -0.0, -0.0, -0.0, 1),
+            _quartic(-3.0, -0.0, 0.0, -0.0, 1),
+            _quartic(-0.0, 2.0, -0.0, 0.0, -1),
+            _quartic(-0.0, -0.0, -1.0, -0.0, 1),
+        ],
+    ],
+    ids=["quartic", "quadratic", "zero", "signed-zero"],
+)
+def test_root_angles_replicate_np_roots(quartics):
+    mixed = quartics + [_quartic(0.4, -1.2, -0.7, 0.3, 1), _quartic(0.0, 0.0, 0.0, 0.0, 1)]
+    got = angles._root_angles(mixed)
+    want = [(np.angle(np.roots(q)) / 2).tolist() for q in mixed]
+    # bit for bit, order and signed zeros included
+    assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
+
+
+@pytest.mark.parametrize("name, rows", [("ghz5", 1), ("man_m5", 15), ("brown", 30)])
+def test_scan_classifies_each_distinct_arrangement_once(monkeypatch, name, rows):
+    classified = []
+    candidate_sets = angles._candidate_sets
+
+    def counting(arranged):
+        classified.append(len(arranged))
+        return candidate_sets(arranged)
+
+    monkeypatch.setattr(angles, "_candidate_sets", counting)
+    assert len(scan(named_state(name)).entries) == 30
+    assert classified == [rows]

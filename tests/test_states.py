@@ -327,6 +327,22 @@ def test_loader_accepts_tiny_round_off(tmp_path):
         ('{"num_qubits": 1, "amplitudes": [[1, 0], "x"]}', "pair"),
         ('{"num_qubits": 0, "amplitudes": []}', "positive"),
         ('{"num_qubits": true, "amplitudes": [[1, 0], [0, 0]]}', "positive"),
+        # bool is an int subclass, but true is no amplitude
+        pytest.param(
+            '{"num_qubits": 1, "amplitudes": [[true, false], [0, 0]]}',
+            r":1: amplitude 0 must be an \[re, im\] pair",
+            id="boolean-pair",
+        ),
+        pytest.param(
+            '{"num_qubits": 1, "amplitudes": [[1, 0], [0, false]]}',
+            r":1: amplitude 1 must be an \[re, im\] pair",
+            id="boolean-imaginary-part",
+        ),
+        pytest.param(
+            '{"num_qubits": 1, "amplitudes": [[0, 0], [1%s, 0]]}' % ("0" * 400),
+            ":1: amplitude 1 is too large for a float",
+            id="integer-beyond-float-range",
+        ),
         ('{"nope": 1', "invalid JSON"),
     ],
 )

@@ -355,6 +355,18 @@ def test_records_are_immutable_with_unchanged_fields(brown, assign_12):
     assert flagged.as_dict() == {**doc, "probability": 0.5, "fidelity": 1.0, "unrecoverable": True}
 
 
+def test_records_compare_and_hash_by_identity(brown, assign_12):
+    first = simulate(brown, assign_12, 0.3, make_state(2, [1, 0, 0, 0]))
+    again = simulate(brown, assign_12, 0.3, make_state(2, [1, 0, 0, 0]))
+    record, twin = first[0], again[0]
+    assert record == record and not record != record
+    assert record != twin and not record == twin  # equal fields, distinct objects
+    assert record in first and twin not in first
+    assert len({*first, *again}) == 64
+    assert hash(record) == hash(record)
+    assert record != tuple(record) and record._make(record) != record
+
+
 def test_simulate_fidelity_is_overlap_with_input(brown):
     rng = np.random.default_rng(3)
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
