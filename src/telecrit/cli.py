@@ -240,11 +240,7 @@ def _render_teleport(doc: dict) -> None:
     print("outcome  probability  fidelity")
     for record in doc["records"]:
         i, j, n = record["outcome"]
-        flag = "  unrecoverable" if record.get("unrecoverable") else ""
-        print(
-            f"({i},{j},{n})  {_fmt(record['probability'])}  "
-            f"{_fmt(record['fidelity'])}{flag}"
-        )
+        print(f"({i},{j},{n})  {_fmt(record['probability'])}  {_fmt(record['fidelity'])}")
     print(f"average fidelity: {_fmt(doc['average_fidelity'])}")
 
 

@@ -17,8 +17,10 @@ catalog and :func:`tensor` are unit norm.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import re
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -214,6 +216,10 @@ def _load_json_text(text: str, path: str) -> PureState:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past Python's int-string limit
+        limit = sys.get_int_max_str_digits()
+        lineno = text.count("\n", 0, re.search(rf"\d{{{limit + 1}}}", text).start()) + 1
+        raise StateFileError(f"{path}:{lineno}: integer of more than {limit} digits") from exc
     if not isinstance(doc, dict) or "num_qubits" not in doc or "amplitudes" not in doc:
         raise StateFileError(
             f"{path}:1: expected an object with num_qubits and amplitudes"
@@ -244,6 +250,8 @@ def _load_json_text(text: str, path: str) -> PureState:
             raise StateFileError(
                 f"{path}:1: amplitude {k} is too large for a float"
             ) from exc
+        if not cmath.isfinite(amps[k]):
+            raise StateFileError(f"{path}:1: amplitude {k} is not finite, got {pair!r}")
     _reject_norm_drift(amps, path)
     return make_state(n, amps)
 
@@ -277,6 +285,8 @@ def _load_plain_text(text: str, path: str) -> PureState:
             raise StateFileError(
                 f"{path}:{lineno}: bad amplitude {re_s!r} {im_s!r}"
             ) from exc
+        if not cmath.isfinite(value):
+            raise StateFileError(f"{path}:{lineno}: amplitude {re_s!r} {im_s!r} is not finite")
         index = int(bits, 2)
         if index in entries:
             raise StateFileError(f"{path}:{lineno}: duplicate basis state {bits!r}")
@@ -297,8 +307,8 @@ def load_state_file(path: str) -> PureState:
     2**n entries.  Text form: one 'bitstring re im' line per nonzero
     amplitude; blank lines and '#' comments are ignored.  Input whose
     squared norm deviates from 1 by more than STRICT_NORM_TOL is
-    rejected; smaller round-off is silently renormalized.  States wider
-    than MAX_FILE_QUBITS are refused.
+    rejected; smaller round-off is silently renormalized.  Non-finite
+    amplitudes and states wider than MAX_FILE_QUBITS are refused.
     """
     try:
         with open(path, encoding="utf-8") as handle:

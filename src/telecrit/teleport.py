@@ -30,12 +30,12 @@ from ``_FACTOR_KRON`` at import), which gives the matrix product's
 values exactly.  These are the only two contractions of the channel.
 The pair purities the criterion reports come from the channel's purity
 memo (see entanglement).  ``simulate`` reads Bob's residuals off the 32
-operators and corrects them with the same operators; Bob's corrected
-states are the rows of one read-only (32, 4) array, and each outcome is
-a ``TeleportationRecord``, an immutable named tuple built straight from
-its row that compares and hashes by identity.  The brute-force
-simulation of the seven-qubit joint state, which checks these routes
-independently, lives with the test oracles.
+operators and corrects each with its operator's adjoint, Bob's one
+correction; the corrected states are the rows of one read-only (32, 4)
+array, and each outcome is a ``TeleportationRecord``, an immutable named
+tuple built straight from its row that compares and hashes by identity.
+The brute-force simulation of the seven-qubit joint state, which checks
+these routes independently, lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -251,15 +251,6 @@ def transformation_operator(
     return _outcome_operators(_arranged(channel, assignment), theta)[outcome]
 
 
-@lru_cache(maxsize=4)
-def _identity(d: int) -> np.ndarray:
-    """Read-only d x d identity, built once per size; the last few sizes
-    are kept, so a large one-off matrix does not pin its identity."""
-    eye = np.eye(d)
-    eye.setflags(write=False)
-    return eye
-
-
 def _defects(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of M^dagger M - I for every matrix of an (n, d, d) stack.
 
@@ -267,7 +258,8 @@ def _defects(m: np.ndarray) -> np.ndarray:
     real and imaginary views; _row_dots of the same views calls the same
     strided BLAS dot, where contiguous copies would round differently.
     """
-    gap = (m.conj().transpose(0, 2, 1) @ m - _identity(m.shape[-1])).reshape(len(m), -1)
+    gap = (m.conj().transpose(0, 2, 1) @ m).reshape(len(m), -1)
+    gap[:, :: m.shape[-1] + 1] -= 1.0  # the diagonal of each fresh product
     return np.sqrt(_row_dots(gap.real, gap.real) + _row_dots(gap.imag, gap.imag))
 
 
@@ -371,8 +363,8 @@ def pauli_factorization_check(
 class TeleportationRecord(NamedTuple):
     """One measurement outcome of a full protocol run; an immutable tuple.
 
-    ``bob_corrected`` is Bob's normalized corrected state, a read-only
-    (4,) complex128 row (zero when the corrected residual vanishes).
+    ``bob_corrected`` is Bob's adjoint-corrected, normalized state, a
+    read-only (4,) complex128 row (zero when the corrected residual vanishes).
     Records compare and hash by identity, since an array field has no
     single truth value.
     """
@@ -381,7 +373,6 @@ class TeleportationRecord(NamedTuple):
     probability: float
     bob_corrected: np.ndarray
     fidelity: float
-    unrecoverable: bool = False
 
     def __eq__(self, other: object) -> bool:
         return self is other
@@ -392,18 +383,11 @@ class TeleportationRecord(NamedTuple):
     __hash__ = object.__hash__
 
     def as_dict(self) -> dict:
-        doc = {
+        return {
             "outcome": list(self.outcome),
             "probability": self.probability,
             "fidelity": self.fidelity,
         }
-        if self.unrecoverable:
-            doc["unrecoverable"] = True
-        return doc
-
-
-# relative singular-value cutoff below which an operator cannot be inverted
-_SINGULAR_RTOL = 1e-12
 
 
 # <a_k|b_k> over the last axis; stacked (1, m) @ (m, 1) products round like
@@ -417,39 +401,24 @@ def simulate(
     assignment: RoleAssignment,
     theta: float,
     input_state: PureState,
-    correction: str = "adjoint",
 ) -> list[TeleportationRecord]:
     """Run the full protocol over all 32 measurement outcomes.
 
     Bob's unnormalized residual for outcome (i, j, n) is the outcome
     operator applied to the input coefficients, times the measurement
-    prefactor; its squared norm is the outcome probability.  The
-    correction (the same operator) is then applied to the residual.
-    Records are ordered by (bell_first, bell_second, charlie_outcome).
-    Outcome probabilities always sum to 1; for a faithful channel every
-    outcome has probability 1/32 and fidelity 1.
-
-    ``correction`` is "adjoint" (default; always defined) or "inverse"
-    (marks the record unrecoverable when the operator is singular, in
-    which case the residual is kept uncorrected).
+    prefactor; its squared norm is the outcome probability.  Bob's
+    correction, the adjoint of the same operator, is then applied to the
+    residual.  Records are ordered by (bell_first, bell_second,
+    charlie_outcome).  Outcome probabilities always sum to 1; for a
+    faithful channel every outcome has probability 1/32 and fidelity 1.
     """
     if input_state.num_qubits != 2:
         raise ValueError("the input must be a two-qubit state")
     if abs(input_state.norm**2 - 1.0) > 1e-6:
         raise ValueError("the input state must be normalized")
-    if correction not in ("adjoint", "inverse"):
-        raise ValueError(f"correction must be 'adjoint' or 'inverse', got {correction!r}")
     operators = _outcome_operators(_arranged(channel, assignment), theta).reshape(32, 4, 4)
     residuals = _PREFACTOR * (operators @ input_state.amplitudes)
-    unrecoverable = np.zeros(32, dtype=bool)
-    if correction == "adjoint":
-        corrected = (operators.conj().transpose(0, 2, 1) @ residuals[..., None])[..., 0]
-    else:
-        spectrum = np.linalg.svd(operators, compute_uv=False)  # descending
-        unrecoverable = spectrum[:, -1] <= _SINGULAR_RTOL * np.maximum(spectrum[:, 0], 1.0)
-        # one singular matrix would fail the whole batched solve, so mask first
-        corrected, ok = residuals.copy(), ~unrecoverable
-        corrected[ok] = np.linalg.solve(operators[ok], residuals[ok, :, None])[..., 0]
+    corrected = (operators.conj().transpose(0, 2, 1) @ residuals[..., None])[..., 0]
     re, im = corrected.real, corrected.imag
     norms = np.sqrt(_row_dots(re, re) + _row_dots(im, im))  # as np.linalg.norm forms it
     live = norms > 0.0
@@ -458,5 +427,5 @@ def simulate(
     fidelities = np.where(live, np.abs(_row_dots(input_state.amplitudes, corrected)) ** 2, 0.0)
     probabilities = _row_dots(residuals, residuals).real.tolist()
     outcomes = itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2))
-    rows = zip(outcomes, probabilities, corrected, fidelities.tolist(), unrecoverable.tolist())
+    rows = zip(outcomes, probabilities, corrected, fidelities.tolist())
     return list(map(TeleportationRecord._make, rows))

@@ -23,7 +23,6 @@ from telecrit.states import PureState, tensor
 from telecrit.teleport import (
     _BELL_AMPLITUDES,
     _PREFACTOR,
-    _SINGULAR_RTOL,
     PAULI_FACTORS,
     FactorizationReport,
     TeleportationRecord,
@@ -203,21 +202,19 @@ def simulate(
     assignment,
     theta: float,
     input_state: PureState,
-    correction: str = "adjoint",
 ) -> list[TeleportationRecord]:
     """Brute-force the full protocol over all 32 measurement outcomes.
 
     Builds the seven-qubit joint state, projects every combination of
-    the two Bell outcomes and Charlie's outcome, and applies the
-    correction (the base-operator route) to Bob's residual.  Records are
-    ordered by (bell_first, bell_second, charlie_outcome).
+    the two Bell outcomes and Charlie's outcome, and applies Bob's
+    correction, the adjoint of the outcome operator (the base-operator
+    route), to his residual.  Records are ordered by (bell_first,
+    bell_second, charlie_outcome).
     """
     if input_state.num_qubits != 2:
         raise ValueError("the input must be a two-qubit state")
     if abs(input_state.norm**2 - 1.0) > 1e-6:
         raise ValueError("the input state must be normalized")
-    if correction not in ("adjoint", "inverse"):
-        raise ValueError(f"correction must be 'adjoint' or 'inverse', got {correction!r}")
     arranged = PureState(5, _arranged(channel, assignment))
     # joint qubits: 1-2 unknown pair, 3-4 Alice's channel pair,
     # 5-6 Bob's pair, 7 Charlie
@@ -231,17 +228,7 @@ def simulate(
                 residual = project_subsystem(joint, bra, (1, 3, 2, 4, 7))
                 probability = float(np.vdot(residual.amplitudes, residual.amplitudes).real)
                 matrix = transformation_operator(channel, assignment, i, j, n, theta)
-                unrecoverable = False
-                if correction == "adjoint":
-                    corrected = matrix.conj().T @ residual.amplitudes
-                else:
-                    smallest = float(np.linalg.svd(matrix, compute_uv=False)[-1])
-                    largest = float(np.linalg.norm(matrix, 2))
-                    if smallest <= _SINGULAR_RTOL * max(largest, 1.0):
-                        unrecoverable = True
-                        corrected = np.array(residual.amplitudes)
-                    else:
-                        corrected = np.linalg.solve(matrix, residual.amplitudes)
+                corrected = matrix.conj().T @ residual.amplitudes
                 norm = float(np.linalg.norm(corrected))
                 if norm > 0.0:
                     corrected = corrected / norm
@@ -257,7 +244,6 @@ def simulate(
                         probability=probability,
                         bob_corrected=bob.amplitudes,
                         fidelity=fidelity,
-                        unrecoverable=unrecoverable,
                     )
                 )
     return records

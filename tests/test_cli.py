@@ -521,14 +521,17 @@ def _state_file_text(draw):
     return form(draw, n, vec)
 
 
-# an exact JSON integer beyond float range, and a boolean pair
+# an exact JSON integer beyond float range, one past Python's
+# int-string limit, and a boolean pair
 _HUGE_AMPLITUDE = '{"num_qubits": 5, "amplitudes": [[1%s, 0]%s]}' % ("0" * 400, ", [0, 0]" * 31)
+_LONG_AMPLITUDE = '{"num_qubits": 5, "amplitudes": [[1%s, 0]%s]}' % ("0" * 5000, ", [0, 0]" * 31)
 _BOOLEAN_AMPLITUDE = '{"num_qubits": 5, "amplitudes": [[true, false]%s]}' % (", [0, 0]" * 31)
 
 
 @pytest.mark.parametrize("command", sorted(_FUZZ_BASE))
 @given(text=_state_file_text())
 @example(text=_HUGE_AMPLITUDE)
+@example(text=_LONG_AMPLITUDE)
 @example(text=_BOOLEAN_AMPLITUDE)
 # derandomized, and one file rewritten per example
 @settings(

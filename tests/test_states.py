@@ -296,6 +296,15 @@ def test_text_loader_accepts_comments_and_blanks(tmp_path):
         ("00 0.7 0.0\n00 0.1 0.0\n", "duplicate"),
         ("00 abc 0.0\n", "bad amplitude"),
         ("", "no amplitudes"),
+        # float() reads these without complaint, as infinities and NaN
+        ("0 inf 0\n", ":1: amplitude 'inf' '0' is not finite"),
+        ("0 1 0\n1 nan 0\n", ":2: amplitude 'nan' '0' is not finite"),
+        ("0 1 0\n\n1 0 1e400\n", ":3: amplitude '0' '1e400' is not finite"),
+        pytest.param(
+            "0 1%s 0\n" % ("0" * 5000),
+            ":1: amplitude '1000.*' is not finite",
+            id="integer-past-digit-limit",
+        ),
     ],
 )
 def test_text_loader_names_offending_line(tmp_path, content, fragment):
@@ -342,6 +351,37 @@ def test_loader_accepts_tiny_round_off(tmp_path):
             '{"num_qubits": 1, "amplitudes": [[0, 0], [1%s, 0]]}' % ("0" * 400),
             ":1: amplitude 1 is too large for a float",
             id="integer-beyond-float-range",
+        ),
+        pytest.param(
+            '{"num_qubits": 1, "amplitudes": [[0, 0], [1e400, 0]]}',
+            r":1: amplitude 1 is not finite, got \[inf, 0\]",
+            id="float-beyond-float-range",
+        ),
+        pytest.param(
+            '{"num_qubits": 1, "amplitudes": [[NaN, 0], [1, 0]]}',
+            r":1: amplitude 0 is not finite, got \[nan, 0\]",
+            id="nan",
+        ),
+        pytest.param(
+            '{"num_qubits": 1, "amplitudes": [[1, 0], [0, -Infinity]]}',
+            r":1: amplitude 1 is not finite, got \[0, -inf\]",
+            id="infinity",
+        ),
+        # past Python's int-string limit json.loads raises a bare ValueError
+        pytest.param(
+            '{"num_qubits": 1, "amplitudes": [[0, 0], [1%s, 0]]}' % ("0" * 5000),
+            r":1: integer of more than \d+ digits",
+            id="integer-past-digit-limit",
+        ),
+        pytest.param(
+            '{"num_qubits": 1,\n "amplitudes":\n  [[0, 0], [-1%s, 0]]}' % ("0" * 5000),
+            r":3: integer of more than \d+ digits",
+            id="integer-past-digit-limit-on-line-3",
+        ),
+        pytest.param(
+            '{"num_qubits": 1%s, "amplitudes": []}' % ("0" * 5000),
+            r":1: integer of more than \d+ digits",
+            id="num-qubits-past-digit-limit",
         ),
         ('{"nope": 1', "invalid JSON"),
     ],

@@ -325,7 +325,7 @@ def test_simulate_faithful_channel_is_uniform(brown, assign_12):
         assert abs(np.linalg.norm(record.bob_corrected) - 1.0) < 1e-12
     doc = records[0].as_dict()
     assert doc["outcome"] == [1, 1, 1]
-    assert "unrecoverable" not in doc
+    assert set(doc) == {"outcome", "probability", "fidelity"}
 
 
 def test_simulate_bob_states_are_read_only_unit_rows(brown):
@@ -342,17 +342,13 @@ def test_simulate_bob_states_are_read_only_unit_rows(brown):
 
 def test_records_are_immutable_with_unchanged_fields(brown, assign_12):
     record = simulate(brown, assign_12, 0.0, make_state(2, [1, 0, 0, 0]))[0]
-    fields = ("outcome", "probability", "bob_corrected", "fidelity", "unrecoverable")
+    fields = ("outcome", "probability", "bob_corrected", "fidelity")
     assert TeleportationRecord._fields == fields
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
-    assert record.unrecoverable is False
-    assert TeleportationRecord((1, 1, 1), 0.5, record.bob_corrected, 1.0).unrecoverable is False
     doc = {"outcome": [1, 1, 1], "probability": record.probability, "fidelity": record.fidelity}
     assert record.as_dict() == doc
-    flagged = TeleportationRecord((1, 1, 1), 0.5, record.bob_corrected, 1.0, True)
-    assert flagged.as_dict() == {**doc, "probability": 0.5, "fidelity": 1.0, "unrecoverable": True}
 
 
 def test_records_compare_and_hash_by_identity(brown, assign_12):
@@ -379,48 +375,6 @@ def test_simulate_fidelity_is_overlap_with_input(brown):
     assert min(r.fidelity for r in records) < 0.999
 
 
-def test_simulate_inverse_equals_adjoint_when_unitary(brown, assign_12):
-    input_state = make_state(2, [1, 0, 0, 0])
-    adjoint = simulate(brown, assign_12, 0.45, input_state, correction="adjoint")
-    inverse = simulate(brown, assign_12, 0.45, input_state, correction="inverse")
-    for left, right in zip(adjoint, inverse):
-        assert not left.unrecoverable and not right.unrecoverable
-        assert abs(left.fidelity - right.fidelity) < 1e-10
-        assert np.max(np.abs(left.bob_corrected - right.bob_corrected)) < 1e-10
-
-
-def test_simulate_singular_operators_marked_unrecoverable():
-    channel = named_state("product_zero_n")
-    assignment = RoleAssignment((1, 2), (3, 4), 5)
-    input_state = make_state(2, [0.5, 0.5, 0.5, 0.5])
-    records = simulate(channel, assignment, 0.3, input_state, correction="inverse")
-    assert all(r.unrecoverable for r in records)
-    assert abs(sum(r.probability for r in records) - 1.0) < 1e-12
-    assert records[0].as_dict()["unrecoverable"] is True
-    # adjoint correction is always defined, so no flags there
-    relaxed = simulate(channel, assignment, 0.3, input_state)
-    assert not any(r.unrecoverable for r in relaxed)
-
-
-def test_simulate_singular_rule_has_absolute_floor():
-    # sum_k a_k |k>_alice |k>_bob |0>_charlie: the base operators are
-    # 2 sqrt2 cos(theta) diag(a) and 2 sqrt2 sin(theta) diag(a).  theta puts
-    # outcome 2's singular values at 1e-3 and 1e-13: well conditioned
-    # relative to its own norm, singular against the floor of 1
-    amps = np.zeros(32)
-    amps[[0, 10, 20, 30]] = [1.0, 1.0, 1.0, 1e-10]
-    channel = make_state(5, amps)
-    a0 = channel.amplitudes[0].real
-    theta = math.asin(1e-3 / (2.0 * math.sqrt(2.0) * a0))
-    input_state = make_state(2, [0.5, 0.5, 0.5, 0.5])
-    records = simulate(
-        channel, RoleAssignment((1, 2), (3, 4), 5), theta, input_state, correction="inverse"
-    )
-    flagged = [r.outcome for r in records if r.unrecoverable]
-    assert flagged == [r.outcome for r in records if r.outcome[2] == 2]
-    assert len(flagged) == 16
-
-
 def test_simulate_zero_probability_outcomes_report_zero_fidelity():
     channel = named_state("product_zero_n")
     records = simulate(
@@ -438,8 +392,6 @@ def test_simulate_input_validation(brown, assign_12):
         simulate(brown, assign_12, 0.0, named_state("ghz5"))
     with pytest.raises(ValueError, match="normalized"):
         simulate(brown, assign_12, 0.0, PureState(2, [0.5, 0, 0, 0]))
-    with pytest.raises(ValueError, match="correction"):
-        simulate(brown, assign_12, 0.0, make_state(2, [1, 0, 0, 0]), correction="none")
 
 
 @given(
