@@ -15,17 +15,18 @@ with coefficients from the Frobenius inner products of P, Q and R.
 Outcome 2 flips the signs of a1 and b1, so the combined profile is
 
     max(d1, d2)^2 = a0 + a2 cos 4theta + b2 sin 4theta
-                    + |a1 cos 2theta + b1 sin 2theta|.
+                    + |a1 cos 2theta + b1 sin 2theta|,
 
-Between consecutive angles of a finite candidate set it is monotone:
-the two crossings d1 = d2, the stationary points of each branch (roots
-of a quartic in exp(2i theta)), and the nodes k pi/8, k = 0..7, which
-fix a trig polynomial of these harmonics and cover degenerate
-coefficient sets.  The coefficients only place the candidates.  Every
-verdict comes from evaluating both defects at the candidates, with the
-arithmetic criterion_check uses: all_theta when every candidate
-passes; otherwise the roots are the candidates that are cyclic local
-minima and pass.
+with period pi/2, as d1(theta + pi/2) = d2(theta).  On [0, pi/2) it is
+monotone between consecutive angles of a finite candidate set: the
+crossing d1 = d2, the stationary points of branch + (roots of a quartic
+p(z), z = exp(2i theta); branch - has p(-z), the same angles plus pi/2),
+and the nodes k pi/8, k = 0..3, which fix a trig polynomial of these
+harmonics and cover degenerate coefficient sets.  The coefficients only
+place the candidates.  Every verdict comes from evaluating both defects
+at the candidates, with the arithmetic criterion_check uses: all_theta
+when every candidate passes; otherwise each candidate r that is a
+cyclic local minimum and passes gives the roots r and r + pi/2.
 
 Engine: ``scan`` stacks the channel re-arranged for all 30 assignments
 with one gather through the rows of their cached gather indices (those
@@ -33,8 +34,8 @@ every per-assignment call reads), and ``_classify`` classifies each
 distinct row of the stack once (a symmetric channel such as ghz5 gives
 all 30 assignments the same arranged amplitudes) and runs every step
 on the distinct rows: the coefficients as stacked products, the
-quartics through one batched ``eigvals`` per degree on np.roots'
-companion matrices (a2 = b2 = 0 leaves a quadratic, and an all-zero
+quartics, one per row, through one batched ``eigvals`` per degree on
+np.roots' companion matrices (a2 = b2 = 0 leaves a quadratic, and an all-zero
 quartic has no roots and is skipped), and every candidate of every
 row, both outcomes, in one stacked defect evaluation.  Every step works
 row by row, so a duplicate row would get the same bits.  The base
@@ -51,8 +52,8 @@ checks read them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from .teleport import (
     _arranged,
     _base_operators,
     _defects,
+    _gather_indices,
     _require_channel,
     _row_dots,
 )
@@ -86,13 +88,12 @@ KIND_NONE = "none"
 _KIND_ORDER = {KIND_ALL: 0, KIND_DISCRETE: 1, KIND_NONE: 2}
 
 
-@dataclass(frozen=True)
-class ThetaClassification:
+class ThetaClassification(NamedTuple):
     """How a channel/assignment pair depends on Charlie's basis angle.
 
     ``roots`` is present (sorted, canonicalized into [0, pi)) only for
     kind discrete_theta.  ``min_defect``/``argmin_theta`` are always
-    reported; for all_theta the argmin is 0 by convention.
+    reported, the argmin in [0, pi/2) and 0 for all_theta.
     """
 
     kind: str
@@ -101,8 +102,7 @@ class ThetaClassification:
     argmin_theta: float
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     assignment: RoleAssignment
     classification: ThetaClassification
     purity_alice: float
@@ -121,8 +121,7 @@ class ScanEntry:
         }
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     entries: tuple[ScanEntry, ...]
 
     def as_dicts(self) -> list[dict]:
@@ -149,8 +148,8 @@ def _canonical_root(theta: float) -> float:
     return abs(root)  # fold -0.0
 
 
-# the nodes k pi/8, in every candidate set
-_NODES = [k * math.pi / 8 for k in range(8)]
+# the nodes k pi/8 of the half period, in every candidate set
+_NODES = [k * math.pi / 8 for k in range(4)]
 
 
 def _root_angles(quartics: list[list[complex]]) -> list[list[float]]:
@@ -183,8 +182,8 @@ def _root_angles(quartics: list[list[complex]]) -> list[list[float]]:
 
 
 def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
-    """Per row of the stack, sorted angles in [0, pi) that bound the
-    monotone pieces of the profile."""
+    """Per row of the stack, sorted angles in [0, pi/2) that bound the
+    monotone pieces of the profile over its period."""
     m0, m2 = _base_operators(arranged, 1.0, 0.0)  # M(0), -M(pi/2)
     m1 = -m2
     m0h, m1h = m0.conj().transpose(0, 2, 1), m1.conj().transpose(0, 2, 1)
@@ -201,14 +200,14 @@ def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
         a2, b2 = (qq - rr) / 2, qr
         # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
         crossing = math.atan2(b1, a1) / 2 + math.pi / 4
-        sets.append([crossing, crossing + math.pi / 2, *_NODES])
-        # branch a2 cos 4theta + b2 sin 4theta +- (a1 cos 2theta + b1 sin 2theta):
+        sets.append([crossing, *_NODES])
+        # branch a2 cos 4theta + b2 sin 4theta + a1 cos 2theta + b1 sin 2theta:
         # its derivative times z^2, z = exp(2i theta), is this quartic in z
-        for h in (complex(b1, a1) / 2, -complex(b1, a1) / 2):
-            quartics.append([complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)])
-    for k, angles in enumerate(_root_angles(quartics)):
-        sets[k // 2].extend(angles)
-    return [sorted({angle % math.pi for angle in angles}) for angles in sets]
+        h = complex(b1, a1) / 2
+        quartics.append([complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)])
+    for angles, roots in zip(sets, _root_angles(quartics)):
+        angles.extend(roots)
+    return [sorted({angle % (math.pi / 2) for angle in angles}) for angles in sets]
 
 
 def _profiles(arranged: np.ndarray, thetas: list[list[float]]) -> list[float]:
@@ -234,9 +233,10 @@ def _verdict(thetas: list[float], values: list[float], tol: float) -> ThetaClass
     best = values.index(min(values))
     count = len(values)
     roots = [
-        _canonical_root(thetas[k])
+        _canonical_root(thetas[k] + shift)
         for k, value in enumerate(values)
         if value <= tol and value <= values[k - 1] and value <= values[(k + 1) % count]
+        for shift in (0.0, math.pi / 2)
     ]
     deduped: list[float] = []
     for root in sorted(roots):
@@ -276,14 +276,12 @@ def classify_theta(
 ) -> ThetaClassification:
     """Classify the combined-defect profile over theta in [0, pi).
 
-    all_theta: every candidate angle passes.  discrete_theta: some
-    candidates that are cyclic local minima pass.  none: no angle
-    passes.  Roots are canonicalized into [0, pi) and deduplicated
-    modulo pi.
-
-    The combined profile has period pi/2, so theta and theta + pi/2 are
-    exact ties; which of the two ``argmin_theta`` reports is decided by
-    last-bit rounding of their defects.
+    The combined profile has period pi/2, so only candidates in
+    [0, pi/2) are evaluated.  all_theta: every candidate angle passes.
+    discrete_theta: some candidates that are cyclic local minima pass;
+    each such root r is reported with r + pi/2.  none: no angle passes.
+    Roots are canonicalized into [0, pi) and deduplicated modulo pi;
+    ``argmin_theta`` lies in [0, pi/2).
     """
     _require_tol(tol)
     return _classify(_arranged(channel, assignment)[None], tol)[0]
@@ -292,7 +290,7 @@ def classify_theta(
 # the 30 assignments of a scan and, in row k, assignment k's gather index:
 # channel.amplitudes[_GATHER] arranges all 30 at once, as _arranged does one
 _ASSIGNMENTS = tuple(enumerate_assignments())
-_GATHER = np.array([a._gather for a in _ASSIGNMENTS])
+_GATHER = _gather_indices([a.relabeling() for a in _ASSIGNMENTS])
 
 
 def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:

@@ -220,6 +220,8 @@ def _load_json_text(text: str, path: str) -> PureState:
         limit = sys.get_int_max_str_digits()
         lineno = text.count("\n", 0, re.search(rf"\d{{{limit + 1}}}", text).start()) + 1
         raise StateFileError(f"{path}:{lineno}: integer of more than {limit} digits") from exc
+    except RecursionError as exc:  # nesting deeper than the interpreter's recursion limit
+        raise StateFileError(f"{path}:1: JSON nested too deeply") from exc
     if not isinstance(doc, dict) or "num_qubits" not in doc or "amplitudes" not in doc:
         raise StateFileError(
             f"{path}:1: expected an object with num_qubits and amplitudes"

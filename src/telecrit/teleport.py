@@ -160,17 +160,8 @@ class RoleAssignment:
     @cached_property
     def _gather(self) -> np.ndarray:
         """Read-only index table: ``amplitudes[self._gather]`` is a channel
-        re-arranged as ``relabeling`` orders it.
-
-        Bit 5 - new of arranged index k is bit 5 - old of the channel
-        index it reads, for each label ``old`` moved to ``new``.
-        """
-        k = np.arange(32)
-        index = np.zeros(32, dtype=np.intp)
-        for old, new in self.relabeling().items():
-            index |= ((k >> (5 - new)) & 1) << (5 - old)
-        index.setflags(write=False)
-        return index
+        re-arranged as ``relabeling`` orders it."""
+        return _gather_indices([self.relabeling()])[0]
 
     def relabeling(self) -> dict[int, int]:
         """Old-label -> new-label map putting roles in canonical order."""
@@ -188,6 +179,17 @@ class RoleAssignment:
             "bob": list(self.bob),
             "charlie": self.charlie,
         }
+
+
+def _gather_indices(relabelings: list[dict[int, int]]) -> np.ndarray:
+    """Read-only (m, 32) gather indices, a row per relabeling: bit 5 - new of
+    arranged index k is bit 5 - old of the channel index it reads, for each
+    label ``old`` moved to ``new``."""
+    moves = np.array([list(r.items()) for r in relabelings], dtype=np.intp)
+    old, new, k = moves[:, None, :, 0], moves[:, None, :, 1], np.arange(32)[:, None]
+    index = (((k >> (5 - new)) & 1) << (5 - old)).sum(axis=2)
+    index.setflags(write=False)
+    return index
 
 
 def _require_channel(channel: PureState) -> None:
@@ -274,8 +276,7 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(_defects(m[None])[0])
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Faithfulness verdict for one channel, assignment, and angle."""
 
     assignment: RoleAssignment
@@ -326,8 +327,7 @@ def criterion_check(
     )
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     """Outcome of checking operator(i, j, n) == operator(1, 1, n) @ kron(F_i, F_j)."""
 
     holds: bool

@@ -2,10 +2,12 @@
 
 This is the code the batched engine in ``telecrit.angles`` replaced: the
 channel is re-arranged once per assignment, the candidate angles come
-from one assignment's coefficients and two ``np.roots`` calls, every
+from one assignment's coefficients and one ``np.roots`` call, every
 candidate is checked by ``unitarity_defect`` of each base operator on
-its own, and ``scan`` takes two partial traces per assignment.  Its
-logic is unchanged.
+its own, and ``scan`` takes two partial traces per assignment.  Like the
+engine it works over the profile's period pi/2.  The full-period rule it
+replaced (candidates over [0, pi), two quartics) is kept beside it as
+``classify_theta_full_period``, to check the half period against.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from telecrit.teleport import (
 )
 
 
-def _candidate_angles(grid: np.ndarray) -> np.ndarray:
-    """Sorted angles in [0, pi) that bound the monotone pieces of the profile."""
+def _coefficients(grid: np.ndarray) -> tuple[float, float, float, float]:
+    """(a1, b1, a2, b2) of one arranged channel's defect profile."""
     g0, g1 = _base_operators(grid, 1.0, 0.0)[:, 0]
     g1 = -g1  # M(0), M(pi/2)
     a, b, c = g0.conj().T @ g0, g1.conj().T @ g1, g0.conj().T @ g1
@@ -45,33 +47,53 @@ def _candidate_angles(grid: np.ndarray) -> np.ndarray:
     def dot(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.vdot(x, y).real)
 
-    a1, b1 = 2 * dot(p, q), 2 * dot(p, r)
-    a2, b2 = (dot(q, q) - dot(r, r)) / 2, dot(q, r)
+    return 2 * dot(p, q), 2 * dot(p, r), (dot(q, q) - dot(r, r)) / 2, dot(q, r)
+
+
+def _quartic(h: complex, a2: float, b2: float) -> list[complex]:
+    """Branch a2 cos 4theta + b2 sin 4theta +- (a1 cos 2theta + b1 sin 2theta):
+    its derivative times z^2, z = exp(2i theta), is this quartic in z, with
+    h = +-(b1 + i a1)/2."""
+    return [complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)]
+
+
+def _candidate_angles(grid: np.ndarray) -> np.ndarray:
+    """Sorted angles in [0, pi/2) that bound the monotone pieces of the
+    profile over its period pi/2: one crossing, branch +'s stationary
+    angles and the nodes k pi/8, k = 0..3."""
+    a1, b1, a2, b2 = _coefficients(grid)
     # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
+    angles = [math.atan2(b1, a1) / 2 + math.pi / 4]
+    h = complex(b1, a1) / 2
+    angles.extend((np.angle(np.roots(_quartic(h, a2, b2))) / 2).tolist())
+    angles.extend(k * math.pi / 8 for k in range(4))
+    return np.array(sorted({angle % (math.pi / 2) for angle in angles}))
+
+
+def _full_period_candidate_angles(grid: np.ndarray) -> np.ndarray:
+    """The full-period rule: sorted angles in [0, pi) from both crossings,
+    both branches' stationary angles and the nodes k pi/8, k = 0..7."""
+    a1, b1, a2, b2 = _coefficients(grid)
     crossing = math.atan2(b1, a1) / 2 + math.pi / 4
     angles = [crossing, crossing + math.pi / 2]
-    # branch a2 cos 4theta + b2 sin 4theta +- (a1 cos 2theta + b1 sin 2theta):
-    # its derivative times z^2, z = exp(2i theta), is this quartic in z
     for h in (complex(b1, a1) / 2, -complex(b1, a1) / 2):
-        quartic = [complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)]
-        angles.extend((np.angle(np.roots(quartic)) / 2).tolist())
+        angles.extend((np.angle(np.roots(_quartic(h, a2, b2))) / 2).tolist())
     angles.extend(k * math.pi / 8 for k in range(8))
     return np.array(sorted({angle % math.pi for angle in angles}))
 
 
-def classify_theta(
-    channel: PureState, assignment: RoleAssignment, tol: float = 1e-10
+def _classify(
+    channel: PureState,
+    assignment: RoleAssignment,
+    tol: float,
+    candidate_angles,
+    shifts: tuple[float, ...],
 ) -> ThetaClassification:
-    """Classify the combined-defect profile over theta in [0, pi).
-
-    all_theta: every candidate angle passes.  discrete_theta: some
-    candidates that are cyclic local minima pass.  none: no angle
-    passes.  Roots are canonicalized into [0, pi) and deduplicated
-    modulo pi.
-    """
+    """Verdict from the profile at the candidates; each root r is reported
+    as r + shift for every shift, canonicalized and deduplicated modulo pi."""
     _require_tol(tol)
     grid = _arranged(channel, assignment).reshape([2] * 5)
-    thetas = _candidate_angles(grid)
+    thetas = candidate_angles(grid)
     values = np.array(
         [
             max(map(unitarity_defect, _base_operators(grid, math.cos(t), math.sin(t))[:, 0]))
@@ -85,7 +107,11 @@ def classify_theta(
     best = int(np.argmin(values))
     best_defect, best_theta = float(values[best]), _canonical_root(thetas[best])
     minima = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
-    roots = [_canonical_root(theta) for theta in thetas[minima & (values <= tol)]]
+    roots = [
+        _canonical_root(theta + shift)
+        for theta in thetas[minima & (values <= tol)].tolist()
+        for shift in shifts
+    ]
 
     deduped: list[float] = []
     for root in sorted(roots):
@@ -100,6 +126,27 @@ def classify_theta(
             KIND_DISCRETE, tuple(deduped), best_defect, best_theta
         )
     return ThetaClassification(KIND_NONE, None, best_defect, best_theta)
+
+
+def classify_theta(
+    channel: PureState, assignment: RoleAssignment, tol: float = 1e-10
+) -> ThetaClassification:
+    """Classify the combined-defect profile, which has period pi/2.
+
+    all_theta: every candidate angle of [0, pi/2) passes.
+    discrete_theta: some candidates that are cyclic local minima pass;
+    each such root r is reported with r + pi/2.  none: no angle passes.
+    Roots are canonicalized into [0, pi) and deduplicated modulo pi;
+    ``argmin_theta`` lies in [0, pi/2).
+    """
+    return _classify(channel, assignment, tol, _candidate_angles, (0.0, math.pi / 2))
+
+
+def classify_theta_full_period(
+    channel: PureState, assignment: RoleAssignment, tol: float = 1e-10
+) -> ThetaClassification:
+    """The same verdict from candidates over the full period [0, pi)."""
+    return _classify(channel, assignment, tol, _full_period_candidate_angles, (0.0,))
 
 
 def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:

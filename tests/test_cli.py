@@ -417,6 +417,15 @@ def test_wrong_width_state_exit_two(capsys, tmp_path, command, source):
     ]
 
 
+def test_deeply_nested_state_file_exit_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"num_qubits": 5, "amplitudes": %s%s}' % ("[" * 10000, "]" * 10000))
+    code, out, err = run_cli(capsys, "purity", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}:1: JSON nested too deeply"]
+
+
 # strings a user might type: numbers at the edges of float range and
 # complex literals, as many comma-separated as the flag takes, or free text
 _NUMBER = st.one_of(

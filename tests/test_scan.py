@@ -5,7 +5,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import lu_rotated
+from conftest import lu_rotated, random_channel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import telecrit.angles as angles
 
@@ -292,3 +294,53 @@ def test_scan_classifies_each_distinct_arrangement_once(monkeypatch, name, rows)
     monkeypatch.setattr(angles, "_candidate_sets", counting)
     assert len(scan(named_state(name)).entries) == 30
     assert classified == [rows]
+
+
+@pytest.mark.parametrize("name, rows", [("ghz5", 1), ("man_m5", 15), ("brown", 30)])
+def test_scan_solves_one_quartic_per_distinct_arrangement(monkeypatch, name, rows):
+    quartics, candidates = [], []
+    root_angles, candidate_sets = angles._root_angles, angles._candidate_sets
+
+    def counting_roots(batch):
+        quartics.append(len(batch))
+        return root_angles(batch)
+
+    def recording_sets(arranged):
+        sets = candidate_sets(arranged)
+        candidates.extend(sets)
+        return sets
+
+    monkeypatch.setattr(angles, "_root_angles", counting_roots)
+    monkeypatch.setattr(angles, "_candidate_sets", recording_sets)
+    assert len(scan(named_state(name)).entries) == 30
+    assert quartics == [rows]
+    assert len(candidates) == rows
+    for thetas in candidates:
+        # one crossing, four nodes and at most four stationary angles
+        assert len(thetas) <= 9
+        assert all(0.0 <= theta < PI / 2 for theta in thetas)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(("dense", "brown", "man_m5", "ghz5")),
+    st.integers(min_value=0, max_value=29),
+    st.floats(min_value=-2 * PI, max_value=2 * PI),
+)
+@settings(max_examples=50, deadline=None)
+def test_combined_defect_has_period_quarter_turn(seed, source, index, theta):
+    """max(d1, d2) at theta + pi/2 equals its value at theta: the outcome
+    defects swap, d1(theta + pi/2) = d2(theta) and d2(theta + pi/2) = d1(theta).
+    The classifier only searches [0, pi/2) because of this identity."""
+    rng = np.random.default_rng(seed)
+    if source == "dense":
+        channel = random_channel(rng)
+    else:
+        channel = lu_rotated(named_state(source), rng)
+    assignment = enumerate_assignments()[index]
+    here = criterion_check(channel, assignment, theta)
+    there = criterion_check(channel, assignment, theta + PI / 2)
+    assert abs(
+        max(here.sigma111_defect, here.sigma112_defect)
+        - max(there.sigma111_defect, there.sigma112_defect)
+    ) < 1e-12

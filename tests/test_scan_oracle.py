@@ -15,6 +15,7 @@ from outcome_oracle import permute_qubits
 from telecrit import (
     RoleAssignment,
     classify_theta,
+    criterion_check,
     enumerate_assignments,
     named_state,
     scan,
@@ -64,6 +65,47 @@ def test_random_channels_match_oracle(seed, source, tol):
     assignment = RoleAssignment(alice, bob, base.charlie)
     got = classify_theta(channel, assignment, tol)
     assert got == angles_oracle.classify_theta(channel, assignment, tol)
+
+
+def _assert_half_period_matches_full(channel, tol):
+    # the half-period rule against the full-period rule it replaced, and
+    # the reported minimum against the criterion at the reported angle
+    for assignment in enumerate_assignments():
+        got = classify_theta(channel, assignment, tol)
+        want = angles_oracle.classify_theta_full_period(channel, assignment, tol)
+        assert got.kind == want.kind
+        assert (got.roots is None) == (want.roots is None)
+        if want.roots is not None:
+            assert len(got.roots) == len(want.roots)
+            for a, b in zip(got.roots, want.roots):
+                assert abs(a - b) < 1e-12
+        assert abs(got.min_defect - want.min_defect) < 1e-12
+        assert 0.0 <= got.argmin_theta < math.pi / 2
+        report = criterion_check(channel, assignment, got.argmin_theta, tol)
+        defect = max(report.sigma111_defect, report.sigma112_defect)
+        assert abs(defect - got.min_defect) < 1e-12
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_half_period_matches_full_period(name):
+    channel = named_state(name)
+    for tol in TOLERANCES:
+        _assert_half_period_matches_full(channel, tol)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(("dense", *CATALOG)),
+    st.sampled_from(TOLERANCES),
+)
+@settings(max_examples=20, deadline=None)
+def test_random_channels_half_period_matches_full_period(seed, source, tol):
+    rng = np.random.default_rng(seed)
+    if source == "dense":
+        channel = random_channel(rng)
+    else:
+        channel = lu_rotated(named_state(source), rng)
+    _assert_half_period_matches_full(channel, tol)
 
 
 @pytest.mark.parametrize("source", ["brown", "man_m5", "dense", "lu_brown"])

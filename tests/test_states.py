@@ -383,6 +383,12 @@ def test_loader_accepts_tiny_round_off(tmp_path):
             r":1: integer of more than \d+ digits",
             id="num-qubits-past-digit-limit",
         ),
+        # nested past the recursion limit json.loads raises RecursionError
+        pytest.param(
+            '{"num_qubits": 5, "amplitudes": %s%s}' % ("[" * 10000, "]" * 10000),
+            ":1: JSON nested too deeply",
+            id="nested-past-recursion-limit",
+        ),
         ('{"nope": 1', "invalid JSON"),
     ],
 )
