@@ -184,8 +184,7 @@ def _root_angles(quartics: list[list[complex]]) -> list[list[float]]:
 def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
     """Per row of the stack, sorted angles in [0, pi/2) that bound the
     monotone pieces of the profile over its period."""
-    m0, m2 = _base_operators(arranged, 1.0, 0.0)  # M(0), -M(pi/2)
-    m1 = -m2
+    m0, m1 = _base_operators(arranged, np.eye(2))  # M(0), M(pi/2): outcome 1's bras
     m0h, m1h = m0.conj().transpose(0, 2, 1), m1.conj().transpose(0, 2, 1)
     a, b, c = m0h @ m0, m1h @ m1, m0h @ m1
     p, q = (a + b) / 2 - np.eye(4), (a - b) / 2
@@ -211,17 +210,19 @@ def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
 
 
 def _profiles(arranged: np.ndarray, thetas: list[list[float]]) -> list[float]:
-    """max(d1, d2) at every candidate of every row, in one stacked evaluation.
+    """max(d1, d2) at every candidate of every row, one stacked evaluation per outcome.
 
     ``thetas[k]`` are the angles of row k of the (m, 32) stack; the
     values come back flattened in the same order.
     """
     owner = np.repeat(np.arange(len(thetas)), [len(row) for row in thetas])
     flat = [theta for row in thetas for theta in row]
-    c = np.array([math.cos(theta) for theta in flat])[:, None, None]
-    s = np.array([math.sin(theta) for theta in flat])[:, None, None]
-    both = _base_operators(arranged[owner], c, s).reshape(-1, 4, 4)
-    return _defects(both).reshape(2, -1).max(axis=0).tolist()
+    c, s = np.array([[math.cos(theta) for theta in flat], [math.sin(theta) for theta in flat]])
+    weights = np.concatenate((c, s, s, -c)).reshape(2, 2, -1)  # _charlie_bras of each
+    rows = arranged[owner]
+    # per outcome: stacking both doubles each temporary, and repeated scans page-fault
+    d1, d2 = (_defects(_base_operators(rows, weights[n : n + 1])[0]) for n in (0, 1))
+    return np.maximum(d1, d2).tolist()
 
 
 def _verdict(thetas: list[float], values: list[float], tol: float) -> ThetaClassification:

@@ -167,7 +167,7 @@ def _parse_input(text: str, seed: int) -> tuple[PureState, int | None]:
         raise CliError(f"--input has a bad complex coefficient in {text!r}") from None
     # float products overflow to inf, where abs(c) ** 2 raises OverflowError
     norm_sq = sum(c.real * c.real + c.imag * c.imag for c in coeffs)
-    if abs(norm_sq - 1.0) > 1e-6:
+    if not abs(norm_sq - 1.0) <= 1e-6:  # a nan norm fails this too
         raise CliError(
             f"--input squared norm {norm_sq!r} deviates from 1 by more than 1e-06"
         )

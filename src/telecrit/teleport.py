@@ -16,26 +16,27 @@ x holds the four input coefficients; printed tables show the transpose.
 
 Engine: a call re-arranges the channel once, through the gather index
 cached on its ``RoleAssignment`` (the one arrangement route; ``scan``
-stacks the same indices of all 30 assignments), and ``_outcome_operators``
-contracts it with Charlie's bras and the stacked Bell bras of both sender
-pairs, giving all 32 operators at once.  One kernel, ``_base_operators``,
-reads both base operators straight off the amplitudes instead, for a
-whole stack of arranged channels and angles; the criterion, the angle
+stacks the same indices of all 30 assignments), and builds Charlie's
+basis once, the real weight array [[c, s], [s, -c]] both kernels take.
+``_outcome_operators`` contracts the channel with it and the stacked
+Bell bras of both sender pairs, giving all 32 operators at once;
+``_base_operators`` sums the weights times the Charlie halves of a stack
+of arranged channels, at a stack of angles.  The criterion, the angle
 classifier and the scan use it with ``_defects``, the one implementation
 of the unitarity defect, and ``pauli_factorization_check`` checks all 32
 projected operators against it.  Each correction factor kron(F_i, F_j)
 is a signed permutation, so the check forms base @ kron(F_i, F_j) as a
 column gather times +-1 (``_FACTOR_COLUMNS``/``_FACTOR_SIGNS``, derived
-from ``_FACTOR_KRON`` at import), which gives the matrix product's
-values exactly.  These are the only two contractions of the channel.
-The pair purities the criterion reports come from the channel's purity
-memo (see entanglement).  ``simulate`` reads Bob's residuals off the 32
-operators and corrects each with its operator's adjoint, Bob's one
-correction; the corrected states are the rows of one read-only (32, 4)
-array, and each outcome is a ``TeleportationRecord``, an immutable named
-tuple built straight from its row that compares and hashes by identity.
-The brute-force simulation of the seven-qubit joint state, which checks
-these routes independently, lives with the test oracles.
+from ``_FACTOR_KRON`` at import), the matrix product's values exactly.
+These are the only two contractions of the channel.  The criterion's
+pair purities come from the channel's purity memo (see entanglement).
+``simulate`` reads Bob's residuals off the 32 operators and corrects
+each with its operator's adjoint, Bob's one correction; the corrected
+states are the rows of one read-only (32, 4) array, and each outcome is
+a ``TeleportationRecord``, an immutable named tuple built straight from
+its row that compares and hashes by identity.  The brute-force
+simulation of the seven-qubit joint state, which checks these routes
+independently, lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -120,14 +121,10 @@ def _signed_columns(kron: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _FACTOR_COLUMNS, _FACTOR_SIGNS = _signed_columns(_FACTOR_KRON)
 
 
-def _require_theta(theta: float) -> None:
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-
-
 def _charlie_bras(theta: float) -> np.ndarray:
     """Charlie's basis as rows [outcome - 1]; real, so bra equals ket."""
-    _require_theta(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [s, -c]], dtype=np.complex128)
 
@@ -204,27 +201,28 @@ def _arranged(channel: PureState, assignment: RoleAssignment) -> np.ndarray:
     return channel.amplitudes[assignment._gather]
 
 
-def _base_operators(arranged: np.ndarray, c, s) -> np.ndarray:
+def _base_operators(arranged: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Base operators (both Bell outcomes 1) of a stack of arranged channels,
-    as (2, m, 4, 4) at [charlie_outcome - 1], transposed from the action layout.
+    as (n, m, 4, 4), transposed from the action layout.
 
     G0/G1 at [k][b] are the Charlie components 0/1 of amplitude (k, b, .)
-    in each 32-amplitude row; ``c``/``s`` are cos/sin of the angle,
-    scalars or broadcast against the (m, 4, 4) halves.
+    in each 32-amplitude row.  ``weights`` holds n bras of Charlie's qubit
+    as rows, (n, 2), or an (n, 2, m) stack, one set per arranged row; the
+    result follows its rows, [charlie_outcome - 1] for ``_charlie_bras``.
     """
-    halves = arranged.reshape(-1, 16, 2)
-    g0, g1 = halves[..., 0].reshape(-1, 4, 4), halves[..., 1].reshape(-1, 4, 4)
-    return np.stack((_SCALE * (c * g0 + s * g1), _SCALE * (s * g0 - c * g1)))
+    g = arranged.reshape(-1, 4, 4, 2)
+    w = weights.reshape(len(weights), 2, -1, 1, 1)
+    return _SCALE * (w[:, 0] * g[..., 0] + w[:, 1] * g[..., 1])
 
 
-def _outcome_operators(grid: np.ndarray, theta: float) -> np.ndarray:
+def _outcome_operators(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """All 32 outcome operators, action layout, at [i - 1, j - 1, n - 1].
 
     ``grid`` holds the arranged channel's 32 amplitudes, in any shape.
-    Charlie's bras contract his qubit, then the stacked Bell bras contract
-    Alice's pair; the unknown-qubit indices stay open as the columns.
+    ``weights``, Charlie's bras, contract his qubit, then the stacked Bell
+    bras contract Alice's pair; the unknown-qubit indices stay open as columns.
     """
-    charlie = grid.reshape(16, 2) @ _charlie_bras(theta).T  # [alice bob, n]
+    charlie = grid.reshape(16, 2) @ weights.T  # [alice bob, n]
     projected = _BELL_PAIR_ROWS @ charlie.reshape(4, 8)
     # [i, j, unknown pair, bob, n] -> [i, j, n, bob, unknown pair]
     return (1.0 / _PREFACTOR) * projected.reshape(4, 4, 4, 4, 2).transpose(0, 1, 4, 3, 2)
@@ -245,12 +243,12 @@ def transformation_operator(
     element.  Every outcome is built by projecting the measurement bras;
     the result is in the action layout.
     """
-    if bell_first not in (1, 2, 3, 4) or bell_second not in (1, 2, 3, 4):
+    if not all(type(k) is int and 1 <= k <= 4 for k in (bell_first, bell_second)):
         raise ValueError("Bell outcome indices must be in 1..4")
-    if charlie_outcome not in (1, 2):
+    if type(charlie_outcome) is not int or charlie_outcome not in (1, 2):
         raise ValueError("Charlie outcome must be 1 or 2")
     outcome = (bell_first - 1, bell_second - 1, charlie_outcome - 1)
-    return _outcome_operators(_arranged(channel, assignment), theta)[outcome]
+    return _outcome_operators(_arranged(channel, assignment), _charlie_bras(theta))[outcome]
 
 
 def _defects(m: np.ndarray) -> np.ndarray:
@@ -312,8 +310,7 @@ def criterion_check(
     both to be exactly 1/4, so a purity away from 1/4 explains a FAIL.
     """
     _require_tol(tol)
-    _require_theta(theta)
-    base = _base_operators(_arranged(channel, assignment), math.cos(theta), math.sin(theta))
+    base = _base_operators(_arranged(channel, assignment), _charlie_bras(theta))
     defect_1, defect_2 = _defects(base.reshape(2, 4, 4)).tolist()
     return CriterionReport(
         assignment=assignment,
@@ -352,8 +349,9 @@ def pauli_factorization_check(
     """
     _require_tol(tol)
     arranged = _arranged(channel, assignment)
-    direct = _outcome_operators(arranged, theta)
-    base = _base_operators(arranged, math.cos(theta), math.sin(theta))
+    weights = _charlie_bras(theta)
+    direct = _outcome_operators(arranged, weights)
+    base = _base_operators(arranged, weights)
     # action layout [n, row, column], gathered to [n, row, i, j, column]
     product = base.reshape(2, 4, 4).transpose(0, 2, 1)[..., _FACTOR_COLUMNS] * _FACTOR_SIGNS
     max_dev = float(np.max(np.abs(direct - product.transpose(2, 3, 0, 1, 4))))
@@ -416,16 +414,17 @@ def simulate(
         raise ValueError("the input must be a two-qubit state")
     if abs(input_state.norm**2 - 1.0) > 1e-6:
         raise ValueError("the input state must be normalized")
-    operators = _outcome_operators(_arranged(channel, assignment), theta).reshape(32, 4, 4)
+    grid = _arranged(channel, assignment)
+    operators = _outcome_operators(grid, _charlie_bras(theta)).reshape(32, 4, 4)
     residuals = _PREFACTOR * (operators @ input_state.amplitudes)
     corrected = (operators.conj().transpose(0, 2, 1) @ residuals[..., None])[..., 0]
     re, im = corrected.real, corrected.imag
     norms = np.sqrt(_row_dots(re, re) + _row_dots(im, im))  # as np.linalg.norm forms it
     live = norms > 0.0
-    corrected[live] /= norms[live, None]
+    corrected /= np.where(live, norms, 1.0)[:, None]
     corrected.setflags(write=False)
     fidelities = np.where(live, np.abs(_row_dots(input_state.amplitudes, corrected)) ** 2, 0.0)
     probabilities = _row_dots(residuals, residuals).real.tolist()
     outcomes = itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2))
     rows = zip(outcomes, probabilities, corrected, fidelities.tolist())
-    return list(map(TeleportationRecord._make, rows))
+    return list(map(tuple.__new__, itertools.repeat(TeleportationRecord), rows))

@@ -33,13 +33,14 @@ from telecrit.teleport import (
     RoleAssignment,
     _arranged,
     _base_operators,
+    _charlie_bras,
     unitarity_defect,
 )
 
 
 def _coefficients(grid: np.ndarray) -> tuple[float, float, float, float]:
     """(a1, b1, a2, b2) of one arranged channel's defect profile."""
-    g0, g1 = _base_operators(grid, 1.0, 0.0)[:, 0]
+    g0, g1 = _base_operators(grid, _charlie_bras(0.0))[:, 0]
     g1 = -g1  # M(0), M(pi/2)
     a, b, c = g0.conj().T @ g0, g1.conj().T @ g1, g0.conj().T @ g1
     p, q, r = (a + b) / 2 - np.eye(4), (a - b) / 2, (c + c.conj().T) / 2
@@ -96,7 +97,7 @@ def _classify(
     thetas = candidate_angles(grid)
     values = np.array(
         [
-            max(map(unitarity_defect, _base_operators(grid, math.cos(t), math.sin(t))[:, 0]))
+            max(map(unitarity_defect, _base_operators(grid, _charlie_bras(t))[:, 0]))
             for t in thetas
         ]
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from telecrit import KIND_ALL, KIND_DISCRETE, KIND_NONE, ThetaClassification
 from telecrit.angles import _canonical_root
-from telecrit.teleport import _arranged, _base_operators, unitarity_defect
+from telecrit.teleport import _arranged, _base_operators, _charlie_bras, unitarity_defect
 
 GRID_POINTS = 720
 # golden-section refinement width in theta
@@ -40,7 +40,7 @@ def _defect_profile(channel, assignment) -> Callable[[float], float]:
 
     def profile(theta: float) -> float:
         if theta not in memo:
-            base = _base_operators(grid, math.cos(theta), math.sin(theta))[:, 0]
+            base = _base_operators(grid, _charlie_bras(theta))[:, 0]
             memo[theta] = max(map(unitarity_defect, base))
         return memo[theta]
 

@@ -403,6 +403,18 @@ def test_huge_input_coefficients_exit_two(capsys, coefficients):
     ]
 
 
+@pytest.mark.parametrize("coefficients", ["nan,0,0,0", "1,nanj,0,0"])
+def test_nan_input_coefficients_name_the_flag(capsys, coefficients):
+    code, out, err = run_cli(
+        capsys, "teleport", "--state", "brown", *_ASSIGNMENT_ARGS, "--input", coefficients
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: --input squared norm nan deviates from 1 by more than 1e-06"
+    ]
+
+
 @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGS))
 @pytest.mark.parametrize("source", ["bell_phi_plus", "file"])
 def test_wrong_width_state_exit_two(capsys, tmp_path, command, source):

@@ -20,7 +20,7 @@ from telecrit import (
     named_state,
     scan,
 )
-from telecrit.teleport import _base_operators
+from telecrit.teleport import _base_operators, _charlie_bras
 
 CATALOG = ("brown", "man_m5", "ghz5", "product_zero_n")
 TOLERANCES = (1e-10, 0.5, 10.0)
@@ -126,7 +126,7 @@ def test_batched_defects_are_criterion_arithmetic(source):
         assert row == angles_oracle._candidate_angles(grid).tolist()
         for theta in row:
             # the single-matrix form, one base operator at a time
-            base = _base_operators(grid, math.cos(theta), math.sin(theta))[:, 0]
+            base = _base_operators(grid, _charlie_bras(theta))[:, 0]
             want = max(float(np.linalg.norm(m.conj().T @ m - np.eye(4))) for m in base)
             assert next(values) == want
     assert next(values, None) is None

@@ -138,6 +138,17 @@ def test_operator_outcome_validation(brown, assign_12):
         )
 
 
+def test_operator_outcome_indices_are_plain_ints(brown, assign_12):
+    # 1.0 == 1 and True == 1, so a membership test would take both
+    for index in (1.0, True, np.int64(1)):
+        with pytest.raises(ValueError, match=r"Bell outcome indices must be in 1\.\.4"):
+            transformation_operator(brown, assign_12, index, 1, 1, 0.0)
+        with pytest.raises(ValueError, match=r"Bell outcome indices must be in 1\.\.4"):
+            transformation_operator(brown, assign_12, 1, index, 1, 0.0)
+        with pytest.raises(ValueError, match="Charlie outcome must be 1 or 2"):
+            transformation_operator(brown, assign_12, 1, 1, index, 0.0)
+
+
 def test_base_operator_matches_projection_route(brown, assign_13):
     # independent route: strip Charlie's bra off the arranged channel and
     # rescale; no Bell projection involved
@@ -313,6 +324,34 @@ def test_simulate_probabilities_match_contraction_oracle():
         expected = _oracle_probability(channel, assignment, 0.9, input_state, record.outcome)
         assert abs(record.probability - expected) < 1e-14
     assert abs(sum(r.probability for r in records) - 1.0) < 1e-12
+
+
+def test_verify_calls_build_charlie_weights_once(monkeypatch):
+    rng = np.random.default_rng(29)
+    channel = make_state(5, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    input_state = make_state(2, vec / np.linalg.norm(vec))
+    assignment, theta = RoleAssignment((4, 1), (3, 5), 2), 0.7
+    teleport = telecrit.teleport
+    calls = []
+    bras = teleport._charlie_bras
+    monkeypatch.setattr(teleport, "_charlie_bras", lambda t: calls.append(t) or bras(t))
+    for call in (criterion_check, pauli_factorization_check):
+        calls.clear()
+        call(channel, assignment, theta)
+        assert calls == [theta]
+    calls.clear()
+    records = simulate(channel, assignment, theta, input_state)
+    assert calls == [theta]
+    # each record is the one-outcome operator applied to the input
+    outcomes = itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2))
+    for record, outcome in zip(records, outcomes, strict=True):
+        operator = transformation_operator(channel, assignment, *outcome, theta)
+        residual = teleport._PREFACTOR * (operator @ input_state.amplitudes)
+        corrected = operator.conj().T @ residual
+        assert record.outcome == outcome
+        assert abs(record.probability - np.vdot(residual, residual).real) < 1e-15
+        assert np.max(np.abs(record.bob_corrected - corrected / np.linalg.norm(corrected))) < 1e-14
 
 
 def test_simulate_faithful_channel_is_uniform(brown, assign_12):
