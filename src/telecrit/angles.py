@@ -33,14 +33,15 @@ with one gather through the rows of their cached gather indices (those
 every per-assignment call reads), and ``_classify`` classifies each
 distinct row of the stack once (a symmetric channel such as ghz5 gives
 all 30 assignments the same arranged amplitudes) and runs every step
-on the distinct rows: the coefficients as stacked products, the
-quartics, one per row, through one batched ``eigvals`` per degree on
-np.roots' companion matrices (a2 = b2 = 0 leaves a quadratic, and an all-zero
-quartic has no roots and is skipped), and every candidate of every
-row, both outcomes, in one stacked defect evaluation.  Every step works
-row by row, so a duplicate row would get the same bits.  The base
-operators and their defects come from the kernel criterion_check uses
-(teleport's _base_operators and _defects), and the other steps keep
+on the distinct rows: the coefficients as stacked products, every
+quartic with a2 or b2 nonzero through one ``eigvals`` on np.roots'
+stacked companion matrices (with a2 = b2 = 0 branch + is the harmonic
+alone, stationary pi/4 past the crossing, so that angle is the one
+added), and every candidate of every row, both outcomes, in one
+stacked defect evaluation.  Every step works row by row, so a
+duplicate row would get the same bits.  The base operators and their
+defects come from the kernel criterion_check uses (teleport's
+_base_operators and _defects), and the other steps keep
 the rounding of their single-matrix forms (np.vdot, np.roots), so
 verdicts, roots and defects are those of criterion_check's arithmetic.
 ``classify_theta`` is the same engine on a stack of one.  The pair
@@ -64,7 +65,6 @@ from .teleport import (
     _arranged,
     _base_operators,
     _defects,
-    _gather_indices,
     _require_channel,
     _row_dots,
 )
@@ -139,45 +139,22 @@ def enumerate_assignments() -> list[RoleAssignment]:
     return out
 
 
-def _canonical_root(theta: float) -> float:
-    root = math.fmod(theta, math.pi)
-    if root < 0.0:
-        root += math.pi
-    if math.pi - root < 1e-9:
-        root = 0.0
-    return abs(root)  # fold -0.0
-
-
 # the nodes k pi/8 of the half period, in every candidate set
 _NODES = [k * math.pi / 8 for k in range(4)]
 
 
 def _root_angles(quartics: list[list[complex]]) -> list[list[float]]:
-    """np.angle(np.roots(quartic)) / 2 for every quartic [w, h, 0, h*, w*].
-
-    np.roots strips leading and trailing zeros, so w = 0 (a2 = b2 = 0)
-    leaves the quadratic [h, 0, h*] and one root at 0, appended last,
-    and w = h = 0 leaves no roots.  Each degree gets np.roots' companion
-    matrices, stacked into one eigvals call.
+    """np.angle(np.roots(quartic)) / 2 for every quartic [w, h, 0, h*, w*]
+    with w != 0, from np.roots' companion matrices stacked into one eigvals
+    call; a row with w = 0 gets no angles (_candidate_sets places its one).
     """
     coeffs = np.array(quartics, dtype=np.complex128)
+    rows = np.flatnonzero(coeffs[:, 0] != 0)
+    companion = np.repeat(np.eye(4, k=-1, dtype=np.complex128)[None], len(rows), axis=0)
+    companion[:, 0] = -coeffs[rows, 1:] / coeffs[rows, :1]
     angles: list[list[float]] = [[] for _ in quartics]
-    quartic = coeffs[:, 0] != 0
-    quadratic = ~quartic & (coeffs[:, 1] != 0)
-    for rows, poly in ((quartic, coeffs), (quadratic, coeffs[:, 1:4])):
-        poly = poly[rows]
-        if not len(poly):
-            continue
-        degree = poly.shape[1] - 1
-        companion = np.repeat(
-            np.eye(degree, k=-1, dtype=np.complex128)[None], len(poly), axis=0
-        )
-        companion[:, 0] = -poly[:, 1:] / poly[:, :1]
-        roots = (np.angle(np.linalg.eigvals(companion)) / 2).tolist()
-        for k, row in zip(np.flatnonzero(rows).tolist(), roots):
-            angles[k] = row
-    for k in np.flatnonzero(quadratic).tolist():
-        angles[k].append(0.0)  # np.angle(0j) / 2
+    for k, row in zip(rows.tolist(), (np.angle(np.linalg.eigvals(companion)) / 2).tolist()):
+        angles[k] = row
     return angles
 
 
@@ -200,6 +177,9 @@ def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
         # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
         crossing = math.atan2(b1, a1) / 2 + math.pi / 4
         sets.append([crossing, *_NODES])
+        if a2 == b2 == 0 and (a1 or b1):
+            # branch + is the harmonic alone, stationary a quarter turn from its zero
+            sets[-1].append(crossing + math.pi / 4)
         # branch a2 cos 4theta + b2 sin 4theta + a1 cos 2theta + b1 sin 2theta:
         # its derivative times z^2, z = exp(2i theta), is this quartic in z
         h = complex(b1, a1) / 2
@@ -233,11 +213,12 @@ def _verdict(thetas: list[float], values: list[float], tol: float) -> ThetaClass
 
     best = values.index(min(values))
     count = len(values)
+    # candidates lie in [0, pi/2], so each root and its shift lie in [0, pi]
     roots = [
-        _canonical_root(thetas[k] + shift)
+        0.0 if math.pi - root < 1e-9 else root  # fold pi to 0
         for k, value in enumerate(values)
         if value <= tol and value <= values[k - 1] and value <= values[(k + 1) % count]
-        for shift in (0.0, math.pi / 2)
+        for root in (thetas[k], thetas[k] + math.pi / 2)
     ]
     deduped: list[float] = []
     for root in sorted(roots):
@@ -248,7 +229,7 @@ def _verdict(thetas: list[float], values: list[float], tol: float) -> ThetaClass
             deduped.append(root)
 
     kind, found = (KIND_DISCRETE, tuple(deduped)) if deduped else (KIND_NONE, None)
-    return ThetaClassification(kind, found, values[best], _canonical_root(thetas[best]))
+    return ThetaClassification(kind, found, values[best], thetas[best])
 
 
 def _classify(arranged: np.ndarray, tol: float) -> list[ThetaClassification]:
@@ -291,7 +272,8 @@ def classify_theta(
 # the 30 assignments of a scan and, in row k, assignment k's gather index:
 # channel.amplitudes[_GATHER] arranges all 30 at once, as _arranged does one
 _ASSIGNMENTS = tuple(enumerate_assignments())
-_GATHER = _gather_indices([a.relabeling() for a in _ASSIGNMENTS])
+_GATHER = np.stack([a._gather for a in _ASSIGNMENTS])
+_GATHER.setflags(write=False)
 
 
 def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:

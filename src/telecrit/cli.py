@@ -45,14 +45,8 @@ from .teleport import (
 
 __all__ = ["main"]
 
-_THETA_ALIASES = {
-    "pi": math.pi,
-    "pi/2": math.pi / 2.0,
-    "pi/3": math.pi / 3.0,
-    "pi/4": math.pi / 4.0,
-    "pi/6": math.pi / 6.0,
-}
-
+# --theta spellings besides a float: [+-][k]pi[/m], such as pi/4, 3pi/4 or -pi
+_THETA = re.compile(r"([+-]?)(\d*)pi(?:/(\d+))?")
 _PRODUCT_ZERO = re.compile(r"^product_zero_(\d+)$")
 
 # exit status when standard output is closed early, as a shell reports
@@ -92,16 +86,18 @@ def _load_state(source: str) -> PureState:
 
 def _parse_theta(text: str) -> float:
     key = text.strip().lower().replace(" ", "")
-    if key in _THETA_ALIASES:
-        return _THETA_ALIASES[key]
+    match = _THETA.fullmatch(key)
     try:
-        theta = float(key)
+        if match:
+            sign, k, m = match.groups()
+            theta = int(sign + (k or "1")) * math.pi / int(m or 1)
+        else:
+            theta = float(key)
         if math.isfinite(theta):
             return theta
-    except ValueError:
+    except (ValueError, OverflowError, ZeroDivisionError):
         pass
-    aliases = ", ".join(sorted(_THETA_ALIASES))
-    raise CliError(f"bad theta {text!r}: expected finite radians or one of {aliases}")
+    raise CliError(f"bad theta {text!r}: expected finite radians or [+-][k]pi[/m], e.g. 3pi/4")
 
 
 def _parse_tol(text: str) -> float:
@@ -326,7 +322,8 @@ def _add_assignment(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--theta",
         required=True,
-        help="Charlie's basis angle in radians (aliases: pi, pi/2, pi/3, pi/4, pi/6)",
+        help="Charlie's basis angle: radians or [+-][k]pi[/m], e.g. 3pi/4; "
+        "write a negative one as --theta=-pi/4",
     )
 
 

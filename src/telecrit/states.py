@@ -310,13 +310,18 @@ def load_state_file(path: str) -> PureState:
     amplitude; blank lines and '#' comments are ignored.  Input whose
     squared norm deviates from 1 by more than STRICT_NORM_TOL is
     rejected; smaller round-off is silently renormalized.  Non-finite
-    amplitudes and states wider than MAX_FILE_QUBITS are refused.
+    amplitudes, states wider than MAX_FILE_QUBITS and bytes that are not
+    UTF-8 are refused.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise StateFileError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        reason = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+        raise StateFileError(f"{path}:{lineno}: not UTF-8 text, {reason}") from exc
     if text.lstrip().startswith("{"):
         return _load_json_text(text, path)
     return _load_plain_text(text, path)

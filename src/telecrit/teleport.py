@@ -15,9 +15,10 @@ post-measurement amplitudes equal 1/(4*sqrt(2)) times matrix @ x, where
 x holds the four input coefficients; printed tables show the transpose.
 
 Engine: a call re-arranges the channel once, through the gather index
-cached on its ``RoleAssignment`` (the one arrangement route; ``scan``
-stacks the same indices of all 30 assignments), and builds Charlie's
-basis once, the real weight array [[c, s], [s, -c]] both kernels take.
+cached on its ``RoleAssignment`` (the basis indices, qubit axes
+transposed into role order, the one arrangement route; ``scan`` stacks
+those of all 30 assignments), and builds Charlie's basis once, the
+real weight array [[c, s], [s, -c]] both kernels take.
 ``_outcome_operators`` contracts the channel with it and the stacked
 Bell bras of both sender pairs, giving all 32 operators at once;
 ``_base_operators`` sums the weights times the Charlie halves of a stack
@@ -157,8 +158,12 @@ class RoleAssignment:
     @cached_property
     def _gather(self) -> np.ndarray:
         """Read-only index table: ``amplitudes[self._gather]`` is a channel
-        re-arranged as ``relabeling`` orders it."""
-        return _gather_indices([self.relabeling()])[0]
+        re-arranged as ``relabeling`` orders it, the basis indices with their
+        qubit axes transposed into role order."""
+        order = [q - 1 for q in (*self.alice, *self.bob, self.charlie)]
+        index = np.arange(32).reshape([2] * 5).transpose(order).reshape(-1)
+        index.setflags(write=False)
+        return index
 
     def relabeling(self) -> dict[int, int]:
         """Old-label -> new-label map putting roles in canonical order."""
@@ -176,17 +181,6 @@ class RoleAssignment:
             "bob": list(self.bob),
             "charlie": self.charlie,
         }
-
-
-def _gather_indices(relabelings: list[dict[int, int]]) -> np.ndarray:
-    """Read-only (m, 32) gather indices, a row per relabeling: bit 5 - new of
-    arranged index k is bit 5 - old of the channel index it reads, for each
-    label ``old`` moved to ``new``."""
-    moves = np.array([list(r.items()) for r in relabelings], dtype=np.intp)
-    old, new, k = moves[:, None, :, 0], moves[:, None, :, 1], np.arange(32)[:, None]
-    index = (((k >> (5 - new)) & 1) << (5 - old)).sum(axis=2)
-    index.setflags(write=False)
-    return index
 
 
 def _require_channel(channel: PureState) -> None:

@@ -24,7 +24,6 @@ from telecrit.angles import (
     ScanEntry,
     ScanReport,
     ThetaClassification,
-    _canonical_root,
     enumerate_assignments,
 )
 from telecrit.entanglement import _require_tol, partial_trace, purity
@@ -36,6 +35,16 @@ from telecrit.teleport import (
     _charlie_bras,
     unitarity_defect,
 )
+
+
+def _canonical_root(theta: float) -> float:
+    """Any angle folded into [0, pi), an angle within 1e-9 below pi to 0."""
+    root = math.fmod(theta, math.pi)
+    if root < 0.0:
+        root += math.pi
+    if math.pi - root < 1e-9:
+        root = 0.0
+    return abs(root)  # fold -0.0
 
 
 def _coefficients(grid: np.ndarray) -> tuple[float, float, float, float]:

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from angles_oracle import _canonical_root
 from telecrit import KIND_ALL, KIND_DISCRETE, KIND_NONE, ThetaClassification
-from telecrit.angles import _canonical_root
 from telecrit.teleport import _arranged, _base_operators, _charlie_bras, unitarity_defect
 
 GRID_POINTS = 720

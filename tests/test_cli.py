@@ -94,6 +94,66 @@ def test_criterion_theta_alias_matches_numeric(capsys):
     assert json.loads(alias_out)["pass"] is True
 
 
+def test_theta_three_quarter_pi_passes_brown(capsys):
+    # the second working angle scan reports for brown 13|24|5
+    code, out, err = run_cli(
+        capsys,
+        "criterion", "--state", "brown", "--alice", "1,3", "--bob", "2,4",
+        "--charlie", "5", "--theta", "3pi/4", "--output", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["theta"] == 3 * math.pi / 4
+
+
+def test_negative_theta_needs_equals_sign(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "criterion", "--state", "brown", "--alice", "1,3", "--bob", "2,4",
+        "--charlie", "5", "--theta=-pi/4", "--output", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["theta"] == -math.pi / 4
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        # the five spellings of the old alias table keep their exact values
+        ("pi", math.pi),
+        ("pi/2", math.pi / 2.0),
+        ("pi/3", math.pi / 3.0),
+        ("pi/4", math.pi / 4.0),
+        ("pi/6", math.pi / 6.0),
+        ("-pi/4", -math.pi / 4),
+        ("+2pi/3", 2 * math.pi / 3),
+        (" 3 PI / 4 ", 3 * math.pi / 4),
+        ("0pi", 0.0),
+        ("-0.25", -0.25),
+    ],
+)
+def test_theta_grammar_values(text, value):
+    assert cli._parse_theta(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pi/0", "pi/", "2*pi", "pi/2.5", "1.5pi", "--pi", "pi4",
+        pytest.param("9" * 400 + "pi", id="huge"),
+    ],
+)
+def test_theta_grammar_refuses(capsys, text):
+    code, out, err = run_cli(
+        capsys,
+        "criterion", "--state", "brown", "--alice", "1,3", "--bob", "2,4",
+        "--charlie", "5", f"--theta={text}",
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: bad theta {text!r}: expected finite radians or [+-][k]pi[/m], e.g. 3pi/4"
+    ]
+
+
 def test_scan_json_shape(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--state", "brown", "--output", "json"
@@ -365,8 +425,7 @@ def test_non_finite_theta_exit_two(capsys, command, theta):
     assert out == ""
     assert "Traceback" not in err
     assert err.splitlines() == [
-        f"error: bad theta {theta!r}: expected finite radians or one of "
-        "pi, pi/2, pi/3, pi/4, pi/6"
+        f"error: bad theta {theta!r}: expected finite radians or [+-][k]pi[/m], e.g. 3pi/4"
     ]
 
 
@@ -427,6 +486,15 @@ def test_wrong_width_state_exit_two(capsys, tmp_path, command, source):
     assert err.splitlines() == [
         f"error: bad state {source!r}: every command needs a five-qubit channel"
     ]
+
+
+def test_non_utf8_state_file_exit_two(capsys, tmp_path):
+    path = tmp_path / "binary"
+    path.write_bytes(b"00000 1 0\n00001 \xc0 0\n")
+    code, out, err = run_cli(capsys, "purity", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}:2: not UTF-8 text, byte 0xc0: invalid start byte"]
 
 
 def test_deeply_nested_state_file_exit_two(capsys, tmp_path):

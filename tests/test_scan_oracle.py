@@ -17,6 +17,7 @@ from telecrit import (
     classify_theta,
     criterion_check,
     enumerate_assignments,
+    make_state,
     named_state,
     scan,
 )
@@ -65,6 +66,44 @@ def test_random_channels_match_oracle(seed, source, tol):
     assignment = RoleAssignment(alice, bob, base.charlie)
     got = classify_theta(channel, assignment, tol)
     assert got == angles_oracle.classify_theta(channel, assignment, tol)
+
+
+def _gap(x, y):
+    """Distance of two angles on the circle of period pi/2."""
+    return min(abs(x - y), math.pi / 2 - abs(x - y))
+
+
+def test_sparse_channels_match_np_roots_route(monkeypatch):
+    # sparse signed-integer channels reach rows with a2 = b2 = 0 and h != 0,
+    # whose stationary angle the engine places in closed form, not by np.roots
+    harmonic = []
+    root_angles = angles._root_angles
+
+    def spy(quartics):
+        harmonic.extend(q[0] == 0 and q[1] != 0 for q in quartics)
+        return root_angles(quartics)
+
+    monkeypatch.setattr(angles, "_root_angles", spy)
+    rng = np.random.default_rng(1401)
+    for _ in range(20):
+        amplitudes = np.zeros(32)
+        k = int(rng.integers(2, 17))
+        amplitudes[rng.choice(32, size=k, replace=False)] = rng.choice([-1, 1], size=k)
+        channel = make_state(5, amplitudes)
+        for tol in TOLERANCES:
+            _assert_scan_matches(channel, tol)
+        arranged = channel.amplitudes[angles._GATHER]
+        for row, got in zip(arranged, angles._candidate_sets(arranged)):
+            want = angles_oracle._candidate_angles(row).tolist()
+            if angles_oracle._coefficients(row)[2:] != (0.0, 0.0):
+                assert got == want  # bit for bit
+                continue
+            # np.roots' quadratic gives the closed-form angle twice, within a
+            # few ulps, and its appended zero root is node 0: the same points
+            # of the circle of period pi/2, to 4.5e-16
+            assert all(min(_gap(x, y) for y in want) <= 4.5e-16 for x in got)
+            assert all(min(_gap(x, y) for x in got) <= 4.5e-16 for y in want)
+    assert any(harmonic)
 
 
 def _assert_half_period_matches_full(channel, tol):

@@ -1,6 +1,7 @@
 """State construction, catalog goldens, qubit shuffling, projection, file I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -396,6 +397,24 @@ def test_json_loader_rejects_malformed(tmp_path, content, fragment):
     path = tmp_path / "bad.json"
     path.write_text(content)
     with pytest.raises(StateFileError, match=fragment):
+        load_state_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        (b"\xc0 1 0\n", ":1: not UTF-8 text, byte 0xc0: invalid start byte"),
+        (b"0 1 0\r\n# caf\xe9\n", ":2: not UTF-8 text, byte 0xe9: "),
+        (
+            b'{"num_qubits": 1,\n\n "amplitudes": [[1, 0], [0, 0]]} \xff',
+            ":3: not UTF-8 text, byte 0xff",
+        ),
+    ],
+)
+def test_loader_names_non_utf8_byte(tmp_path, content, fragment):
+    path = tmp_path / "binary.dat"
+    path.write_bytes(content)
+    with pytest.raises(StateFileError, match=re.escape(f"{path}{fragment}")):
         load_state_file(str(path))
 
 
