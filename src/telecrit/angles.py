@@ -33,21 +33,24 @@ with one gather through the rows of their cached gather indices (those
 every per-assignment call reads), and ``_classify`` classifies each
 distinct row of the stack once (a symmetric channel such as ghz5 gives
 all 30 assignments the same arranged amplitudes) and runs every step
-on the distinct rows: the coefficients as stacked products, every
-quartic with a2 or b2 nonzero through one ``eigvals`` on np.roots'
-stacked companion matrices (with a2 = b2 = 0 branch + is the harmonic
-alone, stationary pi/4 past the crossing, so that angle is the one
-added), and every candidate of every row, both outcomes, in one
+on the distinct rows: the coefficients as stacked products; a row's
+candidate list is a function of its (a1, b1, a2, b2), so the list, its
+crossing and its quartic are built once per distinct coefficient set,
+keyed by its bytes (brown's 30 rows have 3 sets, man_m5's 15 have 3);
+every quartic with a2 or b2 nonzero goes through one ``eigvals`` on
+np.roots' stacked companion matrices (with a2 = b2 = 0 branch + is the
+harmonic alone, stationary pi/4 past the crossing, so that angle is the
+one added); and every candidate of every row, both outcomes, in one
 stacked defect evaluation.  Every step works row by row, so a
 duplicate row would get the same bits.  The base operators and their
 defects come from the kernel criterion_check uses (teleport's
 _base_operators and _defects), and the other steps keep
 the rounding of their single-matrix forms (np.vdot, np.roots), so
 verdicts, roots and defects are those of criterion_check's arithmetic.
-``classify_theta`` is the same engine on a stack of one.  The pair
-purities are read from the channel's purity memo (entanglement), so the
-ten are computed once per channel, however many scans and criterion
-checks read them.
+``classify_theta`` is the same engine on a stack of one.  ``scan``
+reads the ten pair purities from the channel's purity memo
+(entanglement) into one table, so each is computed once per channel,
+however many scans and criterion checks read them.
 """
 
 from __future__ import annotations
@@ -143,6 +146,15 @@ def enumerate_assignments() -> list[RoleAssignment]:
 _NODES = [k * math.pi / 8 for k in range(4)]
 
 
+def _first_rows(rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
+    """The bytes of each row, and the index of the first row of each distinct byte string."""
+    keys = [row.tobytes() for row in rows]
+    first: dict[bytes, int] = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
+    return keys, first
+
+
 def _root_angles(quartics: list[list[complex]]) -> list[list[float]]:
     """np.angle(np.roots(quartic)) / 2 for every quartic [w, h, 0, h*, w*]
     with w != 0, from np.roots' companion matrices stacked into one eigvals
@@ -167,13 +179,15 @@ def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
     p, q = (a + b) / 2 - np.eye(4), (a - b) / 2
     r = (c + c.conj().transpose(0, 2, 1)) / 2
     p, q, r = p.reshape(-1, 16), q.reshape(-1, 16), r.reshape(-1, 16)
-    # Re <x|y> as Python floats, rounded as np.vdot rounds them
-    dots = [_row_dots(x, y).real.tolist() for x, y in ((p, q), (p, r), (q, q), (r, r), (q, r))]
+    # Re <x|y>, rounded as np.vdot rounds them
+    pairs = ((p, q), (p, r), (q, q), (r, r), (q, r))
+    pq, pr, qq, rr, qr = (_row_dots(x, y).real for x, y in pairs)
+    coeffs = np.stack((2 * pq, 2 * pr, (qq - rr) / 2, qr), axis=1)
+    # a row's list is a function of its (a1, b1, a2, b2) bits: build each once
+    keys, first = _first_rows(coeffs)
 
     sets, quartics = [], []
-    for pq, pr, qq, rr, qr in zip(*dots):
-        a1, b1 = 2 * pq, 2 * pr
-        a2, b2 = (qq - rr) / 2, qr
+    for a1, b1, a2, b2 in coeffs[list(first.values())].tolist():
         # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
         crossing = math.atan2(b1, a1) / 2 + math.pi / 4
         sets.append([crossing, *_NODES])
@@ -186,7 +200,8 @@ def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
         quartics.append([complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)])
     for angles, roots in zip(sets, _root_angles(quartics)):
         angles.extend(roots)
-    return [sorted({angle % (math.pi / 2) for angle in angles}) for angles in sets]
+    found = dict(zip(first, (sorted({a % (math.pi / 2) for a in angles}) for angles in sets)))
+    return [found[key] for key in keys]
 
 
 def _profiles(arranged: np.ndarray, thetas: list[list[float]]) -> list[float]:
@@ -238,10 +253,7 @@ def _classify(arranged: np.ndarray, tol: float) -> list[ThetaClassification]:
     Every step works row by row, so only the first row of each distinct
     byte string is classified and its duplicates share the result.
     """
-    keys = [row.tobytes() for row in arranged]
-    first: dict[bytes, int] = {}
-    for k, key in enumerate(keys):
-        first.setdefault(key, k)
+    keys, first = _first_rows(arranged)
     distinct = arranged[list(first.values())]
     thetas = _candidate_sets(distinct)
     values = _profiles(distinct, thetas)
@@ -279,22 +291,19 @@ _GATHER.setflags(write=False)
 def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:
     """Classify every role assignment of a five-qubit channel.
 
-    All 30 assignments go through one classify pass; the pair purities
-    come from the channel's memo, so each of the ten is computed at most
-    once per channel.  Entries are sorted working-first:
+    All 30 assignments go through one classify pass; the ten pair
+    purities are read once per scan from the channel's memo into one
+    table, so each is computed at most once per channel.  Entries are
+    sorted working-first:
     all_theta, then discrete_theta, then none; ties by min_defect, then
     by assignment order.
     """
     _require_tol(tol)
     _require_channel(channel)
     classes = _classify(channel.amplitudes[_GATHER], tol)
+    purities = {pair: _reduced_purity(channel, pair) for pair in combinations(range(1, 6), 2)}
     entries = [
-        ScanEntry(
-            assignment,
-            cls,
-            _reduced_purity(channel, assignment.alice),
-            _reduced_purity(channel, assignment.bob),
-        )
+        ScanEntry(assignment, cls, purities[assignment.alice], purities[assignment.bob])
         for assignment, cls in zip(_ASSIGNMENTS, classes)
     ]
     entries.sort(

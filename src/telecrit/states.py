@@ -52,6 +52,9 @@ STRICT_NORM_TOL = 1e-6
 # widest state a file may hold: 2**20 amplitudes take 16 MiB, and a
 # wider one is refused before anything of size 2**n is built
 MAX_FILE_QUBITS = 20
+# longest state file read: the widest one save_state_json/_text writes has
+# ~57/~75 MB, and a longer stream (say /dev/zero) is refused, not read whole
+_MAX_FILE_CHARS = 2**MAX_FILE_QUBITS * 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,18 +313,21 @@ def load_state_file(path: str) -> PureState:
     amplitude; blank lines and '#' comments are ignored.  Input whose
     squared norm deviates from 1 by more than STRICT_NORM_TOL is
     rejected; smaller round-off is silently renormalized.  Non-finite
-    amplitudes, states wider than MAX_FILE_QUBITS and bytes that are not
-    UTF-8 are refused.
+    amplitudes, states wider than MAX_FILE_QUBITS, files longer than
+    2**MAX_FILE_QUBITS * 128 characters (read no further) and bytes that
+    are not UTF-8 are refused.
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(_MAX_FILE_CHARS + 1)
     except OSError as exc:
         raise StateFileError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+    except UnicodeDecodeError as exc:  # read decodes its first _MAX_FILE_CHARS + 1 bytes at once
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         reason = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
         raise StateFileError(f"{path}:{lineno}: not UTF-8 text, {reason}") from exc
+    if len(text) > _MAX_FILE_CHARS:
+        raise StateFileError(f"{path}: longer than the limit of {_MAX_FILE_CHARS} characters")
     if text.lstrip().startswith("{"):
         return _load_json_text(text, path)
     return _load_plain_text(text, path)

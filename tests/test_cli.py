@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from telecrit import named_state, save_state_json, save_state_text
 import telecrit.cli as cli
+import telecrit.states as states
 from telecrit.cli import main
 
 
@@ -495,6 +496,19 @@ def test_non_utf8_state_file_exit_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {path}:2: not UTF-8 text, byte 0xc0: invalid start byte"]
+
+
+@pytest.mark.parametrize("source", ["padded", "/dev/zero"])
+def test_overlong_state_file_exit_two(monkeypatch, capsys, tmp_path, source):
+    monkeypatch.setattr(states, "_MAX_FILE_CHARS", 4096)
+    path = source
+    if source == "padded":
+        path = tmp_path / "padded.txt"
+        path.write_text("00000 1 0\n" + "#" * 4096)
+    code, out, err = run_cli(capsys, "purity", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}: longer than the limit of 4096 characters"]
 
 
 def test_deeply_nested_state_file_exit_two(capsys, tmp_path):

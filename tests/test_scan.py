@@ -296,24 +296,40 @@ def test_scan_classifies_each_distinct_arrangement_once(monkeypatch, name, rows)
     assert classified == [rows]
 
 
-@pytest.mark.parametrize("name, rows", [("ghz5", 1), ("man_m5", 15), ("brown", 30)])
-def test_scan_solves_one_quartic_per_distinct_arrangement(monkeypatch, name, rows):
-    quartics, candidates = [], []
+@pytest.mark.parametrize(
+    "name, rows, sets, companions",
+    [("ghz5", 1, 1, 1), ("man_m5", 15, 3, 2), ("brown", 30, 3, 2)],
+    ids=["ghz5-1", "man_m5-15", "brown-30"],
+)
+def test_scan_solves_one_quartic_per_distinct_arrangement(
+    monkeypatch, name, rows, sets, companions
+):
+    """Every distinct arranged row gets a candidate list, but the crossing,
+    the quartic and its companion matrix are built once per distinct
+    coefficient set (a1, b1, a2, b2); a2 = b2 = 0 needs no matrix."""
+    quartics, candidates, stacks = [], [], []
     root_angles, candidate_sets = angles._root_angles, angles._candidate_sets
+    eigvals = np.linalg.eigvals
 
     def counting_roots(batch):
         quartics.append(len(batch))
         return root_angles(batch)
 
     def recording_sets(arranged):
-        sets = candidate_sets(arranged)
-        candidates.extend(sets)
-        return sets
+        lists = candidate_sets(arranged)
+        candidates.extend(lists)
+        return lists
+
+    def counting_eigvals(matrices):
+        stacks.append(len(matrices))
+        return eigvals(matrices)
 
     monkeypatch.setattr(angles, "_root_angles", counting_roots)
     monkeypatch.setattr(angles, "_candidate_sets", recording_sets)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     assert len(scan(named_state(name)).entries) == 30
-    assert quartics == [rows]
+    assert quartics == [sets]
+    assert stacks == [companions]
     assert len(candidates) == rows
     for thetas in candidates:
         # one crossing, four nodes and at most four stationary angles

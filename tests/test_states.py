@@ -423,6 +423,23 @@ def test_loader_missing_file():
         load_state_file("/nonexistent/state.json")
 
 
+@pytest.mark.parametrize("source", ["padded", "/dev/zero"])
+def test_loader_refuses_file_past_length_bound(monkeypatch, tmp_path, source):
+    """A file longer than the bound is refused after reading one character
+    past it, so an endless stream cannot exhaust memory."""
+    monkeypatch.setattr(states, "_MAX_FILE_CHARS", 4096)
+    path = tmp_path / "padded.txt"
+    line = "00000 1 0\n"
+    path.write_text(line + "#" * (4096 - len(line)))
+    assert load_state_file(str(path)).amplitudes[0] == 1  # exactly at the bound
+    if source == "padded":
+        path.write_text(line + "#" * (4097 - len(line)))
+    else:
+        path = source
+    with pytest.raises(StateFileError, match=re.escape(f"{path}: longer than the limit of 4096")):
+        load_state_file(str(path))
+
+
 @pytest.fixture
 def no_huge_zeros(monkeypatch):
     """np.zeros that refuses more than 2**20 elements instead of allocating."""
