@@ -26,7 +26,9 @@ harmonics and cover degenerate coefficient sets.  The coefficients only
 place the candidates.  Every verdict comes from evaluating both defects
 at the candidates, with the arithmetic criterion_check uses: all_theta
 when every candidate passes; otherwise each candidate r that is a
-cyclic local minimum and passes gives the roots r and r + pi/2.
+cyclic local minimum and passes gives the roots r and r + pi/2.  The
+argmin is the first candidate within 4 ulps of the least value, node 0
+on a flat profile, whose values differ only in their last bits.
 
 Engine: ``scan`` stacks the channel re-arranged for all 30 assignments
 with one gather through the rows of their cached gather indices (those
@@ -61,16 +63,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import _reduced_purity, _require_tol
+from .entanglement import _reduced_purity, _require_channel, _require_tol
 from .states import PureState
-from .teleport import (
-    RoleAssignment,
-    _arranged,
-    _base_operators,
-    _defects,
-    _require_channel,
-    _row_dots,
-)
+from .teleport import RoleAssignment, _arranged, _base_operators, _defects, _row_dots
 
 __all__ = [
     "KIND_ALL",
@@ -96,7 +91,8 @@ class ThetaClassification(NamedTuple):
 
     ``roots`` is present (sorted, canonicalized into [0, pi)) only for
     kind discrete_theta.  ``min_defect``/``argmin_theta`` are always
-    reported, the argmin in [0, pi/2) and 0 for all_theta.
+    reported, the argmin in [0, pi/2): 0 for all_theta, else the first
+    candidate within 4 ulps of the least value, ``min_defect`` its value.
     """
 
     kind: str
@@ -226,7 +222,9 @@ def _verdict(thetas: list[float], values: list[float], tol: float) -> ThetaClass
         # thetas[0] is the node 0
         return ThetaClassification(KIND_ALL, None, values[0], 0.0)
 
-    best = values.index(min(values))
+    # ties, as on a flat profile whose values differ in their last bits, go to candidate order
+    low = min(values)
+    best = values.index(next(filter((low + 4 * math.ulp(low)).__ge__, values)))
     count = len(values)
     # candidates lie in [0, pi/2], so each root and its shift lie in [0, pi]
     roots = [
@@ -275,7 +273,8 @@ def classify_theta(
     discrete_theta: some candidates that are cyclic local minima pass;
     each such root r is reported with r + pi/2.  none: no angle passes.
     Roots are canonicalized into [0, pi) and deduplicated modulo pi;
-    ``argmin_theta`` lies in [0, pi/2).
+    ``argmin_theta`` lies in [0, pi/2), the first candidate within 4 ulps
+    of the least value.
     """
     _require_tol(tol)
     return _classify(_arranged(channel, assignment)[None], tol)[0]

@@ -30,8 +30,10 @@ from .entanglement import _require_tol, purity_summary
 from .angles import scan
 from .states import (
     CATALOG_NAMES,
+    STRICT_NORM_TOL,
     PureState,
     StateFileError,
+    _norm_drifts,
     load_state_file,
     make_state,
     named_state,
@@ -163,9 +165,9 @@ def _parse_input(text: str, seed: int) -> tuple[PureState, int | None]:
         raise CliError(f"--input has a bad complex coefficient in {text!r}") from None
     # float products overflow to inf, where abs(c) ** 2 raises OverflowError
     norm_sq = sum(c.real * c.real + c.imag * c.imag for c in coeffs)
-    if not abs(norm_sq - 1.0) <= 1e-6:  # a nan norm fails this too
+    if _norm_drifts(norm_sq, STRICT_NORM_TOL):
         raise CliError(
-            f"--input squared norm {norm_sq!r} deviates from 1 by more than 1e-06"
+            f"--input squared norm {norm_sq!r} deviates from 1 by more than {STRICT_NORM_TOL}"
         )
     return make_state(2, coeffs), None
 

@@ -43,6 +43,11 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
+def _require_channel(channel: PureState) -> None:
+    if channel.num_qubits != 5:
+        raise ValueError("the channel must be a five-qubit state")
+
+
 def partial_trace(s: PureState, keep: Iterable[int]) -> np.ndarray:
     """Reduced density matrix of the kept qubits, ascending label order.
 
@@ -89,8 +94,7 @@ def purity_summary(s: PureState, tol: float = 1e-10) -> dict:
     pairs are within tol of 1/4; ``worst_pair`` is the first pair in label
     order with the largest deviation from it."""
     _require_tol(tol)
-    if s.num_qubits != 5:
-        raise ValueError("purity_summary is defined for five-qubit states")
+    _require_channel(s)
     pairs = {f"{a}{b}": _reduced_purity(s, (a, b)) for a, b in combinations(range(1, 6), 2)}
     deviations = {pair: abs(value - PAIR_PURITY_TARGET) for pair, value in pairs.items()}
     worst = max(deviations, key=deviations.__getitem__)

@@ -12,7 +12,9 @@ Conventions, binding for the whole package:
 
 Every state passes one check on construction: a positive width, 2**n
 amplitudes, all finite.  States built by :func:`make_state`, the
-catalog and :func:`tensor` are unit norm.
+catalog and :func:`tensor` are unit norm.  The catalog table, the Bell
+outcome dictionary (the catalog's Bell states and teleport's sender
+bras) and the NaN-safe squared-norm test are each defined here once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,6 +104,11 @@ class PureState:
         return {}
 
 
+def _norm_drifts(norm_sq: float, bound: float) -> bool:
+    """Whether a squared norm is more than ``bound`` from 1; NaN always is."""
+    return not abs(norm_sq - 1.0) <= bound
+
+
 def make_state(num_qubits: int, amplitudes: Sequence[complex]) -> PureState:
     """Build a normalized state from raw amplitudes.
 
@@ -113,7 +120,7 @@ def make_state(num_qubits: int, amplitudes: Sequence[complex]) -> PureState:
     """
     amps = PureState(num_qubits, amplitudes).amplitudes
     norm_sq = float(np.vdot(amps, amps).real)
-    renormalized = abs(norm_sq - 1.0) > NORM_TOL
+    renormalized = _norm_drifts(norm_sq, NORM_TOL)
     if not sys.float_info.min <= norm_sq < math.inf:
         parts = amps.view(np.float64)  # re, im interleaved
         largest = float(np.max(np.abs(parts)))
@@ -124,36 +131,34 @@ def make_state(num_qubits: int, amplitudes: Sequence[complex]) -> PureState:
     return PureState(num_qubits, amps / math.sqrt(norm_sq), renormalized=renormalized)
 
 
-# Five-qubit catalog entries, as {index: sign} over the big-endian basis.
-# man_m5: sixteen kets of weight 1/4; brown: eight kets of weight 1/(2*sqrt(2)).
-_MAN_M5_SIGNS = {
-    0: 1, 1: 1, 6: 1, 7: -1,
-    10: 1, 11: 1, 12: -1, 13: 1,
-    18: -1, 19: 1, 20: 1, 21: 1,
-    24: 1, 25: -1, 30: 1, 31: 1,
-}
-_BROWN_SIGNS = {5: 1, 6: -1, 8: 1, 11: -1, 17: 1, 18: 1, 28: 1, 31: 1}
+# Bell outcome dictionary, binding across the package, as {outcome: {index: sign}}
+# over the two-qubit basis, each ket of weight 1/sqrt(2):
+#   1: (|00> + |11>)/sqrt(2)    2: (|00> - |11>)/sqrt(2)
+#   3: (|01> + |10>)/sqrt(2)    4: (|01> - |10>)/sqrt(2)
+_BELL_SIGNS = {1: {0: 1, 3: 1}, 2: {0: 1, 3: -1}, 3: {1: 1, 2: 1}, 4: {1: 1, 2: -1}}
+_BELL_WEIGHT = 1.0 / math.sqrt(2.0)
 
-CATALOG_NAMES = (
-    "man_m5",
-    "brown",
-    "ghz5",
-    "bell_phi_plus",
-    "bell_phi_minus",
-    "bell_psi_plus",
-    "bell_psi_minus",
-    "product_zero_n",
-)
+# Catalog entries, name -> (width, {index: sign} over the big-endian basis,
+# weight of every listed ket); the Bell entries are the dictionary above.
+_CATALOG = {
+    "man_m5": (5, {0: 1, 1: 1, 6: 1, 7: -1, 10: 1, 11: 1, 12: -1, 13: 1, 18: -1, 19: 1,
+                   20: 1, 21: 1, 24: 1, 25: -1, 30: 1, 31: 1}, 0.25),
+    "brown": (5, {5: 1, 6: -1, 8: 1, 11: -1, 17: 1, 18: 1, 28: 1, 31: 1},
+              1.0 / math.sqrt(8.0)),
+    "ghz5": (5, {0: 1, 31: 1}, _BELL_WEIGHT),
+    "bell_phi_plus": (2, _BELL_SIGNS[1], _BELL_WEIGHT),
+    "bell_phi_minus": (2, _BELL_SIGNS[2], _BELL_WEIGHT),
+    "bell_psi_plus": (2, _BELL_SIGNS[3], _BELL_WEIGHT),
+    "bell_psi_minus": (2, _BELL_SIGNS[4], _BELL_WEIGHT),
+}
+
+CATALOG_NAMES = (*_CATALOG, "product_zero_n")
 
 # the five-qubit catalog entries, i.e. valid channels for the protocol
-FIVE_QUBIT_CATALOG = ("man_m5", "brown", "ghz5", "product_zero_n")
-
-
-def _sparse(num_qubits: int, signs: Mapping[int, int], weight: float) -> PureState:
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    for index, sign in signs.items():
-        amps[index] = sign * weight
-    return make_state(num_qubits, amps)
+FIVE_QUBIT_CATALOG = (
+    *(name for name, (width, _, _) in _CATALOG.items() if width == 5),
+    "product_zero_n",
+)
 
 
 def named_state(name: str, num_qubits: int | None = None) -> PureState:
@@ -164,26 +169,18 @@ def named_state(name: str, num_qubits: int | None = None) -> PureState:
     standard naming: phi = (|00> +/- |11>)/sqrt(2),
     psi = (|01> +/- |10>)/sqrt(2).
     """
-    if name == "man_m5":
-        return _sparse(5, _MAN_M5_SIGNS, 0.25)
-    if name == "brown":
-        return _sparse(5, _BROWN_SIGNS, 1.0 / math.sqrt(8.0))
-    if name == "ghz5":
-        return _sparse(5, {0: 1, 31: 1}, 1.0 / math.sqrt(2.0))
-    if name == "bell_phi_plus":
-        return _sparse(2, {0: 1, 3: 1}, 1.0 / math.sqrt(2.0))
-    if name == "bell_phi_minus":
-        return _sparse(2, {0: 1, 3: -1}, 1.0 / math.sqrt(2.0))
-    if name == "bell_psi_plus":
-        return _sparse(2, {1: 1, 2: 1}, 1.0 / math.sqrt(2.0))
-    if name == "bell_psi_minus":
-        return _sparse(2, {1: 1, 2: -1}, 1.0 / math.sqrt(2.0))
     if name == "product_zero_n":
-        n = 5 if num_qubits is None else num_qubits
-        if n < 1:
+        width, signs, weight = 5 if num_qubits is None else num_qubits, {0: 1}, 1.0
+        if width < 1:
             raise ValueError("product_zero_n needs at least one qubit")
-        return _sparse(n, {0: 1}, 1.0)
-    raise ValueError(f"unknown state {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
+    elif name in _CATALOG:
+        width, signs, weight = _CATALOG[name]
+    else:
+        raise ValueError(f"unknown state {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
+    amps = np.zeros(2**width, dtype=np.complex128)
+    for index, sign in signs.items():
+        amps[index] = sign * weight
+    return make_state(width, amps)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -199,7 +196,7 @@ class StateFileError(ValueError):
 
 def _reject_norm_drift(amps: np.ndarray, path: str) -> None:
     norm_sq = float(np.vdot(amps, amps).real)
-    if abs(norm_sq - 1.0) > STRICT_NORM_TOL:
+    if _norm_drifts(norm_sq, STRICT_NORM_TOL):
         raise StateFileError(
             f"{path}: squared norm {norm_sq!r} deviates from 1 by more than "
             f"{STRICT_NORM_TOL}; refusing to renormalize file input"

@@ -13,6 +13,7 @@ are unitary, in which case all 32 outcome operators are unitary too.
 Operators are plain 4x4 arrays in the action layout: Bob's unnormalized
 post-measurement amplitudes equal 1/(4*sqrt(2)) times matrix @ x, where
 x holds the four input coefficients; printed tables show the transpose.
+The senders' Bell dictionary is states' ``_BELL_SIGNS``, paired with ``PAULI_FACTORS``.
 
 Engine: a call re-arranges the channel once, through the gather index
 cached on its ``RoleAssignment`` (the basis indices, qubit axes
@@ -50,8 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import _reduced_purity, _require_tol
-from .states import PureState
+from .entanglement import _reduced_purity, _require_channel, _require_tol
+from .states import _BELL_SIGNS, STRICT_NORM_TOL, PureState, _norm_drifts
 
 __all__ = [
     "PAULI_FACTORS",
@@ -71,17 +72,13 @@ _SCALE = 2.0 * math.sqrt(2.0)
 # measurement prefactor relating raw projections to the scaled operators
 _PREFACTOR = 1.0 / (4.0 * math.sqrt(2.0))
 
-# Bell outcome dictionary, binding across the package:
-#   1: (|00> + |11>)/sqrt(2)    2: (|00> - |11>)/sqrt(2)
-#   3: (|01> + |10>)/sqrt(2)    4: (|01> - |10>)/sqrt(2)
+# Bell outcome kets [outcome] of the dictionary states._BELL_SIGNS
 _BELL_AMPLITUDES = {
-    1: np.array([1, 0, 0, 1], dtype=np.complex128) / math.sqrt(2.0),
-    2: np.array([1, 0, 0, -1], dtype=np.complex128) / math.sqrt(2.0),
-    3: np.array([0, 1, 1, 0], dtype=np.complex128) / math.sqrt(2.0),
-    4: np.array([0, 1, -1, 0], dtype=np.complex128) / math.sqrt(2.0),
+    k: np.array([signs.get(i, 0) for i in range(4)], dtype=np.complex128) / math.sqrt(2.0)
+    for k, signs in _BELL_SIGNS.items()
 }
 
-# Local correction factors paired with the Bell dictionary above: in the
+# Local correction factors paired with the Bell dictionary: in the
 # action layout, operator(i, j, n) = operator(1, 1, n) @ kron(F[i], F[j]).
 PAULI_FACTORS = {
     1: np.eye(2, dtype=np.complex128),
@@ -157,23 +154,13 @@ class RoleAssignment:
 
     @cached_property
     def _gather(self) -> np.ndarray:
-        """Read-only index table: ``amplitudes[self._gather]`` is a channel
-        re-arranged as ``relabeling`` orders it, the basis indices with their
-        qubit axes transposed into role order."""
+        """Read-only index table: ``amplitudes[self._gather]`` is a channel with
+        its qubits in role order (alice 1, alice 2, bob 1, bob 2, charlie),
+        the basis indices with their qubit axes transposed into that order."""
         order = [q - 1 for q in (*self.alice, *self.bob, self.charlie)]
         index = np.arange(32).reshape([2] * 5).transpose(order).reshape(-1)
         index.setflags(write=False)
         return index
-
-    def relabeling(self) -> dict[int, int]:
-        """Old-label -> new-label map putting roles in canonical order."""
-        return {
-            self.alice[0]: 1,
-            self.alice[1]: 2,
-            self.bob[0]: 3,
-            self.bob[1]: 4,
-            self.charlie: 5,
-        }
 
     def as_dict(self) -> dict:
         return {
@@ -181,11 +168,6 @@ class RoleAssignment:
             "bob": list(self.bob),
             "charlie": self.charlie,
         }
-
-
-def _require_channel(channel: PureState) -> None:
-    if channel.num_qubits != 5:
-        raise ValueError("the channel must be a five-qubit state")
 
 
 def _arranged(channel: PureState, assignment: RoleAssignment) -> np.ndarray:
@@ -406,7 +388,7 @@ def simulate(
     """
     if input_state.num_qubits != 2:
         raise ValueError("the input must be a two-qubit state")
-    if abs(input_state.norm**2 - 1.0) > 1e-6:
+    if _norm_drifts(input_state.norm**2, STRICT_NORM_TOL):
         raise ValueError("the input state must be normalized")
     grid = _arranged(channel, assignment)
     operators = _outcome_operators(grid, _charlie_bras(theta)).reshape(32, 4, 4)

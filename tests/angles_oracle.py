@@ -114,7 +114,9 @@ def _classify(
         # thetas[0] is the node 0
         return ThetaClassification(KIND_ALL, None, float(values[0]), 0.0)
 
-    best = int(np.argmin(values))
+    # the engine's tie rule: the first candidate within 4 ulps of the least
+    low = float(values.min())
+    best = int(np.flatnonzero(values <= low + 4 * math.ulp(low))[0])
     best_defect, best_theta = float(values[best]), _canonical_root(thetas[best])
     minima = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
     roots = [

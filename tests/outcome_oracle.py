@@ -24,6 +24,7 @@ from telecrit.teleport import (
     _PREFACTOR,
     PAULI_FACTORS,
     FactorizationReport,
+    RoleAssignment,
     TeleportationRecord,
     _arranged,
     _base_operators,
@@ -51,6 +52,19 @@ def charlie_state(theta: float, outcome: int) -> PureState:
     if outcome not in (1, 2):
         raise ValueError(f"Charlie outcome must be 1 or 2, got {outcome}")
     return PureState(1, _charlie_bras(theta)[outcome - 1])
+
+
+def relabeling(assignment: RoleAssignment) -> dict[int, int]:
+    """Old-label -> new-label map putting an assignment's roles in canonical
+    order (alice 1, alice 2, bob 1, bob 2, charlie); with ``permute_qubits``
+    it arranges a channel as the library's gather index does."""
+    return {
+        assignment.alice[0]: 1,
+        assignment.alice[1]: 2,
+        assignment.bob[0]: 3,
+        assignment.bob[1]: 4,
+        assignment.charlie: 5,
+    }
 
 
 def permute_qubits(s: PureState, perm: Mapping[int, int]) -> PureState:

@@ -498,6 +498,27 @@ def test_non_utf8_state_file_exit_two(capsys, tmp_path):
     assert err.splitlines() == [f"error: {path}:2: not UTF-8 text, byte 0xc0: invalid start byte"]
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("nan_norm.txt", "00000 1e308 1e308\n11111 1e308 1e308\n"),
+        ("nan_norm.json", '{"num_qubits": 1, "amplitudes": [[1e200, 1e200], [0, 0]]}'),
+    ],
+    ids=["text", "json"],
+)
+def test_nan_squared_norm_state_file_exit_two(capsys, tmp_path, name, content):
+    # finite amplitudes whose squared norm is nan are refused, not renormalized
+    path = tmp_path / name
+    path.write_text(content)
+    code, out, err = run_cli(capsys, "purity", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {path}: squared norm nan deviates from 1 by more than 1e-06; "
+        "refusing to renormalize file input"
+    ]
+
+
 @pytest.mark.parametrize("source", ["padded", "/dev/zero"])
 def test_overlong_state_file_exit_two(monkeypatch, capsys, tmp_path, source):
     monkeypatch.setattr(states, "_MAX_FILE_CHARS", 4096)

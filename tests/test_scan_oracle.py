@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import angles_oracle
 import telecrit.angles as angles
-from outcome_oracle import permute_qubits
+from outcome_oracle import permute_qubits, relabeling
 from telecrit import (
     RoleAssignment,
     classify_theta,
@@ -66,6 +66,26 @@ def test_random_channels_match_oracle(seed, source, tol):
     assignment = RoleAssignment(alice, bob, base.charlie)
     got = classify_theta(channel, assignment, tol)
     assert got == angles_oracle.classify_theta(channel, assignment, tol)
+
+
+@pytest.mark.parametrize("seed", [492, 1365, 3472600])
+def test_flat_profiles_break_ties_by_candidate_order(seed):
+    # man_m5 under these local unitaries has rows whose profile is flat, so
+    # the candidates' values differ only in their last bits; engine and
+    # oracle both take the first candidate within 4 ulps of the least,
+    # node 0 on a flat row, so ulp noise moves neither argmin nor order
+    channel = lu_rotated(named_state("man_m5"), np.random.default_rng(seed))
+    _assert_scan_matches(channel, 1e-10)
+    flat = 0
+    for entry in scan(channel, 1e-10).entries:
+        defects = [
+            max(criterion_check(channel, entry.assignment, theta)[2:4])
+            for theta in np.linspace(0.0, math.pi / 2, 17).tolist()
+        ]
+        if max(defects) - min(defects) <= 1e-12:
+            flat += 1
+            assert entry.classification.argmin_theta == 0.0
+    assert flat > 0
 
 
 def _gap(x, y):
@@ -161,7 +181,7 @@ def test_batched_defects_are_criterion_arithmetic(source):
     thetas = angles._candidate_sets(arranged)
     values = iter(angles._profiles(arranged, thetas))
     for assignment, row in zip(enumerate_assignments(), thetas):
-        grid = permute_qubits(channel, assignment.relabeling()).amplitudes.reshape([2] * 5)
+        grid = permute_qubits(channel, relabeling(assignment)).amplitudes.reshape([2] * 5)
         assert row == angles_oracle._candidate_angles(grid).tolist()
         for theta in row:
             # the single-matrix form, one base operator at a time
@@ -174,7 +194,7 @@ def test_batched_defects_are_criterion_arithmetic(source):
 def test_gather_table_matches_permute_qubits():
     channel = random_channel(np.random.default_rng(23))
     for row, assignment in zip(angles._GATHER, enumerate_assignments()):
-        arranged = permute_qubits(channel, assignment.relabeling()).amplitudes
+        arranged = permute_qubits(channel, relabeling(assignment)).amplitudes
         assert np.array_equal(channel.amplitudes[row], arranged)
 
 

@@ -322,6 +322,28 @@ def test_loader_rejects_norm_drift(tmp_path):
         load_state_file(str(path))
 
 
+# finite amplitudes whose np.vdot is nan+nanj: a nan squared norm is no
+# norm within bounds, so these files are refused, not renormalized
+NAN_NORM_FILES = {
+    "nan_norm.txt": "00000 1e308 1e308\n11111 1e308 1e308\n",
+    "nan_norm.json": '{"num_qubits": 1, "amplitudes": [[1e200, 1e200], [0, 0]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_NORM_FILES))
+def test_loader_rejects_nan_squared_norm(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(NAN_NORM_FILES[name])
+    with pytest.raises(StateFileError, match=f"^{re.escape(str(path))}: squared norm nan "):
+        load_state_file(str(path))
+
+
+def test_make_state_flags_nan_squared_norm():
+    s = make_state(1, [1e200 + 1e200j, 0])
+    assert s.renormalized is True
+    assert np.max(np.abs(s.amplitudes - [(1 + 1j) / math.sqrt(2), 0])) < 1e-15
+
+
 def test_loader_accepts_tiny_round_off(tmp_path):
     path = tmp_path / "round.txt"
     path.write_text("0 0.70710678 0.0\n1 0.70710678 0.0\n")

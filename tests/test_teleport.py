@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import telecrit
 import telecrit.angles as angles
-from outcome_oracle import bell_state, charlie_state, permute_qubits, project_subsystem
+from outcome_oracle import (
+    bell_state,
+    charlie_state,
+    permute_qubits,
+    project_subsystem,
+    relabeling,
+)
 from telecrit import (
     PAULI_FACTORS,
     PureState,
@@ -80,7 +86,7 @@ def test_role_assignment_validation():
     with pytest.raises(ValueError, match="partition"):
         RoleAssignment((0, 2), (3, 4), 5)
     asg = RoleAssignment((2, 4), (5, 1), 3)
-    assert asg.relabeling() == {2: 1, 4: 2, 5: 3, 1: 4, 3: 5}
+    assert relabeling(asg) == {2: 1, 4: 2, 5: 3, 1: 4, 3: 5}
     assert asg.as_dict() == {"alice": [2, 4], "bob": [5, 1], "charlie": 3}
 
 
@@ -100,7 +106,7 @@ def test_gather_index_is_the_permute_qubits_arrangement():
     basis = PureState(5, np.arange(32))
     for order in itertools.permutations(range(1, 6)):
         assignment = RoleAssignment(order[:2], order[2:4], order[4])
-        want = permute_qubits(basis, assignment.relabeling()).amplitudes.real
+        want = permute_qubits(basis, relabeling(assignment)).amplitudes.real
         gather = assignment._gather
         assert gather.dtype == np.intp and not gather.flags.writeable
         assert np.array_equal(gather, want.astype(np.intp))
@@ -157,7 +163,7 @@ def test_base_operator_matches_projection_route(brown, assign_13):
             formula = transformation_operator(
                 brown, assign_13, 1, 1, outcome, theta
             ).T
-            arranged = permute_qubits(brown, assign_13.relabeling())
+            arranged = permute_qubits(brown, relabeling(assign_13))
             residual = project_subsystem(
                 arranged, charlie_state(theta, outcome), (5,)
             )
