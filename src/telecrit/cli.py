@@ -6,7 +6,9 @@ the other modules; JSON is the source of truth and the table renderers
 format the same values.
 
 Each command returns its report and exit status; ``main`` writes the
-report once, as JSON or through the command's table renderer.
+report once, as JSON or through the command's table renderer.  Every
+input error is a ``ValueError``, the loader's ``StateFileError``
+included, and ``main`` turns each into one stderr line and exit 2.
 
 Exit codes: 0 success, 1 criterion verdict FAIL (criterion command
 only), 2 input error, 71 (EX_OSERR) when the command runs out of memory,
@@ -32,7 +34,6 @@ from .states import (
     CATALOG_NAMES,
     STRICT_NORM_TOL,
     PureState,
-    StateFileError,
     _norm_drifts,
     load_state_file,
     make_state,
@@ -62,27 +63,17 @@ EXIT_OUTPUT_ERROR = 74
 EXIT_OUT_OF_MEMORY = 71
 
 
-class CliError(Exception):
-    """Input error; rendered to stderr with exit code 2."""
-
-
 def _load_state(source: str) -> PureState:
     wrong_width = f"bad state {source!r}: every command needs a five-qubit channel"
     match = _PRODUCT_ZERO.match(source)
     if match:
         # checked before building, since the state has 2**count amplitudes
         if int(match.group(1)) != 5:
-            raise CliError(wrong_width)
+            raise ValueError(wrong_width)
         return named_state("product_zero_n", 5)
-    if source in CATALOG_NAMES:
-        state = named_state(source)
-    else:
-        try:
-            state = load_state_file(source)
-        except StateFileError as exc:
-            raise CliError(str(exc)) from exc
+    state = named_state(source) if source in CATALOG_NAMES else load_state_file(source)
     if state.num_qubits != 5:
-        raise CliError(wrong_width)
+        raise ValueError(wrong_width)
     return state
 
 
@@ -99,7 +90,7 @@ def _parse_theta(text: str) -> float:
             return theta
     except (ValueError, OverflowError, ZeroDivisionError):
         pass
-    raise CliError(f"bad theta {text!r}: expected finite radians or [+-][k]pi[/m], e.g. 3pi/4")
+    raise ValueError(f"bad theta {text!r}: expected finite radians or [+-][k]pi[/m], e.g. 3pi/4")
 
 
 def _parse_tol(text: str) -> float:
@@ -128,23 +119,18 @@ def _parse_seed(text: str) -> int:
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise CliError(f"{flag} expects two comma-separated qubit labels, got {text!r}")
+        raise ValueError(f"{flag} expects two comma-separated qubit labels, got {text!r}")
     try:
         pair = tuple(int(p) for p in parts)
     except ValueError:
-        raise CliError(f"{flag} expects integers, got {text!r}") from None
+        raise ValueError(f"{flag} expects integers, got {text!r}") from None
     return pair  # range/distinctness checked by RoleAssignment
 
 
 def _assignment(args: argparse.Namespace) -> RoleAssignment:
-    try:
-        return RoleAssignment(
-            _parse_pair(args.alice, "--alice"),
-            _parse_pair(args.bob, "--bob"),
-            args.charlie,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return RoleAssignment(
+        _parse_pair(args.alice, "--alice"), _parse_pair(args.bob, "--bob"), args.charlie
+    )
 
 
 def _parse_input(text: str, seed: int) -> tuple[PureState, int | None]:
@@ -155,18 +141,18 @@ def _parse_input(text: str, seed: int) -> tuple[PureState, int | None]:
         return make_state(2, vec / np.linalg.norm(vec)), seed
     parts = text.split(",")
     if len(parts) != 4:
-        raise CliError(
+        raise ValueError(
             f"--input expects 'random' or four comma-separated complex "
             f"coefficients, got {text!r}"
         )
     try:
         coeffs = [complex(p.strip().replace(" ", "")) for p in parts]
     except ValueError:
-        raise CliError(f"--input has a bad complex coefficient in {text!r}") from None
+        raise ValueError(f"--input has a bad complex coefficient in {text!r}") from None
     # float products overflow to inf, where abs(c) ** 2 raises OverflowError
     norm_sq = sum(c.real * c.real + c.imag * c.imag for c in coeffs)
     if _norm_drifts(norm_sq, STRICT_NORM_TOL):
-        raise CliError(
+        raise ValueError(
             f"--input squared norm {norm_sq!r} deviates from 1 by more than {STRICT_NORM_TOL}"
         )
     return make_state(2, coeffs), None
@@ -282,13 +268,7 @@ def _cmd_eq5check(args: argparse.Namespace) -> tuple[dict, int]:
     state = _load_state(args.state)
     assignment, theta = _assignment(args), _parse_theta(args.theta)
     report = pauli_factorization_check(state, assignment, theta, args.tol)
-    doc = {
-        "assignment": assignment.as_dict(),
-        "theta": theta,
-        "holds": report.holds,
-        "max_deviation": report.max_deviation,
-    }
-    return doc, 0
+    return {"assignment": assignment.as_dict(), "theta": theta, **report._asdict()}, 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -393,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         doc, status = args.func(args)
         render(doc)
         sys.stdout.flush()  # a write error shows here rather than at exit
-    except (CliError, ValueError) as exc:  # StateFileError is a ValueError
+    except ValueError as exc:  # StateFileError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

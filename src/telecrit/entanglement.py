@@ -51,14 +51,15 @@ def _require_channel(channel: PureState) -> None:
 def partial_trace(s: PureState, keep: Iterable[int]) -> np.ndarray:
     """Reduced density matrix of the kept qubits, ascending label order.
 
-    ``keep`` must be a nonempty proper subset of 1..n.  Row/column r, c
+    ``keep`` must be a nonempty proper subset of 1..n, int labels only.  Row/column r, c
     of the result is sum_e psi(r, e) * conj(psi(c, e)) with e running
     over the traced-out qubits.  A trace other than 1 is refused.
     """
     n = s.num_qubits
-    kept = sorted(set(keep))
-    if not kept or not all(1 <= q <= n for q in kept):
-        raise ValueError(f"keep must be a nonempty subset of 1..{n}, got {kept}")
+    labels = tuple(keep)
+    if not labels or not all(type(q) is int and 1 <= q <= n for q in labels):
+        raise ValueError(f"keep must be a nonempty subset of 1..{n}, got {labels}")
+    kept = sorted(set(labels))
     if len(kept) == n:
         raise ValueError("keep must leave at least one qubit to trace out")
     traced = [q for q in range(1, n + 1) if q not in kept]

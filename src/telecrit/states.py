@@ -138,8 +138,8 @@ def make_state(num_qubits: int, amplitudes: Sequence[complex]) -> PureState:
 _BELL_SIGNS = {1: {0: 1, 3: 1}, 2: {0: 1, 3: -1}, 3: {1: 1, 2: 1}, 4: {1: 1, 2: -1}}
 _BELL_WEIGHT = 1.0 / math.sqrt(2.0)
 
-# Catalog entries, name -> (width, {index: sign} over the big-endian basis,
-# weight of every listed ket); the Bell entries are the dictionary above.
+# Catalog entries, name -> (width, None if free, {index: sign} over the big-endian
+# basis, weight of every listed ket); the Bell entries are the dictionary above.
 _CATALOG = {
     "man_m5": (5, {0: 1, 1: 1, 6: 1, 7: -1, 10: 1, 11: 1, 12: -1, 13: 1, 18: -1, 19: 1,
                    20: 1, 21: 1, 24: 1, 25: -1, 30: 1, 31: 1}, 0.25),
@@ -150,37 +150,35 @@ _CATALOG = {
     "bell_phi_minus": (2, _BELL_SIGNS[2], _BELL_WEIGHT),
     "bell_psi_plus": (2, _BELL_SIGNS[3], _BELL_WEIGHT),
     "bell_psi_minus": (2, _BELL_SIGNS[4], _BELL_WEIGHT),
+    "product_zero_n": (None, {0: 1}, 1.0),
 }
 
-CATALOG_NAMES = (*_CATALOG, "product_zero_n")
+CATALOG_NAMES = tuple(_CATALOG)
 
 # the five-qubit catalog entries, i.e. valid channels for the protocol
-FIVE_QUBIT_CATALOG = (
-    *(name for name, (width, _, _) in _CATALOG.items() if width == 5),
-    "product_zero_n",
-)
+FIVE_QUBIT_CATALOG = tuple(name for name, row in _CATALOG.items() if row[0] in (5, None))
 
 
 def named_state(name: str, num_qubits: int | None = None) -> PureState:
     """Return a catalog state by name.
 
-    ``num_qubits`` applies only to the parameterized all-zeros product
-    state ``product_zero_n`` (default 5).  Bell states follow the
-    standard naming: phi = (|00> +/- |11>)/sqrt(2),
-    psi = (|01> +/- |10>)/sqrt(2).
+    ``num_qubits`` sets the width of the all-zeros product state
+    ``product_zero_n`` (a positive int, default 5); every other entry's
+    width is fixed, and ``num_qubits`` may repeat it but not contradict
+    it.  Bell states: phi = (|00> +/- |11>)/sqrt(2), psi = (|01> +/- |10>)/sqrt(2).
     """
-    if name == "product_zero_n":
-        width, signs, weight = 5 if num_qubits is None else num_qubits, {0: 1}, 1.0
-        if width < 1:
-            raise ValueError("product_zero_n needs at least one qubit")
-    elif name in _CATALOG:
-        width, signs, weight = _CATALOG[name]
-    else:
+    if name not in _CATALOG:
         raise ValueError(f"unknown state {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
-    amps = np.zeros(2**width, dtype=np.complex128)
+    width, signs, weight = _CATALOG[name]
+    if num_qubits is None:
+        num_qubits = width or 5
+    elif type(num_qubits) is not int or num_qubits < 1 or width not in (None, num_qubits):
+        need = f"is {width} qubits wide" if width else "needs a positive int num_qubits"
+        raise ValueError(f"{name} {need}, got num_qubits={num_qubits!r}")
+    amps = np.zeros(2**num_qubits, dtype=np.complex128)
     for index, sign in signs.items():
         amps[index] = sign * weight
-    return make_state(width, amps)
+    return make_state(num_qubits, amps)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:

@@ -13,7 +13,9 @@ are unitary, in which case all 32 outcome operators are unitary too.
 Operators are plain 4x4 arrays in the action layout: Bob's unnormalized
 post-measurement amplitudes equal 1/(4*sqrt(2)) times matrix @ x, where
 x holds the four input coefficients; printed tables show the transpose.
-The senders' Bell dictionary is states' ``_BELL_SIGNS``, paired with ``PAULI_FACTORS``.
+The senders' Bell dictionary is states' ``_BELL_SIGNS``, paired with
+``PAULI_FACTORS``; its one array form is ``_BELL_KETS``, the kets of
+the stacked sender bras ``_BELL_PAIR_ROWS``.
 
 Engine: a call re-arranges the channel once, through the gather index
 cached on its ``RoleAssignment`` (the basis indices, qubit axes
@@ -72,12 +74,6 @@ _SCALE = 2.0 * math.sqrt(2.0)
 # measurement prefactor relating raw projections to the scaled operators
 _PREFACTOR = 1.0 / (4.0 * math.sqrt(2.0))
 
-# Bell outcome kets [outcome] of the dictionary states._BELL_SIGNS
-_BELL_AMPLITUDES = {
-    k: np.array([signs.get(i, 0) for i in range(4)], dtype=np.complex128) / math.sqrt(2.0)
-    for k, signs in _BELL_SIGNS.items()
-}
-
 # Local correction factors paired with the Bell dictionary: in the
 # action layout, operator(i, j, n) = operator(1, 1, n) @ kron(F[i], F[j]).
 PAULI_FACTORS = {
@@ -88,9 +84,12 @@ PAULI_FACTORS = {
 }
 
 
+# Bell outcome kets at [outcome - 1], the one array form of states._BELL_SIGNS
+_BELL_KETS = np.array(
+    [[signs.get(i, 0) for i in range(4)] for signs in _BELL_SIGNS.values()], dtype=complex
+) / math.sqrt(2.0)
 # conjugated Bell bras of both sender measurements, stacked as (64, 4) rows
 # [i - 1, j - 1, unknown 1, unknown 2] by columns [channel 1, channel 2]
-_BELL_KETS = np.array(list(_BELL_AMPLITUDES.values()))
 _BELL_PAIR_ROWS = (
     np.kron(_BELL_KETS, _BELL_KETS)
     .conj()
@@ -338,7 +337,8 @@ class TeleportationRecord(NamedTuple):
     """One measurement outcome of a full protocol run; an immutable tuple.
 
     ``bob_corrected`` is Bob's adjoint-corrected, normalized state, a
-    read-only (4,) complex128 row (zero when the corrected residual vanishes).
+    read-only (4,) complex128 row; when the corrected residual vanishes the
+    row stays zero, so its fidelity is 0.0.
     Records compare and hash by identity, since an array field has no
     single truth value.
     """
@@ -396,10 +396,9 @@ def simulate(
     corrected = (operators.conj().transpose(0, 2, 1) @ residuals[..., None])[..., 0]
     re, im = corrected.real, corrected.imag
     norms = np.sqrt(_row_dots(re, re) + _row_dots(im, im))  # as np.linalg.norm forms it
-    live = norms > 0.0
-    corrected /= np.where(live, norms, 1.0)[:, None]
+    corrected /= np.where(norms > 0.0, norms, 1.0)[:, None]  # a zero row stays zero
     corrected.setflags(write=False)
-    fidelities = np.where(live, np.abs(_row_dots(input_state.amplitudes, corrected)) ** 2, 0.0)
+    fidelities = np.abs(_row_dots(input_state.amplitudes, corrected)) ** 2
     probabilities = _row_dots(residuals, residuals).real.tolist()
     outcomes = itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2))
     rows = zip(outcomes, probabilities, corrected, fidelities.tolist())

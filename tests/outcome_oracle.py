@@ -20,7 +20,7 @@ import numpy as np
 
 from telecrit.states import PureState, tensor
 from telecrit.teleport import (
-    _BELL_AMPLITUDES,
+    _BELL_KETS,
     _PREFACTOR,
     PAULI_FACTORS,
     FactorizationReport,
@@ -38,9 +38,9 @@ def bell_state(index: int) -> PureState:
     Qubit 1 is the measured unknown-state qubit, qubit 2 the channel
     qubit it is paired with; the order matters only for index 4.
     """
-    if index not in _BELL_AMPLITUDES:
+    if index not in (1, 2, 3, 4):
         raise ValueError(f"Bell outcome index must be 1..4, got {index}")
-    return PureState(2, _BELL_AMPLITUDES[index])
+    return PureState(2, _BELL_KETS[index - 1])
 
 
 def charlie_state(theta: float, outcome: int) -> PureState:
@@ -145,8 +145,8 @@ def _projected_tableau(
     operator times local factors, which pauli_factorization_check
     verifies rather than assumes.
     """
-    first = _BELL_AMPLITUDES[bell_first].reshape(2, 2).conj()
-    second = _BELL_AMPLITUDES[bell_second].reshape(2, 2).conj()
+    first = _BELL_KETS[bell_first - 1].reshape(2, 2).conj()
+    second = _BELL_KETS[bell_second - 1].reshape(2, 2).conj()
     basis = charlie_state(theta, charlie_outcome).amplitudes.conj()
     contracted = np.einsum("ka,lb,c,abmnc->klmn", first, second, basis, grid)
     return (1.0 / _PREFACTOR) * contracted.reshape(4, 4)

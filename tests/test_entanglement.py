@@ -49,6 +49,10 @@ def test_partial_trace_keep_validation(brown):
         partial_trace(brown, ())
     with pytest.raises(ValueError, match="nonempty"):
         partial_trace(brown, (0, 6))
+    # labels are plain ints: no float, and no bool read as qubit 1
+    for keep in ((1.5,), (True, 2), (1, True), (np.float64(2.0),)):
+        with pytest.raises(ValueError, match="nonempty"):
+            partial_trace(brown, keep)
     with pytest.raises(ValueError, match="trace out"):
         partial_trace(brown, (1, 2, 3, 4, 5))
 

@@ -95,14 +95,26 @@ def test_product_zero_default_and_sized():
     three = named_state("product_zero_n", 3)
     assert three.num_qubits == 3
     assert np.count_nonzero(three.amplitudes) == 1
-    with pytest.raises(ValueError):
-        named_state("product_zero_n", 0)
+    # the free width is a plain positive int, never a bool, float or string
+    for width in (0, -1, 2.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match="positive int"):
+            named_state("product_zero_n", width)
 
 
 def test_catalog_names_cover_five_qubit_subset():
-    assert set(FIVE_QUBIT_CATALOG) <= set(CATALOG_NAMES)
+    assert CATALOG_NAMES == (
+        "man_m5", "brown", "ghz5", "bell_phi_plus", "bell_phi_minus",
+        "bell_psi_plus", "bell_psi_minus", "product_zero_n",
+    )
+    assert FIVE_QUBIT_CATALOG == ("man_m5", "brown", "ghz5", "product_zero_n")
     for name in FIVE_QUBIT_CATALOG:
         assert named_state(name).num_qubits == 5
+        assert named_state(name, 5).num_qubits == 5
+    # a fixed width may be repeated but not contradicted
+    assert named_state("bell_phi_plus", 2).num_qubits == 2
+    for name, width in (("man_m5", 2), ("brown", 4), ("bell_phi_plus", 7), ("ghz5", 5.0)):
+        with pytest.raises(ValueError, match="qubits wide"):
+            named_state(name, width)
     with pytest.raises(ValueError, match="unknown state"):
         named_state("w5")
 
