@@ -39,26 +39,33 @@ on the distinct rows: the coefficients as stacked products; a row's
 candidate list is a function of its (a1, b1, a2, b2), so the list, its
 crossing and its quartic are built once per distinct coefficient set,
 keyed by its bytes (brown's 30 rows have 3 sets, man_m5's 15 have 3);
-every quartic with a2 or b2 nonzero goes through one ``eigvals`` on
-np.roots' stacked companion matrices (with a2 = b2 = 0 branch + is the
-harmonic alone, stationary pi/4 past the crossing, so that angle is the
-one added); and every candidate of every row, both outcomes, in one
-stacked defect evaluation.  Every step works row by row, so a
-duplicate row would get the same bits.  The base operators and their
-defects come from the kernel criterion_check uses (teleport's
-_base_operators and _defects), and the other steps keep
-the rounding of their single-matrix forms (np.vdot, np.roots), so
-verdicts, roots and defects are those of criterion_check's arithmetic.
+the quartics of the distinct sets are one (n, 5) array read straight
+off the coefficient columns, and every quartic with a2 or b2 nonzero
+goes through one ``eigvals`` on np.roots' stacked companion matrices
+(with a2 = b2 = 0 branch + is the harmonic alone, stationary pi/4 past
+the crossing, so that angle is the one added); and every candidate of
+every row, both outcomes, in one stacked defect evaluation, Charlie's
+weights taken by np.cos and np.sin of one flat array of angles.  Every
+step works row by row, so a duplicate row would get the same bits.  The
+base operators and their defects come from the kernel criterion_check
+uses (teleport's _base_operators and _defects), and the other steps
+keep the rounding of their single-matrix forms (np.vdot, np.roots,
+math.cos, math.sin), so verdicts, roots and defects are those of
+criterion_check's arithmetic.  A verdict returns kind none as soon as
+its least value exceeds tol, the usual case on a generic channel, and
+dedupes its sorted roots in one pass, each against the last and the
+first kept root (the nearest one on the circle of period pi).
 ``classify_theta`` is the same engine on a stack of one.  ``scan``
 reads the ten pair purities from the channel's purity memo
 (entanglement) into one table, so each is computed once per channel,
-however many scans and criterion checks read them.
+however many scans and criterion checks read them, and builds each
+entry once, in sorted order.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -141,6 +148,9 @@ def enumerate_assignments() -> list[RoleAssignment]:
 # the nodes k pi/8 of the half period, in every candidate set
 _NODES = [k * math.pi / 8 for k in range(4)]
 
+# np.roots' companion matrix of a quartic below its first row
+_SUBDIAGONAL = np.eye(4, k=-1, dtype=np.complex128)
+
 
 def _first_rows(rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
     """The bytes of each row, and the index of the first row of each distinct byte string."""
@@ -151,19 +161,35 @@ def _first_rows(rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
     return keys, first
 
 
-def _root_angles(quartics: list[list[complex]]) -> list[list[float]]:
-    """np.angle(np.roots(quartic)) / 2 for every quartic [w, h, 0, h*, w*]
-    with w != 0, from np.roots' companion matrices stacked into one eigvals
-    call; a row with w = 0 gets no angles (_candidate_sets places its one).
+def _root_angles(quartics: np.ndarray | list) -> list[list[float]]:
+    """np.angle(np.roots(quartic)) / 2 for every quartic row [w, h, 0, h*, w*]
+    (an (n, 5) array or a list of rows) with w != 0, from np.roots' companion
+    matrices stacked into one eigvals call; a row with w = 0 gets no angles
+    (_candidate_sets places its one).
     """
-    coeffs = np.array(quartics, dtype=np.complex128)
+    coeffs = np.asarray(quartics, dtype=np.complex128)
     rows = np.flatnonzero(coeffs[:, 0] != 0)
-    companion = np.repeat(np.eye(4, k=-1, dtype=np.complex128)[None], len(rows), axis=0)
+    companion = np.repeat(_SUBDIAGONAL[None], len(rows), axis=0)
     companion[:, 0] = -coeffs[rows, 1:] / coeffs[rows, :1]
-    angles: list[list[float]] = [[] for _ in quartics]
+    angles: list[list[float]] = [[] for _ in range(len(coeffs))]
     for k, row in zip(rows.tolist(), (np.angle(np.linalg.eigvals(companion)) / 2).tolist()):
         angles[k] = row
     return angles
+
+
+def _quartics(coeffs: np.ndarray) -> np.ndarray:
+    """Branch a2 cos 4theta + b2 sin 4theta + a1 cos 2theta + b1 sin 2theta
+    of each (a1, b1, a2, b2) row: its derivative times z^2, z = exp(2i theta),
+    is the quartic [w, h, 0, h*, w*] in z, one (n, 5) row each.
+
+    Read in reverse, a row is the complex pairs w = b2 + i a2 and
+    2h = b1 + i a1, so the parts are taken, not multiplied (1j * a2 can
+    turn +0.0 into -0.0), and every bit is that of complex(b2, a2) and
+    complex(b1, a1) / 2.
+    """
+    wh = coeffs[:, ::-1].copy().view(np.complex128)
+    wh[:, 1] /= 2  # rounds as complex / 2 does, signed zeros included
+    return np.concatenate((wh, np.zeros((len(wh), 1)), wh[:, ::-1].conj()), axis=1)
 
 
 def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
@@ -181,22 +207,21 @@ def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
     coeffs = np.stack((2 * pq, 2 * pr, (qq - rr) / 2, qr), axis=1)
     # a row's list is a function of its (a1, b1, a2, b2) bits: build each once
     keys, first = _first_rows(coeffs)
+    distinct = coeffs[list(first.values())]
 
-    sets, quartics = [], []
-    for a1, b1, a2, b2 in coeffs[list(first.values())].tolist():
-        # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
+    sets = []
+    for (a1, b1, a2, b2), roots in zip(distinct.tolist(), _root_angles(_quartics(distinct))):
+        # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes; math.atan2, as
+        # np.arctan2 runs numpy's own SIMD kernel, which on an AVX-512 CPU
+        # differs from libm in the last bit on about 7% of inputs and would
+        # move the candidates
         crossing = math.atan2(b1, a1) / 2 + math.pi / 4
-        sets.append([crossing, *_NODES])
         if a2 == b2 == 0 and (a1 or b1):
-            # branch + is the harmonic alone, stationary a quarter turn from its zero
-            sets[-1].append(crossing + math.pi / 4)
-        # branch a2 cos 4theta + b2 sin 4theta + a1 cos 2theta + b1 sin 2theta:
-        # its derivative times z^2, z = exp(2i theta), is this quartic in z
-        h = complex(b1, a1) / 2
-        quartics.append([complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)])
-    for angles, roots in zip(sets, _root_angles(quartics)):
-        angles.extend(roots)
-    found = dict(zip(first, (sorted({a % (math.pi / 2) for a in angles}) for angles in sets)))
+            # no quartic: branch + is the harmonic alone, stationary a quarter
+            # turn from its zero
+            roots = (crossing + math.pi / 4,)
+        sets.append(sorted({theta % (math.pi / 2) for theta in (crossing, *_NODES, *roots)}))
+    found = dict(zip(first, sets))
     return [found[key] for key in keys]
 
 
@@ -206,11 +231,14 @@ def _profiles(arranged: np.ndarray, thetas: list[list[float]]) -> list[float]:
     ``thetas[k]`` are the angles of row k of the (m, 32) stack; the
     values come back flattened in the same order.
     """
-    owner = np.repeat(np.arange(len(thetas)), [len(row) for row in thetas])
-    flat = [theta for row in thetas for theta in row]
-    c, s = np.array([[math.cos(theta) for theta in flat], [math.sin(theta) for theta in flat]])
+    counts = [len(row) for row in thetas]
+    flat = np.fromiter(chain.from_iterable(thetas), np.float64, sum(counts))
+    # numpy's float64 cos and sin round as math.cos and math.sin, which
+    # _charlie_bras uses; test_batched_defects_are_criterion_arithmetic
+    # checks every value against that form to the bit
+    c, s = np.cos(flat), np.sin(flat)
     weights = np.concatenate((c, s, s, -c)).reshape(2, 2, -1)  # _charlie_bras of each
-    rows = arranged[owner]
+    rows = arranged[np.repeat(np.arange(len(thetas)), counts)]
     # per outcome: stacking both doubles each temporary, and repeated scans page-fault
     d1, d2 = (_defects(_base_operators(rows, weights[n : n + 1])[0]) for n in (0, 1))
     return np.maximum(d1, d2).tolist()
@@ -218,31 +246,35 @@ def _profiles(arranged: np.ndarray, thetas: list[list[float]]) -> list[float]:
 
 def _verdict(thetas: list[float], values: list[float], tol: float) -> ThetaClassification:
     """Classification of one profile from its values at the candidates."""
+    low = min(values)
+    # ties, as on a flat profile whose values differ in their last bits, go to
+    # candidate order: the first value within 4 ulps of the least
+    cut = low + 4 * math.ulp(low)
+    best = 0
+    while values[best] > cut:
+        best += 1
+    if low > tol:  # no candidate passes, so no angle does
+        return ThetaClassification(KIND_NONE, None, values[best], thetas[best])
     if max(values) <= tol:
         # thetas[0] is the node 0
         return ThetaClassification(KIND_ALL, None, values[0], 0.0)
 
-    # ties, as on a flat profile whose values differ in their last bits, go to candidate order
-    low = min(values)
-    best = values.index(next(filter((low + 4 * math.ulp(low)).__ge__, values)))
-    count = len(values)
-    # candidates lie in [0, pi/2], so each root and its shift lie in [0, pi]
-    roots = [
-        0.0 if math.pi - root < 1e-9 else root  # fold pi to 0
-        for k, value in enumerate(values)
-        if value <= tol and value <= values[k - 1] and value <= values[(k + 1) % count]
-        for root in (thetas[k], thetas[k] + math.pi / 2)
-    ]
+    # each passing cyclic local minimum r gives r and r + pi/2; as candidates
+    # lie in [0, pi/2), only the shift can come within 1e-9 of pi: fold it to 0
+    last = len(values) - 1
+    roots = []
+    for k, value in enumerate(values):
+        if value <= tol and value <= values[k - 1] and value <= values[k + 1 if k < last else 0]:
+            shifted = thetas[k] + math.pi / 2
+            roots += (thetas[k], 0.0 if math.pi - shifted < 1e-9 else shifted)
+    # ascending on the circle of period pi, a root's nearest kept root is the
+    # last kept (the straight gap) or the first (the gap across pi)
     deduped: list[float] = []
     for root in sorted(roots):
-        if all(
-            min(abs(root - other), math.pi - abs(root - other)) > 1e-6
-            for other in deduped
-        ):
+        if not deduped or (root - deduped[-1] > 1e-6 and math.pi - (root - deduped[0]) > 1e-6):
             deduped.append(root)
-
-    kind, found = (KIND_DISCRETE, tuple(deduped)) if deduped else (KIND_NONE, None)
-    return ThetaClassification(kind, found, values[best], thetas[best])
+    # the least value passes and is a cyclic local minimum, so a root was found
+    return ThetaClassification(KIND_DISCRETE, tuple(deduped), values[best], thetas[best])
 
 
 def _classify(arranged: np.ndarray, tol: float) -> list[ThetaClassification]:
@@ -301,16 +333,11 @@ def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:
     _require_channel(channel)
     classes = _classify(channel.amplitudes[_GATHER], tol)
     purities = {pair: _reduced_purity(channel, pair) for pair in combinations(range(1, 6), 2)}
-    entries = [
-        ScanEntry(assignment, cls, purities[assignment.alice], purities[assignment.bob])
-        for assignment, cls in zip(_ASSIGNMENTS, classes)
-    ]
-    entries.sort(
-        key=lambda e: (
-            _KIND_ORDER[e.classification.kind],
-            e.classification.min_defect,
-            e.assignment.alice,
-            e.assignment.bob,
-        )
-    )
+    # _ASSIGNMENTS is in (alice, bob) order, so the index is the last key
+    keys = [(_KIND_ORDER[cls.kind], cls.min_defect, k) for k, cls in enumerate(classes)]
+    entries = []
+    for k in sorted(range(30), key=keys.__getitem__):
+        assignment = _ASSIGNMENTS[k]
+        alice, bob = purities[assignment.alice], purities[assignment.bob]
+        entries.append(ScanEntry(assignment, classes[k], alice, bob))
     return ScanReport(tuple(entries))

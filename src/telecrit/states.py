@@ -305,7 +305,9 @@ def load_state_file(path: str) -> PureState:
 
     JSON form: {"num_qubits": n, "amplitudes": [[re, im], ...]} with
     2**n entries.  Text form: one 'bitstring re im' line per nonzero
-    amplitude; blank lines and '#' comments are ignored.  Input whose
+    amplitude; blank lines and '#' comments are ignored.  A file whose
+    first non-blank character is '{' or '[' is read as JSON, any other
+    as text.  Input whose
     squared norm deviates from 1 by more than STRICT_NORM_TOL is
     rejected; smaller round-off is silently renormalized.  Non-finite
     amplitudes, states wider than MAX_FILE_QUBITS, files longer than
@@ -323,7 +325,8 @@ def load_state_file(path: str) -> PureState:
         raise StateFileError(f"{path}:{lineno}: not UTF-8 text, {reason}") from exc
     if len(text) > _MAX_FILE_CHARS:
         raise StateFileError(f"{path}: longer than the limit of {_MAX_FILE_CHARS} characters")
-    if text.lstrip().startswith("{"):
+    # a text line starts with a bit string, so "{" or "[" can only open JSON
+    if text.lstrip()[:1] in ("{", "["):
         return _load_json_text(text, path)
     return _load_plain_text(text, path)
 

@@ -1,7 +1,7 @@
 """Assignment enumeration and basis-angle classification."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -249,10 +249,33 @@ def test_classify_random_channel_is_stable():
     assert cls.min_defect > 0.1
 
 
+def test_verdict_dedupes_roots_across_pi():
+    # minima at node 0 and just below pi/2 give the roots 0, pi/2 - 4e-7,
+    # pi/2 and pi - 4e-7: pi/2 is within 1e-6 of the root before it, and
+    # pi - 4e-7 only of root 0, across pi
+    thetas = [0.0, PI / 8, PI / 4, 3 * PI / 8, PI / 2 - 4e-7]
+    got = angles._verdict(thetas, [0.0, 1.0, 2.0, 1.0, 0.0], 1e-10)
+    assert got == (KIND_DISCRETE, (0.0, PI / 2 - 4e-7), 0.0, 0.0)
+
+
 def _quartic(a1, b1, a2, b2, sign):
     """One branch's quartic, built as the classifier builds it."""
     h = sign * complex(b1, a1) / 2
     return [complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)]
+
+
+def test_quartic_rows_are_the_complex_form_to_the_bit():
+    # every sign of zero, a subnormal and ordinary values in every coefficient
+    values = (0.0, -0.0, 1.5, -2.25, 3e-320)
+    coeffs = np.array(list(product(values, repeat=4)))
+    want = []
+    for a1, b1, a2, b2 in coeffs.tolist():
+        h = complex(b1, a1) / 2
+        want.append([complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)])
+    want = np.array(want, dtype=np.complex128)
+    got = angles._quartics(coeffs)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -425,6 +425,9 @@ def test_loader_accepts_tiny_round_off(tmp_path):
             id="nested-past-recursion-limit",
         ),
         ('{"nope": 1', "invalid JSON"),
+        # an array opens JSON too, not a text line
+        ("[1, 2]", ":1: expected an object with num_qubits and amplitudes"),
+        ("[]", ":1: expected an object with num_qubits and amplitudes"),
     ],
 )
 def test_json_loader_rejects_malformed(tmp_path, content, fragment):
