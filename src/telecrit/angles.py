@@ -161,13 +161,12 @@ def _first_rows(rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
     return keys, first
 
 
-def _root_angles(quartics: np.ndarray | list) -> list[list[float]]:
+def _root_angles(coeffs: np.ndarray) -> list[list[float]]:
     """np.angle(np.roots(quartic)) / 2 for every quartic row [w, h, 0, h*, w*]
-    (an (n, 5) array or a list of rows) with w != 0, from np.roots' companion
-    matrices stacked into one eigvals call; a row with w = 0 gets no angles
+    of an (n, 5) array with w != 0, from np.roots' companion matrices
+    stacked into one eigvals call; a row with w = 0 gets no angles
     (_candidate_sets places its one).
     """
-    coeffs = np.asarray(quartics, dtype=np.complex128)
     rows = np.flatnonzero(coeffs[:, 0] != 0)
     companion = np.repeat(_SUBDIAGONAL[None], len(rows), axis=0)
     companion[:, 0] = -coeffs[rows, 1:] / coeffs[rows, :1]

@@ -271,18 +271,19 @@ def _cmd_eq5check(args: argparse.Namespace) -> tuple[dict, int]:
     return {"assignment": assignment.as_dict(), "theta": theta, **report._asdict()}, 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, tol: bool = True) -> None:
     parser.add_argument(
         "--state",
         required=True,
         help="catalog state name or path to a state file (JSON or text)",
     )
-    parser.add_argument(
-        "--tol",
-        type=_parse_tol,
-        default=1e-10,
-        help="numeric tolerance for pass/fail decisions (default 1e-10)",
-    )
+    if tol:  # teleport decides nothing, so it takes no tolerance
+        parser.add_argument(
+            "--tol",
+            type=_parse_tol,
+            default=1e-10,
+            help="numeric tolerance for pass/fail decisions (default 1e-10)",
+        )
     parser.add_argument(
         "--output",
         choices=("table", "json"),
@@ -336,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan, render=_render_scan)
 
     p = sub.add_parser("teleport", help="simulate the full protocol, all 32 outcomes")
-    _add_common(p)
+    _add_common(p, tol=False)
     _add_assignment(p)
     p.add_argument(
         "--input",

@@ -28,10 +28,9 @@ Bell bras of both sender pairs, giving all 32 operators at once;
 of arranged channels, at a stack of angles.  The criterion, the angle
 classifier and the scan use it with ``_defects``, the one implementation
 of the unitarity defect, and ``pauli_factorization_check`` checks all 32
-projected operators against it.  Each correction factor kron(F_i, F_j)
-is a signed permutation, so the check forms base @ kron(F_i, F_j) as a
-column gather times +-1 (``_FACTOR_COLUMNS``/``_FACTOR_SIGNS``, derived
-from ``_FACTOR_KRON`` at import), the matrix product's values exactly.
+projected operators against it, forming base @ kron(F_i, F_j) for all
+16 correction factors in one matrix product with ``_FACTOR_TABLE``, the
+16 krons side by side, built from ``PAULI_FACTORS`` at import.
 These are the only two contractions of the channel.  The criterion's
 pair purities come from the channel's purity memo (see entanglement).
 ``simulate`` reads Bob's residuals off the 32 operators and corrects
@@ -97,25 +96,11 @@ _BELL_PAIR_ROWS = (
     .transpose(0, 1, 2, 4, 3, 5)
     .reshape(64, 4)
 )
-# kron(F_i, F_j) at [i - 1, j - 1], the factors of the identity above
-_FACTORS = np.array(list(PAULI_FACTORS.values()))
-_FACTOR_KRON = np.kron(_FACTORS, _FACTORS).reshape(4, 4, 4, 4)
-
-
-def _signed_columns(kron: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gather table and signs of a stack of signed permutation matrices.
-
-    ``columns[..., c]`` is the row of the one nonzero entry in column c
-    and ``signs[..., c]`` its value (+1 or -1), so
-    ``m @ kron[k] == m[..., columns[k]] * signs[k]``, exactly.
-    """
-    columns = np.argmax(np.abs(kron), axis=-2)
-    signs = np.take_along_axis(kron.real, columns[..., None, :], axis=-2)[..., 0, :]
-    return columns, signs
-
-
-# _FACTOR_KRON as a column gather and signs, both [i - 1, j - 1, column]
-_FACTOR_COLUMNS, _FACTOR_SIGNS = _signed_columns(_FACTOR_KRON)
+# kron(F_i, F_j) as the 4-column block 4 * (i - 1) + (j - 1) of one (4, 64)
+# table, the factors of the identity above side by side
+_FACTOR_TABLE = np.hstack(
+    [np.kron(f, g) for f, g in itertools.product(PAULI_FACTORS.values(), repeat=2)]
+)
 
 
 def _charlie_bras(theta: float) -> np.ndarray:
@@ -317,8 +302,8 @@ def pauli_factorization_check(
     Compares the projection-built operator for every outcome, (1, 1, n)
     included, against the base operator read off the amplitudes times
     the local correction factors, entrywise, in the action layout.
-    Each kron(F_i, F_j) is a signed permutation, so the product is a
-    column gather times +-1, exactly the matrix product's values.
+    One matrix product with ``_FACTOR_TABLE`` forms the base operators
+    times all 16 factors.
     Holds identically for any channel; this check guards the Bell
     dictionary and factor pairing.
     """
@@ -327,8 +312,9 @@ def pauli_factorization_check(
     weights = _charlie_bras(theta)
     direct = _outcome_operators(arranged, weights)
     base = _base_operators(arranged, weights)
-    # action layout [n, row, column], gathered to [n, row, i, j, column]
-    product = base.reshape(2, 4, 4).transpose(0, 2, 1)[..., _FACTOR_COLUMNS] * _FACTOR_SIGNS
+    # action layout [n, row, column] times the table: [n, row, i, j, column]
+    action = base.reshape(2, 4, 4).transpose(0, 2, 1).reshape(8, 4)
+    product = (action @ _FACTOR_TABLE).reshape(2, 4, 4, 4, 4)
     max_dev = float(np.max(np.abs(direct - product.transpose(2, 3, 0, 1, 4))))
     return FactorizationReport(max_dev <= tol, max_dev)
 

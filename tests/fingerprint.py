@@ -1,9 +1,12 @@
-"""Print one sha256 over the observable outputs of the CLI and the library.
+"""Print sha256 digests over the observable outputs of the CLI and the library.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/fingerprint.py
 
+The last line is one hash over everything; the lines before it give one
+hash per kind of output (``cli``, ``scan``, ``criterion``, ``eq5``,
+``operator``, ``simulate``), so a change shows which outputs moved.
 Two checkouts that print the same hash give the same bytes on every run
 below, so a refactor meant to keep behaviour can be checked bit for bit
 against its parent.  The hash covers:
@@ -22,6 +25,7 @@ pytest does not collect this file.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -133,11 +137,14 @@ def _library(feed, rng: np.random.Generator) -> None:
                              record.fidelity)
 
 
-def fingerprint() -> str:
-    digest = hashlib.sha256()
+def fingerprint() -> tuple[str, dict[str, str]]:
+    """The hash over all outputs, and one hash per kind of output."""
+    digest, kinds = hashlib.sha256(), collections.defaultdict(hashlib.sha256)
 
     def feed(*parts) -> None:
-        digest.update(repr(parts).encode() + b"\n")
+        line = repr(parts).encode() + b"\n"
+        digest.update(line)
+        kinds[parts[0]].update(line)
 
     with tempfile.TemporaryDirectory() as tmp:
         brown = named_state("brown")
@@ -151,8 +158,11 @@ def fingerprint() -> str:
             feed("cli", [word.replace(tmp, "<tmp>") for word in argv], status, out,
                  err.replace(tmp, "<tmp>"))
     _library(feed, np.random.default_rng(20091119))
-    return digest.hexdigest()
+    return digest.hexdigest(), {kind: h.hexdigest() for kind, h in kinds.items()}
 
 
 if __name__ == "__main__":
-    sys.stdout.write(fingerprint() + "\n")
+    overall, kinds = fingerprint()
+    for kind, hexdigest in kinds.items():
+        sys.stdout.write(f"{kind} {hexdigest}\n")
+    sys.stdout.write(overall + "\n")

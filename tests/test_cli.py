@@ -375,8 +375,11 @@ _SUBCOMMAND_ARGS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGS))
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e400", "tight"])
+_BAD_TOLS = ["nan", "-1", "inf", "-inf", "1e400", "tight"]
+
+
+@pytest.mark.parametrize("command", sorted(set(_SUBCOMMAND_ARGS) - {"teleport"}))
+@pytest.mark.parametrize("tol", _BAD_TOLS)
 def test_bad_tol_exit_two(capsys, command, tol):
     code, out, err = run_cli(
         capsys, command, "--state", "brown", *_SUBCOMMAND_ARGS[command], f"--tol={tol}"
@@ -387,6 +390,19 @@ def test_bad_tol_exit_two(capsys, command, tol):
     assert [line for line in err.splitlines() if "error:" in line] == [
         f"telecrit {command}: error: argument --tol: bad tol {tol!r}: "
         "expected a finite number >= 0"
+    ]
+
+
+@pytest.mark.parametrize("tol", ["1e-10", *_BAD_TOLS])
+def test_teleport_takes_no_tol(capsys, tol):
+    # the simulation decides nothing, so teleport has no --tol to ignore
+    code, out, err = run_cli(
+        capsys, "teleport", "--state", "brown", *_SUBCOMMAND_ARGS["teleport"], f"--tol={tol}"
+    )
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"telecrit: error: unrecognized arguments: --tol={tol}"
     ]
 
 
@@ -568,7 +584,7 @@ _FUZZ_BASE = {
         "--tol": "1e-10", "--alice": "1,3", "--bob": "2,4", "--charlie": "5", "--theta": "pi/4"
     },
     "teleport": {
-        "--tol": "1e-10", "--alice": "1,2", "--bob": "3,4", "--charlie": "5",
+        "--alice": "1,2", "--bob": "3,4", "--charlie": "5",
         "--theta": "0.3", "--input": "random", "--seed": "0",
     },
 }

@@ -258,10 +258,11 @@ def test_verdict_dedupes_roots_across_pi():
     assert got == (KIND_DISCRETE, (0.0, PI / 2 - 4e-7), 0.0, 0.0)
 
 
-def _quartic(a1, b1, a2, b2, sign):
-    """One branch's quartic, built as the classifier builds it."""
-    h = sign * complex(b1, a1) / 2
-    return [complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)]
+def _quartic_rows(*rows):
+    """Quartic rows of (a1, b1, a2, b2, sign) rows, built by the classifier's
+    own _quartics; branch - (sign -1) negates the floats a1 and b1."""
+    coeffs = [(a1, b1, a2, b2) if s > 0 else (-a1, -b1, a2, b2) for a1, b1, a2, b2, s in rows]
+    return angles._quartics(np.array(coeffs))
 
 
 def test_quartic_rows_are_the_complex_form_to_the_bit():
@@ -278,27 +279,33 @@ def test_quartic_rows_are_the_complex_form_to_the_bit():
     assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
 
 
-@pytest.mark.parametrize(
-    "quartics",
-    [
-        # nonzero leading coefficient
-        [_quartic(0.4, -1.2, -0.7, 0.3, s) for s in (1, -1)] + [_quartic(0.0, 0.0, 2.0, 0.0, 1)],
-        # a2 = b2 = 0 with h != 0: no angles here, _candidate_sets adds the closed form
-        [_quartic(a1, b1, 0.0, 0.0, s) for a1, b1 in ((1.0, 0.0), (0.3, -2.5)) for s in (1, -1)],
-        # all zero: no roots
-        [_quartic(0.0, 0.0, 0.0, 0.0, 1)],
-        # signed zeros in every coefficient
-        [
-            _quartic(-0.0, -0.0, -0.0, -0.0, 1),
-            _quartic(-3.0, -0.0, 0.0, -0.0, 1),
-            _quartic(-0.0, 2.0, -0.0, 0.0, -1),
-            _quartic(-0.0, -0.0, -1.0, -0.0, 1),
-        ],
+_QUARTIC_CASES = {
+    # nonzero leading coefficient
+    "quartic": [(0.4, -1.2, -0.7, 0.3, 1), (0.4, -1.2, -0.7, 0.3, -1), (0.0, 0.0, 2.0, 0.0, 1)],
+    # a2 = b2 = 0 with h != 0: no angles here, _candidate_sets adds the closed form
+    "quadratic": [(a1, b1, 0.0, 0.0, s) for a1, b1 in ((1.0, 0.0), (0.3, -2.5)) for s in (1, -1)],
+    # all zero: no roots
+    "zero": [(0.0, 0.0, 0.0, 0.0, 1)],
+    # signed zeros in every coefficient
+    "signed-zero": [
+        (-0.0, -0.0, -0.0, -0.0, 1),
+        (-3.0, -0.0, 0.0, -0.0, 1),
+        (-0.0, 2.0, -0.0, 0.0, -1),
+        (-0.0, 2.0, -0.0, 0.0, 1),  # complex / 2 keeps a1's -0.0 only over b1 > 0
+        (-0.0, -0.0, -1.0, -0.0, 1),
     ],
-    ids=["quartic", "quadratic", "zero", "signed-zero"],
-)
-def test_root_angles_replicate_np_roots(quartics):
-    mixed = quartics + [_quartic(0.4, -1.2, -0.7, 0.3, 1), _quartic(0.0, 0.0, 0.0, 0.0, 1)]
+}
+
+
+@pytest.mark.parametrize("case", list(_QUARTIC_CASES))
+def test_root_angles_replicate_np_roots(case):
+    mixed = _quartic_rows(
+        *_QUARTIC_CASES[case], (0.4, -1.2, -0.7, 0.3, 1), (0.0, 0.0, 0.0, 0.0, 1)
+    )
+    if case == "signed-zero":
+        # w and h as (real, imag) columns: each part meets a -0.0
+        parts = mixed[:, :2].view(np.float64)
+        assert np.all(np.any((parts == 0) & np.signbit(parts), axis=0))
     got = angles._root_angles(mixed)
     # bit for bit where w != 0, order and signed zeros included; none where w = 0
     want = [(np.angle(np.roots(q)) / 2).tolist() if q[0] != 0 else [] for q in mixed]

@@ -257,17 +257,13 @@ def test_factorization_binds_bell_dictionary(brown, assign_13):
     assert PAULI_FACTORS[4][0, 1] == -1  # antisymmetric partner of outcome 4
 
 
-def test_factor_gather_tables_rebuild_the_kron_products():
-    teleport = telecrit.teleport
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    for i, j in itertools.product(range(4), range(4)):
-        columns, signs = teleport._FACTOR_COLUMNS[i, j], teleport._FACTOR_SIGNS[i, j]
-        rebuilt = np.zeros((4, 4), dtype=np.complex128)
-        rebuilt[columns, range(4)] = signs
-        assert np.array_equal(rebuilt, teleport._FACTOR_KRON[i, j])
-        # the gather gives the matrix product's values exactly
-        assert np.array_equal(m[:, columns] * signs, m @ teleport._FACTOR_KRON[i, j])
+def test_factor_table_blocks_are_the_kron_products():
+    table = telecrit.teleport._FACTOR_TABLE
+    assert table.shape == (4, 64)
+    for i, j in itertools.product((1, 2, 3, 4), repeat=2):
+        block = 4 * (i - 1) + (j - 1)
+        want = np.kron(PAULI_FACTORS[i], PAULI_FACTORS[j])
+        assert np.array_equal(table[:, 4 * block : 4 * block + 4], want)
 
 
 def test_factorization_holds_for_random_channels(assign_14):

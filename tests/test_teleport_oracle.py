@@ -1,5 +1,6 @@
 """The batched contraction engine agrees with the per-outcome oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -72,14 +73,12 @@ def test_factorization_compares_every_outcome(brown, monkeypatch):
     # a 4 in them, never the base pair (1, 1), so a check that skipped
     # outcomes could miss it
     factors = {**PAULI_FACTORS, 4: PAULI_FACTORS[4].T}
-    corrupted = np.array(
-        [[np.kron(factors[i], factors[j]) for j in (1, 2, 3, 4)] for i in (1, 2, 3, 4)]
+    # the check reads the factor table, so swap in one built from the
+    # corrupted krons as the real one is from PAULI_FACTORS
+    corrupted = np.hstack(
+        [np.kron(f, g) for f, g in itertools.product(factors.values(), repeat=2)]
     )
-    # the check reads the gather tables, so corrupt those, derived from the
-    # corrupted kron as the real ones are from _FACTOR_KRON
-    columns, signs = teleport._signed_columns(corrupted)
-    monkeypatch.setattr(teleport, "_FACTOR_COLUMNS", columns)
-    monkeypatch.setattr(teleport, "_FACTOR_SIGNS", signs)
+    monkeypatch.setattr(teleport, "_FACTOR_TABLE", corrupted)
     report = pauli_factorization_check(brown, RoleAssignment((1, 2), (3, 4), 5), 0.3)
     assert report.holds is False
     assert report.max_deviation >= 0.5
