@@ -22,9 +22,9 @@ monotone between consecutive angles of a finite candidate set: the
 crossing d1 = d2, the stationary points of branch + (roots of a quartic
 p(z), z = exp(2i theta); branch - has p(-z), the same angles plus pi/2),
 and the nodes k pi/8, k = 0..3, which fix a trig polynomial of these
-harmonics and cover degenerate coefficient sets.  The coefficients only
-place the candidates.  Every verdict comes from evaluating both defects
-at the candidates, with the arithmetic criterion_check uses: all_theta
+harmonics and cover degenerate coefficient sets.  The coefficients
+place the candidates and screen them, but every verdict comes from both
+defects evaluated with the arithmetic criterion_check uses: all_theta
 when every candidate passes; otherwise each candidate r that is a
 cyclic local minimum and passes gives the roots r and r + pi/2.  The
 argmin is the first candidate within 4 ulps of the least value, node 0
@@ -43,20 +43,24 @@ the quartics of the distinct sets are one (n, 5) array read straight
 off the coefficient columns, and every quartic with a2 or b2 nonzero
 goes through one ``eigvals`` on np.roots' stacked companion matrices
 (with a2 = b2 = 0 branch + is the harmonic alone, stationary pi/4 past
-the crossing, so that angle is the one added); and every candidate of
-every row, both outcomes, in one stacked defect evaluation, Charlie's
-weights taken by np.cos and np.sin of one flat array of angles.  Every
-step works row by row, so a duplicate row would get the same bits.  The
-base operators and their defects come from the kernel criterion_check
-uses (teleport's _base_operators and _defects), and the other steps
-keep the rounding of their single-matrix forms (np.vdot, np.roots,
-math.cos, math.sin), so verdicts, roots and defects are those of
-criterion_check's arithmetic.  A verdict returns kind none as soon as
-its least value exceeds tol, the usual case on a generic channel, and
-dedupes its sorted roots in one pass, each against the last and the
-first kept root (the nearest one on the circle of period pi).
-``classify_theta`` is the same engine on a stack of one.  ``scan``
-reads the ten pair purities from the channel's purity memo
+the crossing, so that angle is the one added); the closed form above
+(a0 is one more row dot) at every candidate of every row, one flat
+pass; and the exact defects, both outcomes in one stacked evaluation,
+only at the candidates the closed form leaves within a margin of
+max(their row's least value, tol^2).  The others get inf: their exact
+values provably exceed the row's minimum, its 4-ulp ties and tol, so
+none is the argmin, a root or a neighbour that decides one.  Every step
+works row by row, so a duplicate row, or a subset of the candidates,
+gets the same bits.  The base operators and their defects come from
+the kernel criterion_check uses (teleport's _base_operators and
+_defects), and the other steps keep the rounding of their single-matrix
+forms (np.vdot, np.roots, math.cos, math.sin), so verdicts, roots and
+defects are those of criterion_check's arithmetic.  A verdict returns
+kind none as soon as its least value exceeds tol, the usual case on a
+generic channel, and dedupes its sorted roots in one pass, each against
+the last and the first kept root (the nearest one on the circle of
+period pi).  ``classify_theta`` is the same engine on a stack of one.
+``scan`` reads the ten pair purities from the channel's purity memo
 (entanglement) into one table, so each is computed once per channel,
 however many scans and criterion checks read them, and builds each
 entry once, in sorted order.
@@ -191,9 +195,8 @@ def _quartics(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate((wh, np.zeros((len(wh), 1)), wh[:, ::-1].conj()), axis=1)
 
 
-def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
-    """Per row of the stack, sorted angles in [0, pi/2) that bound the
-    monotone pieces of the profile over its period."""
+def _coefficients(arranged: np.ndarray) -> np.ndarray:
+    """Profile coefficients (a0, a1, b1, a2, b2) of each row of the stack, one (m, 5) row each."""
     m0, m1 = _base_operators(arranged, np.eye(2))  # M(0), M(pi/2): outcome 1's bras
     m0h, m1h = m0.conj().transpose(0, 2, 1), m1.conj().transpose(0, 2, 1)
     a, b, c = m0h @ m0, m1h @ m1, m0h @ m1
@@ -201,12 +204,17 @@ def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
     r = (c + c.conj().transpose(0, 2, 1)) / 2
     p, q, r = p.reshape(-1, 16), q.reshape(-1, 16), r.reshape(-1, 16)
     # Re <x|y>, rounded as np.vdot rounds them
-    pairs = ((p, q), (p, r), (q, q), (r, r), (q, r))
-    pq, pr, qq, rr, qr = (_row_dots(x, y).real for x, y in pairs)
-    coeffs = np.stack((2 * pq, 2 * pr, (qq - rr) / 2, qr), axis=1)
+    pairs = ((p, p), (p, q), (p, r), (q, q), (r, r), (q, r))
+    pp, pq, pr, qq, rr, qr = (_row_dots(x, y).real for x, y in pairs)
+    return np.stack((pp + (qq + rr) / 2, 2 * pq, 2 * pr, (qq - rr) / 2, qr), axis=1)
+
+
+def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
+    """Per row of an (m, 5) coefficient stack, sorted angles in [0, pi/2)
+    that bound the monotone pieces of the profile over its period."""
     # a row's list is a function of its (a1, b1, a2, b2) bits: build each once
-    keys, first = _first_rows(coeffs)
-    distinct = coeffs[list(first.values())]
+    keys, first = _first_rows(coeffs[:, 1:])
+    distinct = coeffs[list(first.values()), 1:]
 
     sets = []
     for (a1, b1, a2, b2), roots in zip(distinct.tolist(), _root_angles(_quartics(distinct))):
@@ -224,23 +232,58 @@ def _candidate_sets(arranged: np.ndarray) -> list[list[float]]:
     return [found[key] for key in keys]
 
 
-def _profiles(arranged: np.ndarray, thetas: list[list[float]]) -> list[float]:
-    """max(d1, d2) at every candidate of every row, one stacked evaluation per outcome.
+# The screen's margin in d^2 per unit of 1 + |a0| + |a1| + |b1| + |a2| + |b2|.
+# A normalized channel has |G0|^2 + |G1|^2 = _SCALE^2 = 8, so every entry of
+# A, B, C, P, Q, R and M^H M - I is at most 9 in modulus.  Both routes to d^2
+# (exact: 4-term products, 16 squared moduli; closed form: six 16-term dots,
+# cos and sin within an ulp) round under a hundred times on terms whose
+# moduli sum to at most 2 * 16 * 81, so each is within 100 * 2^-53 * 2592
+# < 3e-11 and the two within 1e-10 of each other (worst seen: 1.5e-15 per
+# unit, 300 dense, LU-rotated and sparse channels).  A screened-out
+# candidate's exact d^2 thus exceeds its row's least, that least's 4-ulp
+# ties and tol^2.
+_SCREEN_MARGIN = 1e-9
 
-    ``thetas[k]`` are the angles of row k of the (m, 32) stack; the
-    values come back flattened in the same order.
+
+def _screen(
+    coeffs: np.ndarray, flat: np.ndarray, owner: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form max(d1, d2)^2 at each angle of ``flat``, whose row of
+    the (m, 5) coefficient stack is ``owner`` (ascending, every row present),
+    and the cut of that row: max(its least value, tol^2) plus the margin."""
+    a0, a1, b1, a2, b2 = coeffs.T[:, owner]
+    two, four = 2 * flat, 4 * flat
+    approx = a0 + a2 * np.cos(four) + b2 * np.sin(four)
+    approx += np.abs(a1 * np.cos(two) + b1 * np.sin(two))
+    least = np.minimum.reduceat(approx, np.searchsorted(owner, np.arange(len(coeffs))))
+    cut = np.maximum(least, tol * tol) + _SCREEN_MARGIN * (1 + np.abs(coeffs).sum(axis=1))
+    return approx, cut[owner]
+
+
+def _profiles(
+    arranged: np.ndarray, coeffs: np.ndarray, thetas: list[list[float]], tol: float
+) -> list[float]:
+    """max(d1, d2) at every candidate within its row's cut, inf elsewhere.
+
+    ``thetas[k]`` are the angles of row k of the (m, 32) stack and
+    ``coeffs[k]`` its coefficients; the values come back flattened in
+    the same order.
     """
     counts = [len(row) for row in thetas]
     flat = np.fromiter(chain.from_iterable(thetas), np.float64, sum(counts))
+    owner = np.repeat(np.arange(len(thetas)), counts)
+    approx, cut = _screen(coeffs, flat, owner, tol)
+    keep = np.flatnonzero(approx <= cut)
     # numpy's float64 cos and sin round as math.cos and math.sin, which
     # _charlie_bras uses; test_batched_defects_are_criterion_arithmetic
     # checks every value against that form to the bit
-    c, s = np.cos(flat), np.sin(flat)
+    c, s = np.cos(flat[keep]), np.sin(flat[keep])
     weights = np.concatenate((c, s, s, -c)).reshape(2, 2, -1)  # _charlie_bras of each
-    rows = arranged[np.repeat(np.arange(len(thetas)), counts)]
-    # per outcome: stacking both doubles each temporary, and repeated scans page-fault
-    d1, d2 = (_defects(_base_operators(rows, weights[n : n + 1])[0]) for n in (0, 1))
-    return np.maximum(d1, d2).tolist()
+    base = _base_operators(arranged[owner[keep]], weights)  # both outcomes, (2, k, 4, 4)
+    d1, d2 = _defects(base.reshape(-1, 4, 4)).reshape(2, -1)
+    values = np.full(len(flat), np.inf)
+    values[keep] = np.maximum(d1, d2)
+    return values.tolist()
 
 
 def _verdict(thetas: list[float], values: list[float], tol: float) -> ThetaClassification:
@@ -284,8 +327,9 @@ def _classify(arranged: np.ndarray, tol: float) -> list[ThetaClassification]:
     """
     keys, first = _first_rows(arranged)
     distinct = arranged[list(first.values())]
-    thetas = _candidate_sets(distinct)
-    values = _profiles(distinct, thetas)
+    coeffs = _coefficients(distinct)
+    thetas = _candidate_sets(coeffs)
+    values = _profiles(distinct, coeffs, thetas, tol)
     bounds = list(accumulate(map(len, thetas), initial=0))
     found = {
         key: _verdict(row, values[start:stop], tol)

@@ -52,6 +52,14 @@ def lu_rotated(channel, rng):
     return make_state(channel.num_qubits, unitary @ channel.amplitudes)
 
 
+def sparse_channel(rng):
+    """Five-qubit state of 2 to 16 amplitudes +-1 at random places, the rest 0."""
+    amplitudes = np.zeros(32)
+    k = int(rng.integers(2, 17))
+    amplitudes[rng.choice(32, size=k, replace=False)] = rng.choice([-1, 1], size=k)
+    return make_state(5, amplitudes)
+
+
 def random_input(rng):
     """Random normalized two-qubit input state."""
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -61,7 +61,7 @@ COMMANDS = (
     ("criterion", *ROLES, "--theta", "pi/4"),
     ("eq5check", *ROLES, "--theta", "0.3"),
     ("teleport", *ROLES, "--theta", "3pi/4", "--input", "0.5,0.5j,-0.5,0.5"),
-    ("teleport", *ROLES, "--theta", "-pi", "--input", "random", "--seed", "7"),
+    ("teleport", *ROLES, "--theta=-pi", "--input", "random", "--seed", "7"),
 )
 
 

@@ -10,10 +10,12 @@ brown, ghz5, man_m5, a seeded dense channel and a seeded brown under
 local unitaries.  Each side gets its own states from the same raw
 amplitudes, so neither shares the other's purity memo.  The script
 asserts that both sides give the same ``json.dumps(scan(...).as_dicts())``
-(signed zeros included), then alternates blocks of 20 scans per channel
-between the sides, the side that goes first switching every block, and
-prints each channel's median time per scan and the ratio of the summed
-medians, this side over the other.  The process pins itself to one CPU
+(signed zeros included) on these five and on 20 seeded sparse channels
+of +-1 amplitudes, each at tol 1e-10, 1e-6, 0.5 and 10.  It then times
+the five, alternating blocks of 20 scans per channel between the sides,
+the side that goes first switching every block, and prints each
+channel's median time per scan and the ratio of the summed medians,
+this side over the other.  The process pins itself to one CPU
 and one BLAS thread before numpy loads.  pytest does not collect this
 file.
 """
@@ -36,9 +38,11 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import telecrit  # noqa: E402
-from conftest import lu_rotated, random_channel  # noqa: E402  this file's directory is on sys.path
+# this file's directory is on sys.path
+from conftest import lu_rotated, random_channel, sparse_channel  # noqa: E402
 
 SCANS_PER_BLOCK = 20
+CHECKED_TOLS = (1e-10, 1e-6, 0.5, 10.0)
 
 
 def _import_other(src: str):
@@ -85,12 +89,15 @@ def main(argv: list[str]) -> int:
         side: {name: package.make_state(5, amps) for name, amps in raw.items()}
         for side, package in sides.items()
     }
-    for name in raw:
-        dumps = {
-            side: json.dumps(package.scan(channels[side][name]).as_dicts())
-            for side, package in sides.items()
-        }
-        assert dumps["this"] == dumps["other"], f"{name}: the two scans differ"
+    rng = np.random.default_rng(1401)
+    sparse = {f"sparse {k}": sparse_channel(rng).amplitudes for k in range(20)}
+    for name, amps in {**raw, **sparse}.items():
+        for tol in CHECKED_TOLS:
+            dumps = {
+                side: json.dumps(package.scan(package.make_state(5, amps), tol).as_dicts())
+                for side, package in sides.items()
+            }
+            assert dumps["this"] == dumps["other"], f"{name}, tol {tol}: the two scans differ"
 
     times: dict[str, dict[str, list[float]]] = {side: {name: [] for name in raw} for side in sides}
     for block in range(blocks):

@@ -317,9 +317,9 @@ def test_scan_classifies_each_distinct_arrangement_once(monkeypatch, name, rows)
     classified = []
     candidate_sets = angles._candidate_sets
 
-    def counting(arranged):
-        classified.append(len(arranged))
-        return candidate_sets(arranged)
+    def counting(coeffs):
+        classified.append(len(coeffs))
+        return candidate_sets(coeffs)
 
     monkeypatch.setattr(angles, "_candidate_sets", counting)
     assert len(scan(named_state(name)).entries) == 30
@@ -345,8 +345,8 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
         quartics.append(len(batch))
         return root_angles(batch)
 
-    def recording_sets(arranged):
-        lists = candidate_sets(arranged)
+    def recording_sets(coeffs):
+        lists = candidate_sets(coeffs)
         candidates.extend(lists)
         return lists
 
@@ -365,6 +365,39 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
         # one crossing, four nodes and at most four stationary angles
         assert len(thetas) <= 9
         assert all(0.0 <= theta < PI / 2 for theta in thetas)
+
+
+@pytest.mark.parametrize(
+    "name, most", [("ghz5", 1), ("man_m5", 52), ("brown", 70), ("dense", None)]
+)
+def test_scan_screens_candidates_before_exact_defects(monkeypatch, name, most):
+    """The closed-form screen leaves few candidates for the exact defects:
+    at most ``most`` of them, or under a quarter on a dense channel, all
+    through one stacked call for both outcomes."""
+    exact, candidates = [], []
+    defects, candidate_sets = angles._defects, angles._candidate_sets
+
+    def counting_defects(m):
+        exact.append(len(m) / 2)  # both outcomes of each evaluated candidate
+        return defects(m)
+
+    def counting_sets(coeffs):
+        lists = candidate_sets(coeffs)
+        candidates.extend(map(len, lists))
+        return lists
+
+    monkeypatch.setattr(angles, "_defects", counting_defects)
+    monkeypatch.setattr(angles, "_candidate_sets", counting_sets)
+    if name == "dense":
+        channel = random_channel(np.random.default_rng(20091119))
+    else:
+        channel = named_state(name)
+    assert len(scan(channel).entries) == 30
+    assert len(exact) == 1
+    if most is None:
+        assert 4 * exact[0] < sum(candidates)
+    else:
+        assert exact[0] <= most
 
 
 @given(

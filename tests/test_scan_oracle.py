@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import lu_rotated, random_channel
+from conftest import lu_rotated, random_channel, sparse_channel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from telecrit import (
     classify_theta,
     criterion_check,
     enumerate_assignments,
-    make_state,
     named_state,
     scan,
 )
@@ -106,14 +105,12 @@ def test_sparse_channels_match_np_roots_route(monkeypatch):
     monkeypatch.setattr(angles, "_root_angles", spy)
     rng = np.random.default_rng(1401)
     for _ in range(20):
-        amplitudes = np.zeros(32)
-        k = int(rng.integers(2, 17))
-        amplitudes[rng.choice(32, size=k, replace=False)] = rng.choice([-1, 1], size=k)
-        channel = make_state(5, amplitudes)
+        channel = sparse_channel(rng)
         for tol in TOLERANCES:
             _assert_scan_matches(channel, tol)
         arranged = channel.amplitudes[angles._GATHER]
-        for row, got in zip(arranged, angles._candidate_sets(arranged)):
+        thetas = angles._candidate_sets(angles._coefficients(arranged))
+        for row, got in zip(arranged, thetas):
             want = angles_oracle._candidate_angles(row).tolist()
             if angles_oracle._coefficients(row)[2:] != (0.0, 0.0):
                 assert got == want  # bit for bit
@@ -167,9 +164,17 @@ def test_random_channels_half_period_matches_full_period(seed, source, tol):
     _assert_half_period_matches_full(channel, tol)
 
 
+def _screen(coeffs, thetas, tol):
+    """The engine's closed-form values and cuts, flattened as its candidates are."""
+    counts = [len(row) for row in thetas]
+    flat = np.array([theta for row in thetas for theta in row])
+    return angles._screen(coeffs, flat, np.repeat(np.arange(len(thetas)), counts), tol)
+
+
 @pytest.mark.parametrize("source", ["brown", "man_m5", "dense", "lu_brown"])
 def test_batched_defects_are_criterion_arithmetic(source):
-    # every value the verdicts read is the criterion's own defect, to the bit
+    # every value the verdicts read is the criterion's own defect, to the bit,
+    # and every candidate the screen leaves out is above its row's cut there
     rng = np.random.default_rng(17)
     if source == "dense":
         channel = random_channel(rng)
@@ -178,17 +183,59 @@ def test_batched_defects_are_criterion_arithmetic(source):
     else:
         channel = named_state(source)
     arranged = channel.amplitudes[angles._GATHER]
-    thetas = angles._candidate_sets(arranged)
-    values = iter(angles._profiles(arranged, thetas))
+    coeffs = angles._coefficients(arranged)
+    thetas = angles._candidate_sets(coeffs)
+    want = []
     for assignment, row in zip(enumerate_assignments(), thetas):
         grid = permute_qubits(channel, relabeling(assignment)).amplitudes.reshape([2] * 5)
         assert row == angles_oracle._candidate_angles(grid).tolist()
         for theta in row:
             # the single-matrix form, one base operator at a time
             base = _base_operators(grid, _charlie_bras(theta))[:, 0]
-            want = max(float(np.linalg.norm(m.conj().T @ m - np.eye(4))) for m in base)
-            assert next(values) == want
-    assert next(values, None) is None
+            want.append(max(float(np.linalg.norm(m.conj().T @ m - np.eye(4))) for m in base))
+    for tol in (1e-10, 0.5, 10.0):
+        values = angles._profiles(arranged, coeffs, thetas, tol)
+        _, cut = _screen(coeffs, thetas, tol)
+        assert len(values) == len(want) == len(cut)
+        screened = 0
+        for value, exact, row_cut in zip(values, want, cut.tolist()):
+            if value == math.inf:
+                screened += 1
+                assert exact * exact > row_cut
+            else:
+                assert value == exact
+        if tol == 1e-10:
+            assert screened > 0
+
+
+_SCREEN_SOURCES = ("dense", "sparse", *(f"lu_{name}" for name in CATALOG))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(_SCREEN_SOURCES),
+)
+@settings(max_examples=30, deadline=None)
+def test_screen_is_within_its_bound_of_the_exact_profile(seed, source):
+    """The closed form max(d1, d2)^2 is the criterion's own squared defect to
+    1e-12 per unit of 1 + sum |coeff| at every candidate, and that bound lies
+    at least 1e3 below the margin the screen adds to its cuts."""
+    assert 1e-12 * 1e3 <= angles._SCREEN_MARGIN
+    rng = np.random.default_rng(seed)
+    if source == "dense":
+        channel = random_channel(rng)
+    elif source == "sparse":
+        channel = sparse_channel(rng)
+    else:
+        channel = lu_rotated(named_state(source[3:]), rng)
+    coeffs = angles._coefficients(channel.amplitudes[angles._GATHER])
+    thetas = angles._candidate_sets(coeffs)
+    approx = iter(_screen(coeffs, thetas, 0.0)[0].tolist())
+    for assignment, row, scale in zip(enumerate_assignments(), thetas, 1 + np.abs(coeffs).sum(1)):
+        for theta in row:
+            report = criterion_check(channel, assignment, theta)
+            exact = max(report.sigma111_defect, report.sigma112_defect)
+            assert abs(next(approx) - exact * exact) <= 1e-12 * scale
 
 
 def test_gather_table_matches_permute_qubits():
