@@ -103,6 +103,13 @@ class PureState:
         reductions; it lives and dies with the state."""
         return {}
 
+    @cached_property
+    def _setting(self) -> list:
+        """One-slot memo for ``teleport``'s contraction of this channel at
+        its last measurement setting, ``[None]`` until the first; a call at
+        another setting replaces it, and it dies with the state."""
+        return [None]
+
 
 def _norm_drifts(norm_sq: float, bound: float) -> bool:
     """Whether a squared norm is more than ``bound`` from 1; NaN always is."""

@@ -17,13 +17,25 @@ The senders' Bell dictionary is states' ``_BELL_SIGNS``, paired with
 ``PAULI_FACTORS``; its one array form is ``_BELL_KETS``, the kets of
 the stacked sender bras ``_BELL_PAIR_ROWS``.
 
-Engine: a call re-arranges the channel once, through the gather index
+Engine: a measurement setting is an assignment and an angle.  At a new
+setting a call re-arranges the channel once, through the gather index
 cached on its ``RoleAssignment`` (the basis indices, qubit axes
 transposed into role order, the one arrangement route; ``scan`` stacks
 those of all 30 assignments), and builds Charlie's basis once, the
-real weight array [[c, s], [s, -c]] both kernels take.
-``_outcome_operators`` contracts the channel with it and the stacked
-Bell bras of both sender pairs, giving all 32 operators at once;
+real weight array [[c, s], [s, -c]] both kernels take.  Both land in
+the channel's setting slot, a ``_Setting`` kept on the ``PureState``
+beside its purity memo: one slot, keyed by the assignment and theta's
+exact value (0.0 and -0.0 differ), that also holds, each built at its
+first use, the base operators and the 32 outcome operators, one
+read-only buffer.  ``criterion_check``, ``pauli_factorization_check``,
+``transformation_operator`` (which returns a copy) and ``simulate``
+read it, so calls at one setting, such as a verify bundle, share one
+gather, one weight array and one of each contraction; a call at any
+other setting replaces the slot, so a channel holds one setting and the
+slot dies with it.  The input checks run on every call, and a slot only
+ever holds a finite angle, so a non-finite one is refused as before.
+``_outcome_operators`` contracts the channel with the weights and the
+stacked Bell bras of both sender pairs, giving all 32 operators at once;
 ``_base_operators`` sums the weights times the Charlie halves of a stack
 of arranged channels, at a stack of angles.  The criterion, the angle
 classifier and the scan use it with ``_defects``, the one implementation
@@ -33,11 +45,12 @@ projected operators against it, forming base @ kron(F_i, F_j) for all
 16 krons side by side, built from ``PAULI_FACTORS`` at import.
 These are the only two contractions of the channel.  The criterion's
 pair purities come from the channel's purity memo (see entanglement).
-``simulate`` reads Bob's residuals off the 32 operators and corrects
-each with its operator's adjoint, Bob's one correction; the corrected
-states are the rows of one read-only (32, 4) array, and each outcome is
-a ``TeleportationRecord``, an immutable named tuple built straight from
-its row that compares and hashes by identity.  The brute-force
+``simulate`` reads Bob's residuals off the 32 operators in one
+(128, 4) @ (4,) product and corrects each with its operator's adjoint,
+Bob's one correction; the corrected states are the rows of one
+read-only (32, 4) array, and each outcome is a ``TeleportationRecord``,
+an immutable named tuple built straight from its row that compares and
+hashes by identity.  The brute-force
 simulation of the seven-qubit joint state, which checks these routes
 independently, lives with the test oracles.
 """
@@ -176,7 +189,9 @@ def _base_operators(arranged: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _outcome_operators(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """All 32 outcome operators, action layout, at [i - 1, j - 1, n - 1].
+    """All 32 outcome operators, action layout, as one contiguous (32, 4, 4)
+    array at 8(i - 1) + 2(j - 1) + (n - 1): its (4, 4, 2, 4, 4) view is
+    indexed [i - 1, j - 1, n - 1].
 
     ``grid`` holds the arranged channel's 32 amplitudes, in any shape.
     ``weights``, Charlie's bras, contract his qubit, then the stacked Bell
@@ -185,7 +200,55 @@ def _outcome_operators(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
     charlie = grid.reshape(16, 2) @ weights.T  # [alice bob, n]
     projected = _BELL_PAIR_ROWS @ charlie.reshape(4, 8)
     # [i, j, unknown pair, bob, n] -> [i, j, n, bob, unknown pair]
-    return (1.0 / _PREFACTOR) * projected.reshape(4, 4, 4, 4, 2).transpose(0, 1, 4, 3, 2)
+    table = projected.reshape(4, 4, 4, 4, 2).transpose(0, 1, 4, 3, 2)
+    return np.multiply(1.0 / _PREFACTOR, table, order="C").reshape(32, 4, 4)
+
+
+class _Setting:
+    """A channel's contraction at one measurement setting (assignment, theta).
+
+    Holds the arranged amplitudes and Charlie's weights, and builds each
+    contraction at its first use, read-only: ``base()``, the two base
+    operators from ``_base_operators`` as (2, 4, 4), and ``operators()``,
+    the 32 outcome operators from ``_outcome_operators``.
+    """
+
+    __slots__ = ("key", "grid", "weights", "_base", "_operators")
+
+    def __init__(self, key: tuple, grid: np.ndarray, weights: np.ndarray) -> None:
+        self.key, self.grid, self.weights = key, grid, weights
+        self._base = self._operators = None
+
+    def base(self) -> np.ndarray:
+        if self._base is None:
+            self._base = _base_operators(self.grid, self.weights).reshape(2, 4, 4)
+            self._base.setflags(write=False)
+        return self._base
+
+    def operators(self) -> np.ndarray:
+        if self._operators is None:
+            self._operators = _outcome_operators(self.grid, self.weights)
+            self._operators.setflags(write=False)
+        return self._operators
+
+
+def _setting(channel: PureState, assignment: RoleAssignment, theta: float) -> _Setting:
+    """The channel's contraction at (assignment, theta), from its one slot.
+
+    The slot is keyed by the assignment and theta's exact value, its sign
+    included (-0.0 is not 0.0); a call at any other setting replaces it, so
+    a channel holds one setting, and consecutive calls at that setting share
+    its contractions.  A slot only holds a finite theta, so a non-finite one
+    never matches and ``_charlie_bras`` refuses it.
+    """
+    _require_channel(channel)
+    key = (assignment, theta, math.copysign(1.0, theta))
+    slot = channel._setting
+    setting = slot[0]
+    if setting is None or setting.key != key:
+        grid = channel.amplitudes[assignment._gather]
+        setting = slot[0] = _Setting(key, grid, _charlie_bras(theta))
+    return setting
 
 
 def transformation_operator(
@@ -201,14 +264,14 @@ def transformation_operator(
     ``bell_first``/``bell_second`` are the Bell outcome indices of the
     two sender measurements, ``charlie_outcome`` selects Charlie's basis
     element.  Every outcome is built by projecting the measurement bras;
-    the result is in the action layout.
+    the result is in the action layout, a fresh writable copy.
     """
     if not all(type(k) is int and 1 <= k <= 4 for k in (bell_first, bell_second)):
         raise ValueError("Bell outcome indices must be in 1..4")
     if type(charlie_outcome) is not int or charlie_outcome not in (1, 2):
         raise ValueError("Charlie outcome must be 1 or 2")
-    outcome = (bell_first - 1, bell_second - 1, charlie_outcome - 1)
-    return _outcome_operators(_arranged(channel, assignment), _charlie_bras(theta))[outcome]
+    operators = _setting(channel, assignment, theta).operators()
+    return operators[8 * (bell_first - 1) + 2 * (bell_second - 1) + charlie_outcome - 1].copy()
 
 
 def _defects(m: np.ndarray) -> np.ndarray:
@@ -270,8 +333,8 @@ def criterion_check(
     both to be exactly 1/4, so a purity away from 1/4 explains a FAIL.
     """
     _require_tol(tol)
-    base = _base_operators(_arranged(channel, assignment), _charlie_bras(theta))
-    defect_1, defect_2 = _defects(base.reshape(2, 4, 4)).tolist()
+    base = _setting(channel, assignment, theta).base()
+    defect_1, defect_2 = _defects(base).tolist()
     return CriterionReport(
         assignment=assignment,
         theta=theta,
@@ -308,14 +371,12 @@ def pauli_factorization_check(
     dictionary and factor pairing.
     """
     _require_tol(tol)
-    arranged = _arranged(channel, assignment)
-    weights = _charlie_bras(theta)
-    direct = _outcome_operators(arranged, weights)
-    base = _base_operators(arranged, weights)
+    setting = _setting(channel, assignment, theta)
     # action layout [n, row, column] times the table: [n, row, i, j, column]
-    action = base.reshape(2, 4, 4).transpose(0, 2, 1).reshape(8, 4)
+    action = setting.base().transpose(0, 2, 1).reshape(8, 4)
     product = (action @ _FACTOR_TABLE).reshape(2, 4, 4, 4, 4)
-    max_dev = float(np.max(np.abs(direct - product.transpose(2, 3, 0, 1, 4))))
+    direct = setting.operators().reshape(4, 4, 2, 4, 4)
+    max_dev = float(np.abs(direct - product.transpose(2, 3, 0, 1, 4)).max())
     return FactorizationReport(max_dev <= tol, max_dev)
 
 
@@ -376,9 +437,8 @@ def simulate(
         raise ValueError("the input must be a two-qubit state")
     if _norm_drifts(input_state.norm**2, STRICT_NORM_TOL):
         raise ValueError("the input state must be normalized")
-    grid = _arranged(channel, assignment)
-    operators = _outcome_operators(grid, _charlie_bras(theta)).reshape(32, 4, 4)
-    residuals = _PREFACTOR * (operators @ input_state.amplitudes)
+    operators = _setting(channel, assignment, theta).operators()
+    residuals = _PREFACTOR * (operators.reshape(128, 4) @ input_state.amplitudes).reshape(32, 4)
     corrected = (operators.conj().transpose(0, 2, 1) @ residuals[..., None])[..., 0]
     re, im = corrected.real, corrected.imag
     norms = np.sqrt(_row_dots(re, re) + _row_dots(im, im))  # as np.linalg.norm forms it

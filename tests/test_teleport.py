@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import telecrit
 import telecrit.angles as angles
+from conftest import random_channel, random_input
 from outcome_oracle import (
     bell_state,
     charlie_state,
@@ -24,6 +25,7 @@ from telecrit import (
     RoleAssignment,
     TeleportationRecord,
     criterion_check,
+    enumerate_assignments,
     make_state,
     named_state,
     pauli_factorization_check,
@@ -328,32 +330,144 @@ def test_simulate_probabilities_match_contraction_oracle():
     assert abs(sum(r.probability for r in records) - 1.0) < 1e-12
 
 
+def _spy(monkeypatch, name):
+    """Record the first argument of every call of a teleport kernel."""
+    calls = []
+    kernel = getattr(telecrit.teleport, name)
+    monkeypatch.setattr(
+        telecrit.teleport, name, lambda first, *rest: calls.append(first) or kernel(first, *rest)
+    )
+    return calls
+
+
+def _bundle(channel, assignment, theta, input_state):
+    return (
+        criterion_check(channel, assignment, theta),
+        pauli_factorization_check(channel, assignment, theta),
+        simulate(channel, assignment, theta, input_state),
+    )
+
+
 def test_verify_calls_build_charlie_weights_once(monkeypatch):
     rng = np.random.default_rng(29)
     channel = make_state(5, rng.standard_normal(32) + 1j * rng.standard_normal(32))
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     input_state = make_state(2, vec / np.linalg.norm(vec))
     assignment, theta = RoleAssignment((4, 1), (3, 5), 2), 0.7
-    teleport = telecrit.teleport
-    calls = []
-    bras = teleport._charlie_bras
-    monkeypatch.setattr(teleport, "_charlie_bras", lambda t: calls.append(t) or bras(t))
-    for call in (criterion_check, pauli_factorization_check):
-        calls.clear()
-        call(channel, assignment, theta)
-        assert calls == [theta]
-    calls.clear()
-    records = simulate(channel, assignment, theta, input_state)
-    assert calls == [theta]
+    calls = _spy(monkeypatch, "_charlie_bras")
+    _, _, records = _bundle(channel, assignment, theta, input_state)
     # each record is the one-outcome operator applied to the input
     outcomes = itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2))
     for record, outcome in zip(records, outcomes, strict=True):
         operator = transformation_operator(channel, assignment, *outcome, theta)
-        residual = teleport._PREFACTOR * (operator @ input_state.amplitudes)
+        residual = telecrit.teleport._PREFACTOR * (operator @ input_state.amplitudes)
         corrected = operator.conj().T @ residual
         assert record.outcome == outcome
         assert abs(record.probability - np.vdot(residual, residual).real) < 1e-15
         assert np.max(np.abs(record.bob_corrected - corrected / np.linalg.norm(corrected))) < 1e-14
+    assert calls == [theta]
+    criterion_check(channel, assignment, 0.8)
+    assert calls == [theta, 0.8]
+
+
+def test_bundle_contracts_the_channel_once(monkeypatch):
+    channel = random_channel(np.random.default_rng(30))
+    assignment, theta = RoleAssignment((2, 5), (1, 3), 4), 0.4
+    bases = _spy(monkeypatch, "_base_operators")
+    projections = _spy(monkeypatch, "_outcome_operators")
+    _bundle(channel, assignment, theta, make_state(2, [0.5, 0.5j, -0.5, 0.5]))
+    for outcome in itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2)):
+        transformation_operator(channel, assignment, *outcome, theta)
+    assert len(bases) == 1 and len(projections) == 1
+    setting = channel._setting[0]
+    assert not setting.base().flags.writeable
+    operators = setting.operators()
+    assert operators.shape == (32, 4, 4) and operators.flags.c_contiguous
+    assert not operators.flags.writeable
+
+
+@pytest.mark.parametrize("change", ["theta", "negative_zero", "assignment", "channel"])
+def test_another_setting_contracts_again(monkeypatch, change):
+    amplitudes = named_state("brown").amplitudes
+    channel, assignment = make_state(5, amplitudes), RoleAssignment((1, 2), (3, 4), 5)
+    other_channel, other_assignment, other_theta = {
+        "theta": (channel, assignment, 0.5),
+        "negative_zero": (channel, assignment, -0.0),
+        "assignment": (channel, RoleAssignment((2, 1), (3, 4), 5), 0.0),
+        "channel": (make_state(5, amplitudes), assignment, 0.0),
+    }[change]
+    criterion_check(channel, assignment, 0.0)
+    calls = _spy(monkeypatch, "_charlie_bras")
+    bases = _spy(monkeypatch, "_base_operators")
+    report = criterion_check(other_channel, other_assignment, other_theta)
+    assert calls == [other_theta] and len(bases) == 1
+    assert math.copysign(1.0, calls[0]) == math.copysign(1.0, other_theta)
+    # the new slot holds the contraction a cold channel object gives
+    cold = make_state(5, amplitudes)
+    assert repr(report) == repr(criterion_check(cold, other_assignment, other_theta))
+    assert other_channel._setting[0].base().tobytes() == cold._setting[0].base().tobytes()
+    if change == "negative_zero":  # -0.0 flips the sign of some zero entries
+        positive = make_state(5, amplitudes)
+        criterion_check(positive, assignment, 0.0)
+        assert positive._setting[0].base().tobytes() != cold._setting[0].base().tobytes()
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_rejected_with_a_warm_slot(monkeypatch, assign_12, theta):
+    channel = make_state(5, named_state("brown").amplitudes)
+    input_state = make_state(2, [1, 0, 0, 0])
+    _bundle(channel, assign_12, 0.3, input_state)
+    calls = [
+        lambda: transformation_operator(channel, assign_12, 2, 3, 1, theta),
+        lambda: criterion_check(channel, assign_12, theta),
+        lambda: pauli_factorization_check(channel, assign_12, theta),
+        lambda: simulate(channel, assign_12, theta, input_state),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="theta must be finite"):
+            call()
+    # the refused angle left the slot as it was
+    weights = _spy(monkeypatch, "_charlie_bras")
+    _bundle(channel, assign_12, 0.3, input_state)
+    assert weights == []
+
+
+def test_operator_results_do_not_alias_the_slot(assign_13):
+    amplitudes = random_channel(np.random.default_rng(32)).amplitudes
+    channel, theta = make_state(5, amplitudes), 1.1
+    input_state = make_state(2, [0.5, -0.5j, 0.5, 0.5])
+    operator = transformation_operator(channel, assign_13, 3, 4, 2, theta)
+    expected = operator.tobytes()
+    assert operator.flags.writeable and operator.flags.owndata
+    operator[...] = 7.0
+    assert transformation_operator(channel, assign_13, 3, 4, 2, theta).tobytes() == expected
+    cold = make_state(5, amplitudes)
+    report, factorization, records = _bundle(channel, assign_13, theta, input_state)
+    cold_report, cold_factorization, cold_records = _bundle(cold, assign_13, theta, input_state)
+    assert repr(report) == repr(cold_report) and factorization == cold_factorization
+    for record, cold_record in zip(records, cold_records, strict=True):
+        assert record.probability == cold_record.probability
+        assert record.bob_corrected.tobytes() == cold_record.bob_corrected.tobytes()
+
+
+def test_verify_sweep_rounds_miss_on_the_first_call_of_every_bundle(monkeypatch):
+    rng = np.random.default_rng(33)
+    channels = (make_state(5, named_state("brown").amplitudes), random_channel(rng))
+    assignments = enumerate_assignments()[:6]
+    thetas = (0.0, math.pi / 4, float(rng.uniform(0.0, math.pi)))
+    tasks = [(c, a) for c in channels for a in assignments]
+    tasks = [tasks[k] for k in rng.permutation(len(tasks))]
+    input_state = random_input(rng)
+    weights = _spy(monkeypatch, "_charlie_bras")
+    for _ in range(2):  # the same tasks replayed, as a bench round does
+        for channel, assignment in tasks:
+            for theta in thetas:
+                before = len(weights)
+                criterion_check(channel, assignment, theta)
+                assert len(weights) == before + 1
+                pauli_factorization_check(channel, assignment, theta)
+                simulate(channel, assignment, theta, input_state)
+                assert len(weights) == before + 1
 
 
 def test_simulate_faithful_channel_is_uniform(brown, assign_12):
