@@ -51,15 +51,16 @@ max(their row's least value, tol^2).  The others get inf: their exact
 values provably exceed the row's minimum, its 4-ulp ties and tol, so
 none is the argmin, a root or a neighbour that decides one.  Every step
 works row by row, so a duplicate row, or a subset of the candidates,
-gets the same bits.  The base operators and their defects come from
-the kernel criterion_check uses (teleport's _base_operators and
-_defects), and the other steps keep the rounding of their single-matrix
-forms (np.vdot, np.roots, math.cos, math.sin), so verdicts, roots and
-defects are those of criterion_check's arithmetic.  A verdict returns
-kind none as soon as its least value exceeds tol, the usual case on a
-generic channel, and dedupes its sorted roots in one pass, each against
-the last and the first kept root (the nearest one on the circle of
-period pi).  ``classify_theta`` is the same engine on a stack of one.
+gets the same bits.  The base operators and their defects come from the
+kernel criterion_check uses (teleport's _base_operators and _defects),
+and the other steps keep the rounding of their single-matrix forms
+(np.vdot, whose BLAS dot np.vecdot calls per row, np.roots, math.cos,
+math.sin), so verdicts, roots and defects are criterion_check's
+arithmetic.  A verdict returns kind none as soon as its least value
+exceeds tol, the usual case on a generic channel, and dedupes its sorted
+roots in one pass, each against the last and the first kept root (the
+nearest one on the circle of period pi).  ``classify_theta`` is the same
+engine on a stack of one.
 ``scan`` reads the ten pair purities from the channel's purity memo
 (entanglement) into one table, so each is computed once per channel,
 however many scans and criterion checks read them, and builds each
@@ -76,7 +77,7 @@ import numpy as np
 
 from .entanglement import _reduced_purity, _require_channel, _require_tol
 from .states import PureState
-from .teleport import RoleAssignment, _arranged, _base_operators, _defects, _row_dots
+from .teleport import RoleAssignment, _arranged, _base_operators, _defects
 
 __all__ = [
     "KIND_ALL",
@@ -203,9 +204,9 @@ def _coefficients(arranged: np.ndarray) -> np.ndarray:
     p, q = (a + b) / 2 - np.eye(4), (a - b) / 2
     r = (c + c.conj().transpose(0, 2, 1)) / 2
     p, q, r = p.reshape(-1, 16), q.reshape(-1, 16), r.reshape(-1, 16)
-    # Re <x|y>, rounded as np.vdot rounds them
+    # Re <x|y> of each row pair: np.vecdot calls np.vdot's BLAS dot row by row
     pairs = ((p, p), (p, q), (p, r), (q, q), (r, r), (q, r))
-    pp, pq, pr, qq, rr, qr = (_row_dots(x, y).real for x, y in pairs)
+    pp, pq, pr, qq, rr, qr = (np.vecdot(x, y).real for x, y in pairs)
     return np.stack((pp + (qq + rr) / 2, 2 * pq, 2 * pr, (qq - rr) / 2, qr), axis=1)
 
 
@@ -246,16 +247,17 @@ _SCREEN_MARGIN = 1e-9
 
 
 def _screen(
-    coeffs: np.ndarray, flat: np.ndarray, owner: np.ndarray, tol: float
+    coeffs: np.ndarray, flat: np.ndarray, owner: np.ndarray, starts: list[int], tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form max(d1, d2)^2 at each angle of ``flat``, whose row of
-    the (m, 5) coefficient stack is ``owner`` (ascending, every row present),
-    and the cut of that row: max(its least value, tol^2) plus the margin."""
+    the (m, 5) coefficient stack is ``owner`` (ascending; row k, never empty,
+    starts at ``starts[k]``), and the cut of that row: max(its least value,
+    tol^2) plus the margin."""
     a0, a1, b1, a2, b2 = coeffs.T[:, owner]
     two, four = 2 * flat, 4 * flat
     approx = a0 + a2 * np.cos(four) + b2 * np.sin(four)
     approx += np.abs(a1 * np.cos(two) + b1 * np.sin(two))
-    least = np.minimum.reduceat(approx, np.searchsorted(owner, np.arange(len(coeffs))))
+    least = np.minimum.reduceat(approx, starts)
     cut = np.maximum(least, tol * tol) + _SCREEN_MARGIN * (1 + np.abs(coeffs).sum(axis=1))
     return approx, cut[owner]
 
@@ -272,7 +274,8 @@ def _profiles(
     counts = [len(row) for row in thetas]
     flat = np.fromiter(chain.from_iterable(thetas), np.float64, sum(counts))
     owner = np.repeat(np.arange(len(thetas)), counts)
-    approx, cut = _screen(coeffs, flat, owner, tol)
+    starts = list(accumulate(counts, initial=0))[:-1]
+    approx, cut = _screen(coeffs, flat, owner, starts, tol)
     keep = np.flatnonzero(approx <= cut)
     # numpy's float64 cos and sin round as math.cos and math.sin, which
     # _charlie_bras uses; test_batched_defects_are_criterion_arithmetic

@@ -47,12 +47,14 @@ These are the only two contractions of the channel.  The criterion's
 pair purities come from the channel's purity memo (see entanglement).
 ``simulate`` reads Bob's residuals off the 32 operators in one
 (128, 4) @ (4,) product and corrects each with its operator's adjoint,
-Bob's one correction; the corrected states are the rows of one
-read-only (32, 4) array, and each outcome is a ``TeleportationRecord``,
-an immutable named tuple built straight from its row that compares and
-hashes by identity.  The brute-force
-simulation of the seven-qubit joint state, which checks these routes
-independently, lives with the test oracles.
+all in one ``np.matvec``; the corrected states are the rows of one
+read-only (32, 4) array, each outcome a ``TeleportationRecord``, an
+immutable named tuple built from its row that compares and hashes by
+identity.  Every row dot is ``np.vecdot``, which calls on each row the
+BLAS dot ``np.vdot`` calls; the defects and simulate's norms dot the
+strided real and imaginary views, as ``np.linalg.norm`` does, so they
+round as it does.  The brute-force simulation of the seven-qubit joint
+state, an independent check of these routes, lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -277,13 +279,14 @@ def transformation_operator(
 def _defects(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of M^dagger M - I for every matrix of an (n, d, d) stack.
 
-    Rounds as np.linalg.norm of each gap, which sums the dots of the strided
-    real and imaginary views; _row_dots of the same views calls the same
-    strided BLAS dot, where contiguous copies would round differently.
+    Rounds as np.linalg.norm of each gap, which sums the BLAS dots of the
+    gap's strided real and imaginary views: np.vecdot of the same strided
+    views calls that same dot, row by row, while contiguous copies, or one
+    complex dot of the gap with itself, would round differently.
     """
     gap = (m.conj().transpose(0, 2, 1) @ m).reshape(len(m), -1)
     gap[:, :: m.shape[-1] + 1] -= 1.0  # the diagonal of each fresh product
-    return np.sqrt(_row_dots(gap.real, gap.real) + _row_dots(gap.imag, gap.imag))
+    return np.sqrt(np.vecdot(gap.real, gap.real) + np.vecdot(gap.imag, gap.imag))
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -411,10 +414,8 @@ class TeleportationRecord(NamedTuple):
         }
 
 
-# <a_k|b_k> over the last axis; stacked (1, m) @ (m, 1) products round like
-# np.vdot of each pair, so reported numbers keep their last digits
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+# the 32 outcome labels (i, j, n) in record order
+_OUTCOMES = tuple(itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2)))
 
 
 def simulate(
@@ -439,13 +440,12 @@ def simulate(
         raise ValueError("the input state must be normalized")
     operators = _setting(channel, assignment, theta).operators()
     residuals = _PREFACTOR * (operators.reshape(128, 4) @ input_state.amplitudes).reshape(32, 4)
-    corrected = (operators.conj().transpose(0, 2, 1) @ residuals[..., None])[..., 0]
+    corrected = np.matvec(operators.conj().mT, residuals)
     re, im = corrected.real, corrected.imag
-    norms = np.sqrt(_row_dots(re, re) + _row_dots(im, im))  # as np.linalg.norm forms it
+    norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))  # as np.linalg.norm forms it
     corrected /= np.where(norms > 0.0, norms, 1.0)[:, None]  # a zero row stays zero
     corrected.setflags(write=False)
-    fidelities = np.abs(_row_dots(input_state.amplitudes, corrected)) ** 2
-    probabilities = _row_dots(residuals, residuals).real.tolist()
-    outcomes = itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2))
-    rows = zip(outcomes, probabilities, corrected, fidelities.tolist())
+    fidelities = np.abs(np.vecdot(input_state.amplitudes, corrected)) ** 2
+    probabilities = np.vecdot(residuals, residuals).real.tolist()
+    rows = zip(_OUTCOMES, probabilities, corrected, fidelities.tolist())
     return list(map(tuple.__new__, itertools.repeat(TeleportationRecord), rows))

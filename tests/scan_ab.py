@@ -1,4 +1,5 @@
-"""Time ``scan`` of this checkout against another checkout's, in one process.
+"""Time ``scan`` and the verify path of this checkout against another
+checkout's, in one process.
 
 Run from the repository root, with the other checkout's ``src`` directory::
 
@@ -15,9 +16,16 @@ of +-1 amplitudes, each at tol 1e-10, 1e-6, 0.5 and 10.  It then times
 the five, alternating blocks of 20 scans per channel between the sides,
 the side that goes first switching every block, and prints each
 channel's median time per scan and the ratio of the summed medians,
-this side over the other.  The process pins itself to one CPU
-and one BLAS thread before numpy loads.  pytest does not collect this
-file.
+this side over the other.  After the scans it times the verify path the
+same way: a block is one verify bundle (criterion_check,
+pauli_factorization_check and simulate at one setting) per assignment
+of a channel, 30 bundles, each at a fresh seeded angle that both sides
+share, so no bundle starts at the setting the last one left on the
+channel.  Before timing, it asserts that both sides give the same bundle
+results (reprs, and the bytes of Bob's corrected states) on every
+channel at three angles of every assignment.  The process pins itself
+to one CPU and one BLAS thread before numpy loads.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import importlib.util  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -77,6 +86,49 @@ def _block(package, channel) -> float:
     return (time.perf_counter() - start) / SCANS_PER_BLOCK
 
 
+def _bundle(package, channel, assignment, theta, input_state) -> tuple:
+    """One verify bundle at one setting."""
+    return (
+        package.criterion_check(channel, assignment, theta),
+        package.pauli_factorization_check(channel, assignment, theta),
+        package.simulate(channel, assignment, theta, input_state),
+    )
+
+
+def _bundle_bits(bundle: tuple) -> str:
+    """A bundle's results as one string: the reports' reprs, the records'
+    fields and the bytes of their corrected states."""
+    report, factorization, records = bundle
+    rows = [(r.outcome, r.probability, r.fidelity, r.bob_corrected.tobytes()) for r in records]
+    return repr((report.as_dict(), report.tol, tuple(factorization), rows))
+
+
+def _verify_block(package, channel, input_state, thetas) -> float:
+    """Seconds per verify bundle, over one block: one bundle per assignment,
+    each at its own angle."""
+    assignments = package.enumerate_assignments()
+    start = time.perf_counter()
+    for assignment, theta in zip(assignments, thetas):
+        _bundle(package, channel, assignment, theta, input_state)
+    return (time.perf_counter() - start) / len(thetas)
+
+
+def _print_medians(times: dict[str, dict[str, list[float]]], unit: str) -> None:
+    """Each channel's median per ``unit`` on both sides, their ratio, and the
+    ratio of the summed medians, this side over the other."""
+    medians = {
+        side: {name: statistics.median(runs) for name, runs in per_channel.items()}
+        for side, per_channel in times.items()
+    }
+    print(f"{'channel':<10} {'this ms':>9} {'other ms':>9} {'ratio':>7}   per {unit}")
+    for name in medians["this"]:
+        this, there = medians["this"][name], medians["other"][name]
+        print(f"{name:<10} {this * 1e3:9.4f} {there * 1e3:9.4f} {this / there:7.3f}")
+    total = {side: sum(per_channel.values()) for side, per_channel in medians.items()}
+    print(f"{'sum':<10} {total['this'] * 1e3:9.4f} {total['other'] * 1e3:9.4f} "
+          f"{total['this'] / total['other']:7.3f}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         sys.stderr.write(__doc__)
@@ -105,19 +157,33 @@ def main(argv: list[str]) -> int:
         for side in order:
             for name, channel in channels[side].items():
                 times[side][name].append(_block(sides[side], channel))
-
-    medians = {
-        side: {name: statistics.median(runs) for name, runs in per_channel.items()}
-        for side, per_channel in times.items()
-    }
-    print(f"{'channel':<10} {'this ms':>9} {'other ms':>9} {'ratio':>7}")
-    for name in raw:
-        this, there = medians["this"][name], medians["other"][name]
-        print(f"{name:<10} {this * 1e3:9.4f} {there * 1e3:9.4f} {this / there:7.3f}")
-    total = {side: sum(per_channel.values()) for side, per_channel in medians.items()}
-    print(f"{'sum':<10} {total['this'] * 1e3:9.4f} {total['other'] * 1e3:9.4f} "
-          f"{total['this'] / total['other']:7.3f}")
+    _print_medians(times, "scan")
     print(f"{blocks} blocks of {SCANS_PER_BLOCK} scans per channel and side, one CPU")
+
+    raw_input = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    inputs = {side: package.make_state(2, raw_input) for side, package in sides.items()}
+    for name in raw:
+        for thetas in rng.uniform(-math.pi, math.pi, (3, 30)).tolist():
+            bits = {
+                side: [
+                    _bundle_bits(_bundle(package, channels[side][name], a, theta, inputs[side]))
+                    for a, theta in zip(package.enumerate_assignments(), thetas)
+                ]
+                for side, package in sides.items()
+            }
+            assert bits["this"] == bits["other"], f"{name}: the two verify bundles differ"
+
+    times = {side: {name: [] for name in raw} for side in sides}
+    for block in range(blocks):
+        order = ("this", "other") if block % 2 == 0 else ("other", "this")
+        thetas = {name: rng.uniform(-math.pi, math.pi, 30).tolist() for name in raw}
+        for side in order:
+            for name, channel in channels[side].items():
+                times[side][name].append(
+                    _verify_block(sides[side], channel, inputs[side], thetas[name])
+                )
+    _print_medians(times, "bundle")
+    print(f"{blocks} blocks of 30 bundles per channel and side, one CPU")
     return 0
 
 

@@ -168,7 +168,9 @@ def _screen(coeffs, thetas, tol):
     """The engine's closed-form values and cuts, flattened as its candidates are."""
     counts = [len(row) for row in thetas]
     flat = np.array([theta for row in thetas for theta in row])
-    return angles._screen(coeffs, flat, np.repeat(np.arange(len(thetas)), counts), tol)
+    owner = np.repeat(np.arange(len(thetas)), counts)
+    starts = [sum(counts[:k]) for k in range(len(counts))]
+    return angles._screen(coeffs, flat, owner, starts, tol)
 
 
 @pytest.mark.parametrize("source", ["brown", "man_m5", "dense", "lu_brown"])

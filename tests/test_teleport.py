@@ -563,6 +563,99 @@ def test_outcome_probabilities_always_sum_to_one(seed, theta):
     assert abs(sum(r.probability for r in records) - 1.0) < 1e-12
 
 
+# Row entries that stress rounding: ordinary values with signed zeros and
+# subnormals among them, each leading row at one scale from 1e-150 to 1e150,
+# so that products of two entries, and their sums, stay in range
+_SPECIALS = np.array([0.0, -0.0, 5e-324, -2.5e-310])
+_SCALES = st.sampled_from([10.0**k for k in (-150, -20, 0, 20, 150)])
+
+
+@st.composite
+def _edge_arrays(draw, shape):
+    """A complex array of ``shape``, its parts set, not multiplied (1j * x
+    moves signed zeros); about one entry in five is a special value."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    parts = rng.uniform(-10.0, 10.0, (2, *shape))
+    special = rng.random(parts.shape) < 0.2
+    parts[special] = rng.choice(_SPECIALS, special.sum())
+    scales = draw(st.lists(_SCALES, min_size=shape[0], max_size=shape[0]))
+    parts *= np.reshape(scales, (1, -1) + (1,) * (len(shape) - 1))
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+def _bits(values) -> list[tuple[str, str]]:
+    """Each value's real and imaginary parts, bit for bit."""
+    return [(z.real.hex(), z.imag.hex()) for z in map(complex, np.ravel(values))]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_vecdot_rounds_as_vdot_on_the_engine_views(data):
+    """np.vecdot, the engine's one row dot, equals np.vdot row by row on the
+    views the engine hands it: the strided real and imaginary parts of an
+    (n, 16) gap (_defects, simulate's norms), complex (32, 4) rows against
+    themselves and against other rows (simulate's probabilities,
+    _coefficients), and a 1-D bra against a (32, 4) stack (fidelities)."""
+    gap = data.draw(_edge_arrays((data.draw(st.integers(1, 6)), 16)))
+    rows, other = data.draw(_edge_arrays((32, 4))), data.draw(_edge_arrays((32, 4)))
+    bra = data.draw(_edge_arrays((1, 4)))[0]
+    cases = [(gap.real, gap.real), (gap.imag, gap.imag), (rows, rows), (rows, other)]
+    for a, b in cases:
+        assert _bits(np.vecdot(a, b)) == _bits([np.vdot(x, y) for x, y in zip(a, b)])
+    assert _bits(np.vecdot(bra, rows)) == _bits([np.vdot(bra, y) for y in rows])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_defects_round_as_vdot_of_each_gap(data):
+    """Each defect is sqrt of the np.vdot of its gap's strided real part plus
+    that of its imaginary part, as np.linalg.norm forms it, to the bit."""
+    stack = data.draw(_edge_arrays((data.draw(st.integers(1, 6)), 4, 4)))
+    want = []
+    with np.errstate(over="ignore"):  # squared gaps of 1e150 entries are inf
+        for m in stack:
+            gap = (m.conj().T @ m - np.eye(4)).reshape(16)
+            want.append(math.sqrt(np.vdot(gap.real, gap.real) + np.vdot(gap.imag, gap.imag)))
+        assert _bits(telecrit.teleport._defects(stack)) == _bits(want)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_matvec_rounds_as_each_adjoint_product(data):
+    """np.matvec of the stacked adjoints, Bob's correction, equals
+    op.conj().T @ r of each operator and residual, to the bit."""
+    operators, residuals = data.draw(_edge_arrays((32, 4, 4))), data.draw(_edge_arrays((32, 4)))
+    want = [op.conj().T @ r for op, r in zip(operators, residuals)]
+    assert _bits(np.matvec(operators.conj().mT, residuals)) == _bits(want)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_simulate_records_are_single_outcome_arithmetic(seed):
+    """Every record is, to the bit, its one operator applied to the input, the
+    adjoint correction, np.linalg.norm and np.vdot of that outcome alone."""
+    rng = np.random.default_rng(seed)
+    channel, input_state = random_channel(rng), random_input(rng)
+    assignment = enumerate_assignments()[int(rng.integers(30))]
+    theta = float(rng.uniform(-math.pi, math.pi))
+    x = input_state.amplitudes
+    records = simulate(channel, assignment, theta, input_state)
+    overlaps = []
+    for record in records:
+        operator = transformation_operator(channel, assignment, *record.outcome, theta)
+        residual = telecrit.teleport._PREFACTOR * (operator @ x)
+        corrected = operator.conj().T @ residual
+        bob = corrected / np.linalg.norm(corrected)
+        assert record.probability.hex() == np.vdot(residual, residual).real.hex()
+        assert record.bob_corrected.tobytes() == bob.tobytes()
+        overlaps.append(np.vdot(x, record.bob_corrected))
+    # the fidelity's modulus is numpy's array abs, as in simulate
+    fidelities = np.abs(overlaps) ** 2
+    assert [r.fidelity.hex() for r in records] == [f.hex() for f in fidelities.tolist()]
+
+
 def test_public_names():
     # the benchmark's tracer finds each layer through one of its names:
     # tensor, partial_trace, criterion_check and scan
