@@ -10,6 +10,11 @@ report once, as JSON or through the command's table renderer.  Every
 input error is a ``ValueError``, the loader's ``StateFileError``
 included, and ``main`` turns each into one stderr line and exit 2.
 
+A command imports ``teleport`` or ``angles`` only when it runs, so a
+process compiles only what its subcommand uses: ``purity`` loads
+``states`` and ``entanglement``; ``criterion``, ``teleport`` and
+``eq5check`` add ``teleport``; ``scan`` adds ``teleport`` and ``angles``.
+
 Exit codes: 0 success, 1 criterion verdict FAIL (criterion command
 only), 2 input error, 71 (EX_OSERR) when the command runs out of memory,
 74 (EX_IOERR) when the report cannot be written to standard output, 141
@@ -25,11 +30,11 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .entanglement import _require_tol, purity_summary
-from .angles import scan
 from .states import (
     CATALOG_NAMES,
     STRICT_NORM_TOL,
@@ -39,12 +44,9 @@ from .states import (
     make_state,
     named_state,
 )
-from .teleport import (
-    RoleAssignment,
-    criterion_check,
-    pauli_factorization_check,
-    simulate,
-)
+
+if TYPE_CHECKING:
+    from .teleport import RoleAssignment
 
 __all__ = ["main"]
 
@@ -128,6 +130,8 @@ def _parse_pair(text: str, flag: str) -> tuple[int, int]:
 
 
 def _assignment(args: argparse.Namespace) -> RoleAssignment:
+    from .teleport import RoleAssignment
+
     return RoleAssignment(
         _parse_pair(args.alice, "--alice"), _parse_pair(args.bob, "--bob"), args.charlie
     )
@@ -239,16 +243,22 @@ def _cmd_purity(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_criterion(args: argparse.Namespace) -> tuple[dict, int]:
+    from .teleport import criterion_check
+
     state = _load_state(args.state)
     report = criterion_check(state, _assignment(args), _parse_theta(args.theta), args.tol)
     return report.as_dict(), 0 if report.passed else 1
 
 
 def _cmd_scan(args: argparse.Namespace) -> tuple[list[dict], int]:
+    from .angles import scan
+
     return scan(_load_state(args.state), args.tol).as_dicts(), 0
 
 
 def _cmd_teleport(args: argparse.Namespace) -> tuple[dict, int]:
+    from .teleport import simulate
+
     state = _load_state(args.state)
     input_state, seed = _parse_input(args.input, args.seed)
     assignment, theta = _assignment(args), _parse_theta(args.theta)
@@ -265,6 +275,8 @@ def _cmd_teleport(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_eq5check(args: argparse.Namespace) -> tuple[dict, int]:
+    from .teleport import pauli_factorization_check
+
     state = _load_state(args.state)
     assignment, theta = _assignment(args), _parse_theta(args.theta)
     report = pauli_factorization_check(state, assignment, theta, args.tol)
