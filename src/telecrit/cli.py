@@ -20,6 +20,12 @@ only), 2 input error, 71 (EX_OSERR) when the command runs out of memory,
 74 (EX_IOERR) when the report cannot be written to standard output, 141
 (128 + SIGPIPE) when the reader closes standard output before the report
 is written.
+
+``main`` returns the exit status, so in-process callers keep their
+interpreter.  ``run``, behind both ``python -m telecrit.cli`` and the
+``telecrit`` script, ends the process as soon as the report and the
+diagnostics are flushed: it skips interpreter teardown, so atexit
+handlers do not run, and the exit codes are the ones above.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -48,7 +54,7 @@ from .states import (
 if TYPE_CHECKING:
     from .teleport import RoleAssignment
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # --theta spellings besides a float: [+-][k]pi[/m], such as pi/4, 3pi/4 or -pi
 _THETA = re.compile(r"([+-]?)(\d*)pi(?:/(\d+))?")
@@ -69,8 +75,10 @@ def _load_state(source: str) -> PureState:
     wrong_width = f"bad state {source!r}: every command needs a five-qubit channel"
     match = _PRODUCT_ZERO.match(source)
     if match:
-        # checked before building, since the state has 2**count amplitudes
-        if int(match.group(1)) != 5:
+        # checked before building, since the state has 2**width amplitudes,
+        # and by length first, since int() refuses over 4300 digits
+        width = match.group(1).lstrip("0")
+        if len(width) != 1 or int(width) != 5:
             raise ValueError(wrong_width)
         return named_state("product_zero_n", 5)
     state = named_state(source) if source in CATALOG_NAMES else load_state_file(source)
@@ -394,15 +402,36 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OUT_OF_MEMORY
     except OSError as exc:
         # only writing the report raises one: the loader turns its own into
-        # StateFileError.  Send the rest of the report, and the flush at
-        # interpreter exit, to devnull so neither raises again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if isinstance(exc, BrokenPipeError):
-            return EXIT_BROKEN_PIPE
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT_ERROR
+        # StateFileError
+        return _write_failed(exc)
     return status
 
 
+def _write_failed(exc: OSError) -> int:
+    """Exit status for a failed write to standard output.  Sends the rest
+    of the report, and the final flush in ``run``, to devnull so neither
+    raises again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if isinstance(exc, BrokenPipeError):
+        return EXIT_BROKEN_PIPE
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return EXIT_OUTPUT_ERROR
+
+
+def run() -> NoReturn:
+    """Run ``main`` on the command line and end the process once both
+    streams are flushed, without interpreter teardown."""
+    status = main()
+    try:
+        sys.stdout.flush()  # argparse's --help, which main does not flush
+    except OSError as exc:
+        status = _write_failed(exc)
+    try:
+        sys.stderr.flush()
+    except OSError as exc:  # no stream is left to name the error on
+        status = EXIT_BROKEN_PIPE if isinstance(exc, BrokenPipeError) else EXIT_OUTPUT_ERROR
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

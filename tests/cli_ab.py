@@ -13,12 +13,15 @@ both sides exit with the same code and write the same stdout bytes.  It
 then runs ``rounds`` rounds (default 20), each running every command once
 per side as a fresh ``python -m telecrit.cli`` process, the side that
 goes first switching every round.  Just before each CLI process a fresh
-interpreter runs ``import numpy`` as a floor probe; a process's net time
-is its wall time minus its probe's.  It prints each subcommand's median
-raw and net milliseconds on both sides, and the ratio of the summed
-medians, this side over the other.  The process pins itself to one CPU
-and one BLAS thread, and its children inherit both.  pytest does not
-collect this file.
+interpreter runs a floor probe: ``import numpy``, then the flush of both
+streams and the ``os._exit`` that end a CLI process, so the probe pays no
+interpreter teardown either.  A process's net time is its wall time minus
+its probe's: the work beyond starting the interpreter and importing
+numpy, which includes the teardown of a checkout whose CLI still pays
+it.  It prints each subcommand's median raw and net milliseconds on both
+sides, and the ratio of the summed medians, this side over the other.
+The process pins itself to one CPU and one BLAS thread, and its children
+inherit both.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import telecrit  # noqa: E402
 
 PAIRING = ["--alice", "1,3", "--bob", "2,4", "--charlie", "5", "--theta", "pi/4"]
 SUBCOMMANDS = ("purity", "criterion", "scan", "teleport", "eq5check")
+FLOOR_PROBE = "import os, sys, numpy; sys.stdout.flush(); sys.stderr.flush(); os._exit(0)"
 
 
 def _commands(work: Path) -> list[list[str]]:
@@ -97,7 +101,7 @@ def main(argv: list[str]) -> int:
             order = ("this", "other") if block % 2 == 0 else ("other", "this")
             for command in commands:
                 for side in order:
-                    floor, _ = _run(["-c", "import numpy"], envs[side], work)
+                    floor, _ = _run(["-c", FLOOR_PROBE], envs[side], work)
                     wall, proc = _run(["-m", "telecrit.cli", *command], envs[side], work)
                     assert proc.returncode in (0, 1), proc.stderr.decode()
                     raw, net = times[side][command[0]]

@@ -447,7 +447,9 @@ def test_non_finite_theta_exit_two(capsys, command, theta):
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGS))
-@pytest.mark.parametrize("width", [3, 4, 6])
+@pytest.mark.parametrize(
+    "width", [3, 4, 6, pytest.param("9" * 5000, id="5000_digits")]
+)
 def test_product_zero_wrong_width_rejected_before_building(capsys, monkeypatch, command, width):
     built = []
     monkeypatch.setattr(cli, "named_state", lambda *a: built.append(a))
@@ -460,6 +462,11 @@ def test_product_zero_wrong_width_rejected_before_building(capsys, monkeypatch, 
     assert err.splitlines() == [
         f"error: bad state 'product_zero_{width}': every command needs a five-qubit channel"
     ]
+
+
+def test_product_zero_width_may_have_leading_zeros(capsys):
+    _, five, _ = run_cli(capsys, "purity", "--state", "product_zero_5")
+    assert run_cli(capsys, "purity", "--state", "product_zero_005") == (0, five, "")
 
 
 def test_json_output_refuses_non_finite_numbers():
@@ -693,16 +700,20 @@ def test_cli_fuzz_state_file(tmp_path, command, text):
         assert out.getvalue() == ""
 
 
-def _run_module(argv, stdout):
+def _run_python(args, stdout, stderr=subprocess.PIPE):
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "telecrit.cli", *argv],
+        [sys.executable, *args],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+def _run_module(argv, stdout, stderr=subprocess.PIPE):
+    return _run_python(["-m", "telecrit.cli", *argv], stdout, stderr)
 
 
 @pytest.mark.parametrize("output", ["json", "table"])
@@ -748,3 +759,103 @@ def test_out_of_memory_exits_documented_code(capsys, monkeypatch):
     assert code == cli.EXIT_OUT_OF_MEMORY == 71
     assert out == ""
     assert err.splitlines() == ["error: out of memory"]
+
+
+# brown's criterion FAILs at this setting (test_criterion_fail_exit_one)
+_FAIL_ARGS = ("--alice", "1,4", "--bob", "2,3", "--charlie", "5", "--theta", "pi/4")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_unwritable_fail_verdict_exits_output_error(capsys, output):
+    argv = ["criterion", "--state=brown", *_FAIL_ARGS, "--output", output]
+    assert run_cli(capsys, *argv)[0] == 1
+    with open("/dev/full", "wb") as full:
+        proc = _run_module(argv, full)
+    assert proc.returncode == cli.EXIT_OUTPUT_ERROR
+    assert proc.stderr.decode().splitlines() == [
+        "error: cannot write output: [Errno 28] No space left on device"
+    ]
+
+
+# the process exit path, python -m telecrit.cli, against main in process:
+# every subcommand, a criterion FAIL and an input error
+_PROCESS_CASES = {
+    "purity": (["purity", "--state=brown"], 0),
+    "criterion": (["criterion", "--state=brown", *_ASSIGNMENT_ARGS], 0),
+    "criterion_fail": (["criterion", "--state=brown", *_FAIL_ARGS], 1),
+    "scan": (["scan", "--state=brown"], 0),
+    "teleport": (
+        ["teleport", "--state=brown", *_ASSIGNMENT_ARGS, "--input=random", "--seed=7"], 0
+    ),
+    "eq5check": (["eq5check", "--state=brown", *_ASSIGNMENT_ARGS], 0),
+    "input_error": (["purity", "--state=w5"], 2),
+}
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+@pytest.mark.parametrize(("argv", "status"), _PROCESS_CASES.values(), ids=_PROCESS_CASES)
+def test_process_exit_matches_main(capsys, argv, status, output):
+    argv = [*argv, "--output", output]
+    code, out, err = run_cli(capsys, *argv)
+    proc = _run_module(argv, subprocess.PIPE)
+    assert proc.returncode == code == status
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode()
+    if status == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.fixture
+def buffered_streams(monkeypatch):
+    """Children with block-buffered standard output, so that what main
+    leaves unflushed, such as argparse's --help, reaches the final flush."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help at
+
+
+def test_final_flush_delivers_help(capsys, buffered_streams):
+    assert main(["--help"]) == 0
+    proc = _run_module(["--help"], subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_final_flush_into_closed_pipe_exits_broken_pipe(buffered_streams):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        help_proc = _run_module(["--help"], write_end)
+        # a usage error whose diagnostic cannot be written
+        usage_proc = _run_module(["scan"], subprocess.DEVNULL, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert (help_proc.returncode, help_proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert usage_proc.returncode == cli.EXIT_BROKEN_PIPE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_final_flush_into_full_device_exits_output_error(buffered_streams):
+    with open("/dev/full", "wb") as full:
+        proc = _run_module(["--help"], full)
+    assert proc.returncode == cli.EXIT_OUTPUT_ERROR
+    assert proc.stderr.decode().splitlines() == [
+        "error: cannot write output: [Errno 28] No space left on device"
+    ]
+
+
+def test_process_ends_without_interpreter_teardown(capsys, tmp_path):
+    # an atexit handler runs only if the interpreter is torn down
+    marker = tmp_path / "atexit-ran"
+    argv = ["purity", "--state=brown", "--output", "json"]
+    script = (
+        "import atexit, pathlib, runpy, sys\n"
+        f"atexit.register(pathlib.Path({str(marker)!r}).write_text, 'ran')\n"
+        f"sys.argv = ['telecrit', *{argv!r}]\n"
+        "runpy.run_module('telecrit.cli', run_name='__main__')\n"
+    )
+    proc = _run_python(["-c", script], subprocess.PIPE)
+    assert main(argv) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    assert proc.stderr == b""
+    assert not marker.exists()
