@@ -19,9 +19,9 @@ Outcome 2 flips the signs of a1 and b1, so the combined profile is
 
 with period pi/2, as d1(theta + pi/2) = d2(theta).  On [0, pi/2) it is
 monotone between consecutive angles of a finite candidate set: the
-crossing d1 = d2, the stationary points of branch + (roots of a quartic
-p(z), z = exp(2i theta); branch - has p(-z), the same angles plus pi/2),
-and the nodes k pi/8, k = 0..3, which fix a trig polynomial of these
+crossing d1 = d2, the stationary points of branch + (the real roots of a
+quartic in t = tan theta; branch - has the same angles plus pi/2), and
+the nodes k pi/8, k = 0..3, which fix a trig polynomial of these
 harmonics and cover degenerate coefficient sets.  The coefficients
 place the candidates and screen them, but every verdict comes from both
 defects evaluated with the arithmetic criterion_check uses: all_theta
@@ -31,40 +31,21 @@ argmin is the first candidate within 4 ulps of the least value, node 0
 on a flat profile, whose values differ only in their last bits.
 
 Engine: ``scan`` stacks the channel re-arranged for all 30 assignments
-with one gather through the rows of their cached gather indices (those
-every per-assignment call reads), and ``_classify`` classifies each
-distinct row of the stack once (a symmetric channel such as ghz5 gives
-all 30 assignments the same arranged amplitudes) and runs every step
-on the distinct rows: the coefficients as stacked products; a row's
-candidate list is a function of its (a1, b1, a2, b2), so the list, its
-crossing and its quartic are built once per distinct coefficient set,
-keyed by its bytes (brown's 30 rows have 3 sets, man_m5's 15 have 3);
-the quartics of the distinct sets are one (n, 5) array read straight
-off the coefficient columns, and every quartic with a2 or b2 nonzero
-goes through one ``eigvals`` on np.roots' stacked companion matrices
-(with a2 = b2 = 0 branch + is the harmonic alone, stationary pi/4 past
-the crossing, so that angle is the one added); the closed form above
-(a0 is one more row dot) at every candidate of every row, one flat
-pass; and the exact defects, both outcomes in one stacked evaluation,
-only at the candidates the closed form leaves within a margin of
-max(their row's least value, tol^2).  The others get inf: their exact
-values provably exceed the row's minimum, its 4-ulp ties and tol, so
-none is the argmin, a root or a neighbour that decides one.  Every step
-works row by row, so a duplicate row, or a subset of the candidates,
-gets the same bits.  The base operators and their defects come from the
-kernel criterion_check uses (teleport's _base_operators and _defects),
-and the other steps keep the rounding of their single-matrix forms
-(np.vdot, whose BLAS dot np.vecdot calls per row, np.roots, math.cos,
-math.sin), so verdicts, roots and defects are criterion_check's
-arithmetic.  A verdict returns kind none as soon as its least value
-exceeds tol, the usual case on a generic channel, and dedupes its sorted
-roots in one pass, each against the last and the first kept root (the
-nearest one on the circle of period pi).  ``classify_theta`` is the same
-engine on a stack of one.
-``scan`` reads the ten pair purities from the channel's purity memo
-(entanglement) into one table, so each is computed once per channel,
-however many scans and criterion checks read them, and builds each
-entry once, in sorted order.
+with one gather, and ``_classify`` classifies each distinct row of the
+stack once, every step on all distinct rows at once: the coefficients
+as stacked products; the candidate list once per distinct coefficient
+set (a1, b1, a2, b2), its quartics' roots from np.roots' companion
+matrices stacked into one ``eigvals`` per size; the closed form above
+at every candidate, one flat pass; and the exact defects, both outcomes
+in one stacked evaluation, only at the candidates the closed form
+leaves within a margin of max(their row's least value, tol^2).  The
+others get inf: their exact values provably exceed the row's minimum,
+its 4-ulp ties and tol, so none is the argmin, a root or a neighbour
+that decides one.  Every step works row by row and keeps the rounding
+of its single-matrix form (criterion_check's kernel, np.vdot, np.roots,
+math.cos, math.sin), so a duplicate row, a subset of the candidates or
+``classify_theta``, the same engine on a stack of one, gets the same
+bits.  README "Engine" gives the details.
 """
 
 from __future__ import annotations
@@ -153,8 +134,8 @@ def enumerate_assignments() -> list[RoleAssignment]:
 # the nodes k pi/8 of the half period, in every candidate set
 _NODES = [k * math.pi / 8 for k in range(4)]
 
-# np.roots' companion matrix of a quartic below its first row
-_SUBDIAGONAL = np.eye(4, k=-1, dtype=np.complex128)
+# np.roots' companion matrices below their first rows, by size
+_SUBDIAGONALS = [np.eye(k, k=-1) for k in range(5)]
 
 
 def _first_rows(rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
@@ -166,34 +147,48 @@ def _first_rows(rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
     return keys, first
 
 
-def _root_angles(coeffs: np.ndarray) -> list[list[float]]:
-    """np.angle(np.roots(quartic)) / 2 for every quartic row [w, h, 0, h*, w*]
-    of an (n, 5) array with w != 0, from np.roots' companion matrices
-    stacked into one eigvals call; a row with w = 0 gets no angles
-    (_candidate_sets places its one).
-    """
-    rows = np.flatnonzero(coeffs[:, 0] != 0)
-    companion = np.repeat(_SUBDIAGONAL[None], len(rows), axis=0)
-    companion[:, 0] = -coeffs[rows, 1:] / coeffs[rows, :1]
-    angles: list[list[float]] = [[] for _ in range(len(coeffs))]
-    for k, row in zip(rows.tolist(), (np.angle(np.linalg.eigvals(companion)) / 2).tolist()):
-        angles[k] = row
+def _quartic(a1: float, b1: float, a2: float, b2: float) -> list[float]:
+    """Branch a2 cos 4theta + b2 sin 4theta + a1 cos 2theta + b1 sin 2theta:
+    its derivative over 4 cos^4 theta is this quartic in t = tan theta."""
+    half, four = b1 / 2, 4 * a2
+    return [b2 - half, four - a1, -6 * b2, -four - a1, b2 + half]
+
+
+def _root_angles(rows: list[list[float]]) -> list[list[float]]:
+    """np.arctan(np.roots(q).astype(complex)).real for the quartic q of each
+    (a1, b1, a2, b2) row with a2 or b2 nonzero, np.roots' companion matrices
+    of each size stacked into one eigvals call; a row with a2 = b2 = 0 gets
+    no angles (_candidate_sets places its one)."""
+    angles: list[list[float]] = [[] for _ in rows]
+    tops: dict[int, list[tuple[int, list[float]]]] = {}
+    for k, row in enumerate(rows):
+        if row[2] or row[3]:  # then q is nonzero
+            q = _quartic(*row)
+            # np.roots trims q's leading and trailing zeros, and appends a
+            # zero root for each trailing one
+            first, last = 0, 4
+            while not q[last]:
+                last -= 1
+            while True:
+                while not q[first]:
+                    first += 1
+                top = [-x / q[first] for x in q[first + 1 : last + 1]]
+                if math.isfinite(sum(top)):
+                    break
+                # where np.roots' companion overflows, the lead's extra roots
+                # lie past |t| = 1e77, at theta = pi/2 in floats: node 0
+                first += 1
+            angles[k] = [0.0] * (4 - last)  # the eigenvalues' angles go in front
+            tops.setdefault(last - first, []).append((k, top))
+    for size, group in tops.items():
+        if size:
+            companion = np.repeat(_SUBDIAGONALS[size][None], len(group), axis=0)
+            companion[:, 0] = [top for _, top in group]
+            with np.errstate(divide="ignore"):  # arctan(+-i), where a2, b2 underflow
+                roots = np.arctan(np.linalg.eigvals(companion).astype(complex)).real.tolist()
+            for (k, _), found in zip(group, roots):
+                angles[k] = found + angles[k]
     return angles
-
-
-def _quartics(coeffs: np.ndarray) -> np.ndarray:
-    """Branch a2 cos 4theta + b2 sin 4theta + a1 cos 2theta + b1 sin 2theta
-    of each (a1, b1, a2, b2) row: its derivative times z^2, z = exp(2i theta),
-    is the quartic [w, h, 0, h*, w*] in z, one (n, 5) row each.
-
-    Read in reverse, a row is the complex pairs w = b2 + i a2 and
-    2h = b1 + i a1, so the parts are taken, not multiplied (1j * a2 can
-    turn +0.0 into -0.0), and every bit is that of complex(b2, a2) and
-    complex(b1, a1) / 2.
-    """
-    wh = coeffs[:, ::-1].copy().view(np.complex128)
-    wh[:, 1] /= 2  # rounds as complex / 2 does, signed zeros included
-    return np.concatenate((wh, np.zeros((len(wh), 1)), wh[:, ::-1].conj()), axis=1)
 
 
 def _coefficients(arranged: np.ndarray) -> np.ndarray:
@@ -217,8 +212,9 @@ def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
     keys, first = _first_rows(coeffs[:, 1:])
     distinct = coeffs[list(first.values()), 1:]
 
+    rows = distinct.tolist()
     sets = []
-    for (a1, b1, a2, b2), roots in zip(distinct.tolist(), _root_angles(_quartics(distinct))):
+    for (a1, b1, a2, b2), roots in zip(rows, _root_angles(rows)):
         # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes; math.atan2, as
         # np.arctan2 runs numpy's own SIMD kernel, which on an AVX-512 CPU
         # differs from libm in the last bit on about 7% of inputs and would
@@ -228,7 +224,10 @@ def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
             # no quartic: branch + is the harmonic alone, stationary a quarter
             # turn from its zero
             roots = (crossing + math.pi / 4,)
-        sets.append(sorted({theta % (math.pi / 2) for theta in (crossing, *_NODES, *roots)}))
+        # a root a hair below 0 lands on pi/2 itself: fold it to 0.0, which
+        # node 0 puts in every set
+        folded = {theta % (math.pi / 2) for theta in (crossing, *_NODES, *roots)}
+        sets.append(sorted(folded - {math.pi / 2}))
     found = dict(zip(first, sets))
     return [found[key] for key in keys]
 

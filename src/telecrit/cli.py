@@ -17,9 +17,11 @@ process compiles only what its subcommand uses: ``purity`` loads
 
 Exit codes: 0 success, 1 criterion verdict FAIL (criterion command
 only), 2 input error, 71 (EX_OSERR) when the command runs out of memory,
-74 (EX_IOERR) when the report cannot be written to standard output, 141
-(128 + SIGPIPE) when the reader closes standard output before the report
-is written.
+74 (EX_IOERR) when the report cannot be written to standard output,
+closed standard output (``>&-``) included, 141 (128 + SIGPIPE) when the
+reader closes standard output before the report is written.  A closed
+standard error (``2>&-``) drops the diagnostic and keeps the status, such
+as 2 for an input error.
 
 ``main`` returns the exit status, so in-process callers keep their
 interpreter.  ``run``, behind both ``python -m telecrit.cli`` and the
@@ -31,6 +33,8 @@ handlers do not run, and the exit codes are the ones above.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
 import os
@@ -392,13 +396,15 @@ def main(argv: list[str] | None = None) -> int:
     render = _print_json if args.output == "json" else args.render
     try:
         doc, status = args.func(args)
+        if sys.stdout is None:  # started with standard output closed
+            raise OSError(errno.EBADF, "standard output is closed")
         render(doc)
         sys.stdout.flush()  # a write error shows here rather than at exit
     except ValueError as exc:  # StateFileError is one
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        _error("out of memory")
         return EXIT_OUT_OF_MEMORY
     except OSError as exc:
         # only writing the report raises one: the loader turns its own into
@@ -407,14 +413,23 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
+def _error(message: str) -> None:
+    """One diagnostic line on standard error.  A stream that cannot take
+    it fails the final flush in ``run``, which decides the exit status."""
+    if sys.stderr is not None:  # None when closed at start-up: print would pick stdout
+        with contextlib.suppress(OSError):
+            print(f"error: {message}", file=sys.stderr)
+
+
 def _write_failed(exc: OSError) -> int:
     """Exit status for a failed write to standard output.  Sends the rest
     of the report, and the final flush in ``run``, to devnull so neither
     raises again."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if sys.stdout is not None:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if isinstance(exc, BrokenPipeError):
         return EXIT_BROKEN_PIPE
-    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    _error(f"cannot write output: {exc}")
     return EXIT_OUTPUT_ERROR
 
 
@@ -423,13 +438,16 @@ def run() -> NoReturn:
     streams are flushed, without interpreter teardown."""
     status = main()
     try:
-        sys.stdout.flush()  # argparse's --help, which main does not flush
+        if sys.stdout is not None:
+            sys.stdout.flush()  # argparse's --help, which main does not flush
     except OSError as exc:
         status = _write_failed(exc)
     try:
-        sys.stderr.flush()
+        if sys.stderr is not None:
+            sys.stderr.flush()
     except OSError as exc:  # no stream is left to name the error on
-        status = EXIT_BROKEN_PIPE if isinstance(exc, BrokenPipeError) else EXIT_OUTPUT_ERROR
+        if exc.errno != errno.EBADF:  # a closed stream keeps the status
+            status = EXIT_BROKEN_PIPE if isinstance(exc, BrokenPipeError) else EXIT_OUTPUT_ERROR
     os._exit(status)
 
 

@@ -201,6 +201,10 @@ class StateFileError(ValueError):
 
 def _reject_norm_drift(amps: np.ndarray, path: str) -> None:
     norm_sq = float(np.vdot(amps, amps).real)
+    if not math.isfinite(norm_sq):  # inf or nan, by BLAS kernel
+        raise StateFileError(
+            f"{path}: squared norm overflows; refusing to renormalize file input"
+        )
     if _norm_drifts(norm_sq, STRICT_NORM_TOL):
         raise StateFileError(
             f"{path}: squared norm {norm_sq!r} deviates from 1 by more than "

@@ -67,6 +67,16 @@ def _quartic(h: complex, a2: float, b2: float) -> list[complex]:
     return [complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)]
 
 
+def z_root_angles(rows: list[list[float]]) -> list[list[float]]:
+    """The engine's _root_angles by the z-route: np.angle(np.roots(p)) / 2 for
+    the quartic p in z of each (a1, b1, a2, b2) row with a2 or b2 nonzero."""
+    return [
+        (np.angle(np.roots(_quartic(complex(b1, a1) / 2, a2, b2))) / 2).tolist()
+        if a2 or b2 else []
+        for a1, b1, a2, b2 in rows
+    ]
+
+
 def _candidate_angles(grid: np.ndarray) -> np.ndarray:
     """Sorted angles in [0, pi/2) that bound the monotone pieces of the
     profile over its period pi/2: one crossing, branch +'s stationary
@@ -74,10 +84,18 @@ def _candidate_angles(grid: np.ndarray) -> np.ndarray:
     a1, b1, a2, b2 = _coefficients(grid)
     # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
     angles = [math.atan2(b1, a1) / 2 + math.pi / 4]
-    h = complex(b1, a1) / 2
-    angles.extend((np.angle(np.roots(_quartic(h, a2, b2))) / 2).tolist())
+    if a2 or b2:
+        # branch +'s derivative over 4 cos^4 theta, a quartic in t = tan theta
+        quartic = [b2 - b1 / 2, 4 * a2 - a1, -6 * b2, -4 * a2 - a1, b2 + b1 / 2]
+        angles.extend(np.arctan(np.roots(quartic).astype(complex)).real.tolist())
+    else:
+        # the quartic in t has the factor 1 + t^2, whose roots +-i have no
+        # angle: take the z-route, whose zero root is node 0
+        h = complex(b1, a1) / 2
+        angles.extend((np.angle(np.roots(_quartic(h, a2, b2))) / 2).tolist())
     angles.extend(k * math.pi / 8 for k in range(4))
-    return np.array(sorted({angle % (math.pi / 2) for angle in angles}))
+    # a root a hair below 0 lands on pi/2 itself: fold it to 0
+    return np.array(sorted({angle % (math.pi / 2) for angle in angles} - {math.pi / 2}))
 
 
 def _full_period_candidate_angles(grid: np.ndarray) -> np.ndarray:

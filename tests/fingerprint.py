@@ -2,11 +2,14 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/fingerprint.py
+    PYTHONPATH=src python tests/fingerprint.py [--scan]
 
 The last line is one hash over everything; the lines before it give one
 hash per kind of output (``cli``, ``scan``, ``criterion``, ``eq5``,
 ``operator``, ``simulate``), so a change shows which outputs moved.
+``--scan`` prints the ``scan`` line alone.  Standard error names numpy's
+SIMD baseline and the dispatch targets the CPU runs, as some output bits
+depend on them.
 Two checkouts that print the same hash give the same bytes on every run
 below, so a refactor meant to keep behaviour can be checked bit for bit
 against its parent.  The hash covers:
@@ -53,6 +56,7 @@ from telecrit.cli import main
 
 from conftest import lu_rotated, random_channel  # this file's directory is on sys.path
 
+SEED = 20091119
 CLI_CHANNELS = ("brown", "man_m5", "ghz5", "product_zero_5", "product_zero_n")
 ROLES = ("--alice", "1,2", "--bob", "3,4", "--charlie", "5")
 COMMANDS = (
@@ -114,13 +118,21 @@ def _channels(rng: np.random.Generator) -> list:
     return channels + [make_state(5, rng.standard_normal(32)) for _ in range(20)]
 
 
+def _inputs_and_channels(rng: np.random.Generator) -> tuple[list, list]:
+    inputs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return [make_state(2, row) for row in inputs], _channels(rng)
+
+
+def _scan(feed, index: int, channel) -> None:
+    for tol in (1e-10, 0.5):
+        feed("scan", index, tol, json.dumps(scan(channel, tol).as_dicts()))
+
+
 def _library(feed, rng: np.random.Generator) -> None:
     assignments = enumerate_assignments()
-    inputs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    inputs = [make_state(2, row) for row in inputs]
-    for index, channel in enumerate(_channels(rng)):
-        for tol in (1e-10, 0.5):
-            feed("scan", index, tol, json.dumps(scan(channel, tol).as_dicts()))
+    inputs, channels = _inputs_and_channels(rng)
+    for index, channel in enumerate(channels):
+        _scan(feed, index, channel)
         for pick in rng.choice(len(assignments), size=3, replace=False):
             assignment = assignments[pick]
             for theta in (0.0, math.pi / 4, float(rng.uniform(-math.pi, math.pi))):
@@ -137,12 +149,16 @@ def _library(feed, rng: np.random.Generator) -> None:
                              record.fidelity)
 
 
+def _line(parts: tuple) -> bytes:
+    return repr(parts).encode() + b"\n"
+
+
 def fingerprint() -> tuple[str, dict[str, str]]:
     """The hash over all outputs, and one hash per kind of output."""
     digest, kinds = hashlib.sha256(), collections.defaultdict(hashlib.sha256)
 
     def feed(*parts) -> None:
-        line = repr(parts).encode() + b"\n"
+        line = _line(parts)
         digest.update(line)
         kinds[parts[0]].update(line)
 
@@ -157,11 +173,37 @@ def fingerprint() -> tuple[str, dict[str, str]]:
             status, out, err = _run(argv)
             feed("cli", [word.replace(tmp, "<tmp>") for word in argv], status, out,
                  err.replace(tmp, "<tmp>"))
-    _library(feed, np.random.default_rng(20091119))
+    _library(feed, np.random.default_rng(SEED))
     return digest.hexdigest(), {kind: h.hexdigest() for kind, h in kinds.items()}
 
 
+def scan_fingerprint() -> str:
+    """The ``scan`` hash of ``fingerprint`` alone, from the same channels."""
+    digest = hashlib.sha256()
+    _, channels = _inputs_and_channels(np.random.default_rng(SEED))
+    for index, channel in enumerate(channels):
+        _scan(lambda *parts: digest.update(_line(parts)), index, channel)
+    return digest.hexdigest()
+
+
+def simd_dispatch() -> str:
+    """numpy's SIMD baseline and the dispatch targets this CPU runs."""
+    from numpy._core._multiarray_umath import (
+        __cpu_baseline__,
+        __cpu_dispatch__,
+        __cpu_features__,
+    )
+
+    baseline = " ".join(__cpu_baseline__)
+    running = " ".join(target for target in __cpu_dispatch__ if __cpu_features__.get(target))
+    return f"numpy {np.__version__} simd baseline {baseline}; dispatch {running or '-'}"
+
+
 if __name__ == "__main__":
+    sys.stderr.write(simd_dispatch() + "\n")
+    if sys.argv[1:] == ["--scan"]:
+        sys.stdout.write(f"scan {scan_fingerprint()}\n")
+        sys.exit(0)
     overall, kinds = fingerprint()
     for kind, hexdigest in kinds.items():
         sys.stdout.write(f"{kind} {hexdigest}\n")

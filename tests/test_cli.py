@@ -530,15 +530,15 @@ def test_non_utf8_state_file_exit_two(capsys, tmp_path):
     ids=["text", "json"],
 )
 def test_nan_squared_norm_state_file_exit_two(capsys, tmp_path, name, content):
-    # finite amplitudes whose squared norm is nan are refused, not renormalized
+    # finite amplitudes whose squared norm overflows are refused, not
+    # renormalized, in one wording whether np.vdot reads inf or nan
     path = tmp_path / name
     path.write_text(content)
     code, out, err = run_cli(capsys, "purity", "--state", str(path))
     assert code == 2
     assert out == ""
     assert err.splitlines() == [
-        f"error: {path}: squared norm nan deviates from 1 by more than 1e-06; "
-        "refusing to renormalize file input"
+        f"error: {path}: squared norm overflows; refusing to renormalize file input"
     ]
 
 
@@ -700,11 +700,11 @@ def test_cli_fuzz_state_file(tmp_path, command, text):
         assert out.getvalue() == ""
 
 
-def _run_python(args, stdout, stderr=subprocess.PIPE):
+def _run_python(args, stdout, stderr=subprocess.PIPE, launcher=(sys.executable,)):
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args],
+        [*launcher, *args],
         stdout=stdout,
         stderr=stderr,
         env={**os.environ, "PYTHONPATH": path},
@@ -804,6 +804,35 @@ def test_process_exit_matches_main(capsys, argv, status, output):
     assert proc.stderr == err.encode()
     if status == 2:
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _run_shell(argv, redirect):
+    """python -m telecrit.cli through sh -c, with a shell redirection such as
+    >&- (standard output closed) after the arguments."""
+    words = " ".join(f"'{word}'" for word in argv)
+    script = f'"$0" -m telecrit.cli {words} {redirect}'
+    return _run_python([], subprocess.PIPE, launcher=["sh", "-c", script, sys.executable])
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+@pytest.mark.parametrize("command", ["purity", "scan", "criterion_fail"])
+def test_closed_stdout_exits_output_error(command, output):
+    # sys.stdout is None in the child: the report cannot be written, which
+    # must not read as success or as a criterion FAIL
+    argv, _ = _PROCESS_CASES[command]
+    proc = _run_shell([*argv, "--output", output], ">&-")
+    assert proc.returncode == cli.EXIT_OUTPUT_ERROR == 74
+    assert proc.stderr.decode().splitlines() == [
+        "error: cannot write output: [Errno 9] standard output is closed"
+    ]
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", ">&- 2>&-"])
+def test_closed_stderr_keeps_input_error_exit(redirect):
+    # the diagnostic has nowhere to go, and the status still says input error
+    proc = _run_shell(["purity", "--state", "nosuch"], redirect)
+    assert proc.returncode == 2
+    assert proc.stdout == proc.stderr == b""
 
 
 @pytest.fixture

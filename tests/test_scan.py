@@ -1,8 +1,12 @@
 """Assignment enumeration and basis-angle classification."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations, product
 
+import fingerprint
 import numpy as np
 import pytest
 from conftest import lu_rotated, random_channel
@@ -259,31 +263,42 @@ def test_verdict_dedupes_roots_across_pi():
 
 
 def _quartic_rows(*rows):
-    """Quartic rows of (a1, b1, a2, b2, sign) rows, built by the classifier's
-    own _quartics; branch - (sign -1) negates the floats a1 and b1."""
-    coeffs = [(a1, b1, a2, b2) if s > 0 else (-a1, -b1, a2, b2) for a1, b1, a2, b2, s in rows]
-    return angles._quartics(np.array(coeffs))
+    """(a1, b1, a2, b2) rows of (a1, b1, a2, b2, sign) rows: branch - (sign -1)
+    negates the floats a1 and b1."""
+    return [[a1, b1, a2, b2] if s > 0 else [-a1, -b1, a2, b2] for a1, b1, a2, b2, s in rows]
 
 
 def test_quartic_rows_are_the_complex_form_to_the_bit():
-    # every sign of zero, a subnormal and ordinary values in every coefficient
+    # the real quartic in t = tan theta, against its float formula and, up to
+    # rounding, the complex quartic [w, h, 0, h*, w*] in z = exp(2i theta) it
+    # comes from: p(z) (1 - it)^4 = 2 q(t); every sign of zero, a subnormal
+    # and ordinary values in every coefficient
     values = (0.0, -0.0, 1.5, -2.25, 3e-320)
-    coeffs = np.array(list(product(values, repeat=4)))
-    want = []
-    for a1, b1, a2, b2 in coeffs.tolist():
-        h = complex(b1, a1) / 2
-        want.append([complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)])
-    want = np.array(want, dtype=np.complex128)
-    got = angles._quartics(coeffs)
-    assert got.dtype == np.complex128 and got.shape == want.shape
-    assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+    for a1, b1, a2, b2 in product(values, repeat=4):
+        got = angles._quartic(a1, b1, a2, b2)
+        want = [b2 - b1 / 2, 4 * a2 - a1, -6 * b2, -4 * a2 - a1, b2 + b1 / 2]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        w, h = complex(b2, a2), complex(b1, a1) / 2
+        for t in (0.0, 0.5, -3.0):
+            z = complex(1, t) / complex(1, -t)
+            p = w * z**4 + h * z**3 + h.conjugate() * z + w.conjugate()
+            q = sum(c * t ** (4 - k) for k, c in enumerate(got))
+            assert abs(p * complex(1, -t) ** 4 - 2 * q) <= 1e-12 * (1 + abs(t)) ** 4
 
 
 _QUARTIC_CASES = {
-    # nonzero leading coefficient
-    "quartic": [(0.4, -1.2, -0.7, 0.3, 1), (0.4, -1.2, -0.7, 0.3, -1), (0.0, 0.0, 2.0, 0.0, 1)],
-    # a2 = b2 = 0 with h != 0: no angles here, _candidate_sets adds the closed form
-    "quadratic": [(a1, b1, 0.0, 0.0, s) for a1, b1 in ((1.0, 0.0), (0.3, -2.5)) for s in (1, -1)],
+    # full quartics: t^4 and t^0 nonzero
+    "quartic": [(0.4, -1.2, -0.7, 0.3, 1), (0.4, -1.2, -0.7, 0.3, -1), (0.0, 2.0, 2.0, 0.0, 1)],
+    # b1 = b2 = 0, as in every catalog row: a quadratic in t and a zero root,
+    # or a monomial when a1 = +-4 a2; a2 = b2 = 0 with h != 0: no angles
+    # here, _candidate_sets adds the closed form
+    "quadratic": [
+        (0.0, 0.0, 2.0, 0.0, 1),
+        (8.0, 0.0, 2.0, 0.0, 1),
+        (-8.0, 0.0, 2.0, 0.0, 1),
+        (1.0, 2.0, 0.0, 1.0, 1),  # b2 = b1/2: no t^4 term
+        *((a1, b1, 0.0, 0.0, s) for a1, b1 in ((1.0, 0.0), (0.3, -2.5)) for s in (1, -1)),
+    ],
     # all zero: no roots
     "zero": [(0.0, 0.0, 0.0, 0.0, 1)],
     # signed zeros in every coefficient
@@ -291,8 +306,9 @@ _QUARTIC_CASES = {
         (-0.0, -0.0, -0.0, -0.0, 1),
         (-3.0, -0.0, 0.0, -0.0, 1),
         (-0.0, 2.0, -0.0, 0.0, -1),
-        (-0.0, 2.0, -0.0, 0.0, 1),  # complex / 2 keeps a1's -0.0 only over b1 > 0
+        (-0.0, 2.0, -0.0, 0.0, 1),
         (-0.0, -0.0, -1.0, -0.0, 1),
+        (-0.0, -0.0, 0.0, -1.0, 1),
     ],
 }
 
@@ -303,13 +319,82 @@ def test_root_angles_replicate_np_roots(case):
         *_QUARTIC_CASES[case], (0.4, -1.2, -0.7, 0.3, 1), (0.0, 0.0, 0.0, 0.0, 1)
     )
     if case == "signed-zero":
-        # w and h as (real, imag) columns: each part meets a -0.0
-        parts = mixed[:, :2].view(np.float64)
+        # each coefficient column meets a -0.0
+        parts = np.array(mixed)
         assert np.all(np.any((parts == 0) & np.signbit(parts), axis=0))
     got = angles._root_angles(mixed)
-    # bit for bit where w != 0, order and signed zeros included; none where w = 0
-    want = [(np.angle(np.roots(q)) / 2).tolist() if q[0] != 0 else [] for q in mixed]
+    # bit for bit where a2 or b2 != 0, order and signed zeros included; none
+    # where a2 = b2 = 0
+    want = [
+        np.arctan(np.roots(angles._quartic(*row)).astype(complex)).real.tolist()
+        if row[2] or row[3] else []
+        for row in mixed
+    ]
     assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
+
+
+def test_root_angles_drop_a_lead_whose_companion_overflows():
+    # b2 = 5e-324 makes t^4's coefficient 5e-324, so np.roots' companion row
+    # overflows and np.roots raises; that lead's extra root lies past |t| =
+    # 1e77, at theta = pi/2 in floats, so the engine solves q without it
+    row = [0.0, 0.0, 1.0, 5e-324]
+    q = angles._quartic(*row)
+    with pytest.raises(np.linalg.LinAlgError), np.errstate(over="ignore"):
+        np.roots(q)
+    (got,) = angles._root_angles([row])
+    assert got == np.arctan(np.roots(q[1:]).astype(complex)).real.tolist()
+    # man_m5 plus 1e-162 everywhere has such rows; the complex companion in
+    # z overflowed on it too
+    channel = make_state(5, named_state("man_m5").amplitudes + 1e-162)
+    assert len(scan(channel).entries) == 30
+
+
+def test_root_angles_stack_one_companion_per_size(monkeypatch):
+    # full quartics, cubics (b2 = b1/2), catalog quadratics and a monomial:
+    # one eigvals call for each companion size present, none for size 0
+    rows = [[0.4, -1.2, -0.7, 0.3], [1.0, 2.0, 0.0, 1.0], [0.5, 0.0, 2.0, 0.0],
+            [0.1, 0.0, -3.0, 0.0], [8.0, 0.0, 2.0, 0.0], [-0.3, 0.7, 0.2, -0.1]]
+    stacks = []
+    eigvals = np.linalg.eigvals
+
+    def counting(matrices):
+        stacks.append(matrices.shape)
+        return eigvals(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    got = angles._root_angles(rows)
+    assert sorted(stacks) == [(1, 3, 3), (2, 2, 2), (2, 4, 4)]
+    assert [len(row) for row in got] == [4, 3, 3, 3, 1, 4]
+
+
+def test_candidate_sets_fold_a_root_at_half_period_to_zero():
+    # b2 = -1e-18 puts a stationary angle at -2.5e-19, and -2.5e-19 % (pi/2)
+    # rounds to pi/2 itself, node 0 of the next period
+    (thetas,) = angles._candidate_sets(np.array([[3.0, 0.0, 0.0, 1.0, -1e-18]]))
+    assert thetas == [0.0, PI / 8, PI / 4, 3 * PI / 8]
+
+
+_TINY = st.sampled_from((0.0, -0.0, 1e-300, -1e-300, 1e-18, -1e-18, 5e-324, -5e-324))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-8.0, 8.0, allow_subnormal=False),
+            *(st.one_of(_TINY, st.floats(-8.0, 8.0, allow_subnormal=False)) for _ in range(4)),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_candidates_lie_in_half_period(rows):
+    """Every candidate lies in [0, pi/2), node 0 included, for coefficients
+    with tiny and signed-zero entries."""
+    for thetas in angles._candidate_sets(np.array(rows)):
+        assert thetas[0] == 0.0 and not math.copysign(1.0, thetas[0]) < 0
+        assert all(0.0 <= theta < PI / 2 for theta in thetas)
+        assert thetas == sorted(set(thetas))
 
 
 @pytest.mark.parametrize("name, rows", [("ghz5", 1), ("man_m5", 15), ("brown", 30)])
@@ -423,3 +508,29 @@ def test_combined_defect_has_period_quarter_turn(seed, source, index, theta):
         max(here.sigma111_defect, here.sigma112_defect)
         - max(there.sigma111_defect, there.sigma112_defect)
     ) < 1e-12
+
+
+def test_scan_bits_do_not_depend_on_avx512_kernels():
+    """The fingerprint's scan hash is the same with numpy's AVX-512 kernels
+    switched off: no step of the scan runs a SIMD kernel whose bits differ
+    between dispatch levels."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    targets = [
+        target
+        for target in __cpu_dispatch__
+        if ("AVX512" in target or target == "X86_V4") and __cpu_features__.get(target)
+    ]
+    if not targets:
+        pytest.skip("numpy runs no AVX-512 kernels on this CPU")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(angles.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(tests, "fingerprint.py"), "--scan"],
+        capture_output=True, env=env, timeout=300, check=True,
+    )
+    running = proc.stderr.decode().rsplit("dispatch", 1)[-1].split()
+    assert not set(targets) & set(running)
+    assert proc.stdout.decode() == f"scan {fingerprint.scan_fingerprint()}\n"

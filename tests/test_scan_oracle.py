@@ -98,9 +98,9 @@ def test_sparse_channels_match_np_roots_route(monkeypatch):
     harmonic = []
     root_angles = angles._root_angles
 
-    def spy(quartics):
-        harmonic.extend(q[0] == 0 and q[1] != 0 for q in quartics)
-        return root_angles(quartics)
+    def spy(rows):
+        harmonic.extend(a2 == b2 == 0 and (a1 or b1) != 0 for a1, b1, a2, b2 in rows)
+        return root_angles(rows)
 
     monkeypatch.setattr(angles, "_root_angles", spy)
     rng = np.random.default_rng(1401)
@@ -121,6 +121,42 @@ def test_sparse_channels_match_np_roots_route(monkeypatch):
             assert all(min(_gap(x, y) for y in want) <= 4.5e-16 for x in got)
             assert all(min(_gap(x, y) for x in got) <= 4.5e-16 for y in want)
     assert any(harmonic)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(("dense", "sparse", *(f"lu_{name}" for name in CATALOG))),
+    st.sampled_from((1e-10, 1e-3, 0.5)),
+)
+@settings(max_examples=30, deadline=None)
+def test_t_route_matches_z_route(seed, source, tol):
+    """Stationary angles from the real quartic in t = tan theta give the
+    verdicts of the complex quartic in z = exp(2i theta): equal kinds and
+    root counts, and roots, minima and the criterion's defect at both
+    argmins within 1e-12."""
+    rng = np.random.default_rng(seed)
+    if source == "dense":
+        channel = random_channel(rng)
+    elif source == "sparse":
+        channel = sparse_channel(rng)
+    else:
+        channel = lu_rotated(named_state(source[3:]), rng)
+    arranged = channel.amplitudes[angles._GATHER]
+    t_route = angles._classify(arranged, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(angles, "_root_angles", angles_oracle.z_root_angles)
+        z_route = angles._classify(arranged, tol)
+    for assignment, got, want in zip(enumerate_assignments(), t_route, z_route):
+        assert got.kind == want.kind
+        assert (got.roots is None) == (want.roots is None)
+        if want.roots is not None:
+            assert len(got.roots) == len(want.roots)
+            assert all(abs(a - b) < 1e-12 for a, b in zip(got.roots, want.roots))
+        assert abs(got.min_defect - want.min_defect) < 1e-12
+        for cls in (got, want):
+            report = criterion_check(channel, assignment, cls.argmin_theta, tol)
+            defect = max(report.sigma111_defect, report.sigma112_defect)
+            assert abs(defect - got.min_defect) < 1e-12
 
 
 def _assert_half_period_matches_full(channel, tol):

@@ -334,8 +334,9 @@ def test_loader_rejects_norm_drift(tmp_path):
         load_state_file(str(path))
 
 
-# finite amplitudes whose np.vdot is nan+nanj: a nan squared norm is no
-# norm within bounds, so these files are refused, not renormalized
+# finite amplitudes whose np.vdot overflows, to nan+nanj or inf by BLAS
+# kernel: no norm within bounds, so these files are refused, not
+# renormalized, in one wording
 NAN_NORM_FILES = {
     "nan_norm.txt": "00000 1e308 1e308\n11111 1e308 1e308\n",
     "nan_norm.json": '{"num_qubits": 1, "amplitudes": [[1e200, 1e200], [0, 0]]}',
@@ -346,7 +347,8 @@ NAN_NORM_FILES = {
 def test_loader_rejects_nan_squared_norm(tmp_path, name):
     path = tmp_path / name
     path.write_text(NAN_NORM_FILES[name])
-    with pytest.raises(StateFileError, match=f"^{re.escape(str(path))}: squared norm nan "):
+    message = f"{path}: squared norm overflows; refusing to renormalize file input"
+    with pytest.raises(StateFileError, match=f"^{re.escape(message)}$"):
         load_state_file(str(path))
 
 
