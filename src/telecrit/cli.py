@@ -19,15 +19,17 @@ Exit codes: 0 success, 1 criterion verdict FAIL (criterion command
 only), 2 input error, 71 (EX_OSERR) when the command runs out of memory,
 74 (EX_IOERR) when the report cannot be written to standard output,
 closed standard output (``>&-``) included, 141 (128 + SIGPIPE) when the
-reader closes standard output before the report is written.  A closed
-standard error (``2>&-``) drops the diagnostic and keeps the status, such
-as 2 for an input error.
+reader closes standard output before the report is written.  Standard
+error never sets the status: a diagnostic it cannot take, closed
+(``2>&-``) or a pipe whose reader has gone, is dropped, and an input
+error still exits 2.
 
 ``main`` returns the exit status, so in-process callers keep their
-interpreter.  ``run``, behind both ``python -m telecrit.cli`` and the
-``telecrit`` script, ends the process as soon as the report and the
-diagnostics are flushed: it skips interpreter teardown, so atexit
-handlers do not run, and the exit codes are the ones above.
+interpreter.  Every path through it, ``--help`` included, ends with one
+flush of standard output, and each diagnostic is flushed as it is
+written.  ``run``, behind both ``python -m telecrit.cli`` and the
+``telecrit`` script, ends the process with that status at once: it skips
+interpreter teardown, so atexit handlers do not run.
 """
 
 from __future__ import annotations
@@ -390,22 +392,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    render = _print_json if args.output == "json" else args.render
-    try:
-        doc, status = args.func(args)
-        if sys.stdout is None:  # started with standard output closed
-            raise OSError(errno.EBADF, "standard output is closed")
-        render(doc)
-        sys.stdout.flush()  # a write error shows here rather than at exit
-    except ValueError as exc:  # StateFileError is one
-        _error(str(exc))
-        return 2
-    except MemoryError:
-        _error("out of memory")
-        return EXIT_OUT_OF_MEMORY
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error
+            status = int(exc.code or 0)
+        else:
+            status = _report(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a write error shows here rather than at exit
     except OSError as exc:
         # only writing the report raises one: the loader turns its own into
         # StateFileError
@@ -413,18 +407,34 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
+def _report(args: argparse.Namespace) -> int:
+    """Run the command and render its report; the exit status."""
+    render = _print_json if args.output == "json" else args.render
+    try:
+        doc, status = args.func(args)
+        if sys.stdout is None:  # started with standard output closed
+            raise OSError(errno.EBADF, "standard output is closed")
+        render(doc)
+    except ValueError as exc:  # StateFileError is one
+        _error(str(exc))
+        return 2
+    except MemoryError:
+        _error("out of memory")
+        return EXIT_OUT_OF_MEMORY
+    return status
+
+
 def _error(message: str) -> None:
-    """One diagnostic line on standard error.  A stream that cannot take
-    it fails the final flush in ``run``, which decides the exit status."""
+    """One diagnostic line on standard error, flushed at once; a stream that
+    cannot take it drops it, and the exit status stays as it was."""
     if sys.stderr is not None:  # None when closed at start-up: print would pick stdout
         with contextlib.suppress(OSError):
-            print(f"error: {message}", file=sys.stderr)
+            print(f"error: {message}", file=sys.stderr, flush=True)
 
 
 def _write_failed(exc: OSError) -> int:
     """Exit status for a failed write to standard output.  Sends the rest
-    of the report, and the final flush in ``run``, to devnull so neither
-    raises again."""
+    of the report to devnull, so no later flush raises again."""
     if sys.stdout is not None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if isinstance(exc, BrokenPipeError):
@@ -434,21 +444,9 @@ def _write_failed(exc: OSError) -> int:
 
 
 def run() -> NoReturn:
-    """Run ``main`` on the command line and end the process once both
-    streams are flushed, without interpreter teardown."""
-    status = main()
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()  # argparse's --help, which main does not flush
-    except OSError as exc:
-        status = _write_failed(exc)
-    try:
-        if sys.stderr is not None:
-            sys.stderr.flush()
-    except OSError as exc:  # no stream is left to name the error on
-        if exc.errno != errno.EBADF:  # a closed stream keeps the status
-            status = EXIT_BROKEN_PIPE if isinstance(exc, BrokenPipeError) else EXIT_OUTPUT_ERROR
-    os._exit(status)
+    """Run ``main`` on the command line and end the process with its status,
+    without interpreter teardown."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

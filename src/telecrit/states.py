@@ -105,10 +105,11 @@ class PureState:
 
     @cached_property
     def _setting(self) -> list:
-        """One-slot memo for ``teleport``'s contraction of this channel at
-        its last measurement setting, ``[None]`` until the first; a call at
-        another setting replaces it, and it dies with the state."""
-        return [None]
+        """One-slot memo for ``teleport``'s operators of this channel at its
+        last measurement setting, [key, base operators, outcome operators],
+        all None until the first; a call at another setting replaces it, and
+        it dies with the state."""
+        return [None, None, None]
 
 
 def _norm_drifts(norm_sq: float, bound: float) -> bool:

@@ -17,44 +17,32 @@ The senders' Bell dictionary is states' ``_BELL_SIGNS``, paired with
 ``PAULI_FACTORS``; its one array form is ``_BELL_KETS``, the kets of
 the stacked sender bras ``_BELL_PAIR_ROWS``.
 
-Engine: a measurement setting is an assignment and an angle.  At a new
-setting a call re-arranges the channel once, through the gather index
-cached on its ``RoleAssignment`` (the basis indices, qubit axes
-transposed into role order, the one arrangement route; ``scan`` stacks
-those of all 30 assignments), and builds Charlie's basis once, the
-real weight array [[c, s], [s, -c]] both kernels take.  Both land in
-the channel's setting slot, a ``_Setting`` kept on the ``PureState``
-beside its purity memo: one slot, keyed by the assignment and theta's
-exact value (0.0 and -0.0 differ), that also holds, each built at its
-first use, the base operators and the 32 outcome operators, one
-read-only buffer.  ``criterion_check``, ``pauli_factorization_check``,
-``transformation_operator`` (which returns a copy) and ``simulate``
-read it, so calls at one setting, such as a verify bundle, share one
-gather, one weight array and one of each contraction; a call at any
-other setting replaces the slot, so a channel holds one setting and the
-slot dies with it.  The input checks run on every call, and a slot only
-ever holds a finite angle, so a non-finite one is refused as before.
-``_outcome_operators`` contracts the channel with the weights and the
-stacked Bell bras of both sender pairs, giving all 32 operators at once;
-``_base_operators`` sums the weights times the Charlie halves of a stack
-of arranged channels, at a stack of angles.  The criterion, the angle
-classifier and the scan use it with ``_defects``, the one implementation
-of the unitarity defect, and ``pauli_factorization_check`` checks all 32
-projected operators against it, forming base @ kron(F_i, F_j) for all
-16 correction factors in one matrix product with ``_FACTOR_TABLE``, the
-16 krons side by side, built from ``PAULI_FACTORS`` at import.
-These are the only two contractions of the channel.  The criterion's
-pair purities come from the channel's purity memo (see entanglement).
-``simulate`` reads Bob's residuals off the 32 operators in one
-(128, 4) @ (4,) product and corrects each with its operator's adjoint,
-all in one ``np.matvec``; the corrected states are the rows of one
-read-only (32, 4) array, each outcome a ``TeleportationRecord``, an
-immutable named tuple built from its row that compares and hashes by
-identity.  Every row dot is ``np.vecdot``, which calls on each row the
-BLAS dot ``np.vdot`` calls; the defects and simulate's norms dot the
-strided real and imaginary views, as ``np.linalg.norm`` does, so they
-round as it does.  The brute-force simulation of the seven-qubit joint
-state, an independent check of these routes, lives with the test oracles.
+Engine: ``_base_operators`` is the one contraction of a channel's
+amplitudes with Charlie's weights, [[c, s], [s, -c]]: it sums the weights
+times the Charlie halves of a stack of arranged channels, at a stack of
+angles, and the criterion, the angle classifier and the scan take the
+unitarity defect of its output with ``_defects``.  The 32 outcome
+operators are the Bell projection of a setting's two base operators
+(``_outcome_operators``), since every outcome operator factors through
+them; ``pauli_factorization_check`` checks that projection against
+base @ kron(F_i, F_j), all 16 factors in one product with
+``_FACTOR_TABLE``, so it guards the Bell dictionary against the factor
+pairing.  A channel keeps its last measurement setting in one slot on
+the ``PureState``, beside its purity memo: the key (the assignment and
+theta's exact value; 0.0 and -0.0 differ), the base operators, built on
+a miss from ``_arranged``, and the 32 outcome operators, built at first
+use, each read-only.  ``criterion_check``, ``pauli_factorization_check``,
+``transformation_operator`` (which returns a copy) and ``simulate`` read
+it, so a verify bundle contracts the channel once; input checks run on
+every call.  ``simulate`` reads Bob's residuals off the 32 operators in
+one (128, 4) @ (4,) product, corrects each with its operator's adjoint in
+one ``np.matvec``, and returns each outcome as a ``TeleportationRecord``
+built from a row of one read-only (32, 4) array.  Every row dot is
+``np.vecdot``, which calls on each row the BLAS dot ``np.vdot`` calls;
+the defects and simulate's norms dot the strided real and imaginary
+views, as ``np.linalg.norm`` does, so they round as it does.  The
+brute-force simulation of the seven-qubit joint state, an independent
+check of these routes, lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -178,79 +166,64 @@ def _arranged(channel: PureState, assignment: RoleAssignment) -> np.ndarray:
 
 def _base_operators(arranged: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Base operators (both Bell outcomes 1) of a stack of arranged channels,
-    as (n, m, 4, 4), transposed from the action layout.
+    as (n, m, 4, 4), transposed from the action layout: [alice pair, bob pair].
 
     G0/G1 at [k][b] are the Charlie components 0/1 of amplitude (k, b, .)
     in each 32-amplitude row.  ``weights`` holds n bras of Charlie's qubit
     as rows, (n, 2), or an (n, 2, m) stack, one set per arranged row; the
     result follows its rows, [charlie_outcome - 1] for ``_charlie_bras``.
+    This is the one contraction of a channel's amplitudes.
     """
     g = arranged.reshape(-1, 4, 4, 2)
     w = weights.reshape(len(weights), 2, -1, 1, 1)
     return _SCALE * (w[:, 0] * g[..., 0] + w[:, 1] * g[..., 1])
 
 
-def _outcome_operators(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _outcome_operators(base: np.ndarray) -> np.ndarray:
     """All 32 outcome operators, action layout, as one contiguous (32, 4, 4)
     array at 8(i - 1) + 2(j - 1) + (n - 1): its (4, 4, 2, 4, 4) view is
     indexed [i - 1, j - 1, n - 1].
 
-    ``grid`` holds the arranged channel's 32 amplitudes, in any shape.
-    ``weights``, Charlie's bras, contract his qubit, then the stacked Bell
-    bras contract Alice's pair; the unknown-qubit indices stay open as columns.
+    ``base`` holds a setting's two base operators, (2, 4, 4) as
+    ``_base_operators`` gives them.  The stacked Bell bras contract Alice's
+    pair; the unknown-qubit indices stay open as columns, and the factor
+    1 / (_PREFACTOR * _SCALE) = 2 rescales the base operators' projections.
     """
-    charlie = grid.reshape(16, 2) @ weights.T  # [alice bob, n]
-    projected = _BELL_PAIR_ROWS @ charlie.reshape(4, 8)
-    # [i, j, unknown pair, bob, n] -> [i, j, n, bob, unknown pair]
-    table = projected.reshape(4, 4, 4, 4, 2).transpose(0, 1, 4, 3, 2)
-    return np.multiply(1.0 / _PREFACTOR, table, order="C").reshape(32, 4, 4)
+    projected = _BELL_PAIR_ROWS @ base  # [n, (i, j, unknown pair), bob]
+    # [n, i, j, unknown pair, bob] -> [i, j, n, bob, unknown pair]
+    table = projected.reshape(2, 4, 4, 4, 4).transpose(1, 2, 0, 4, 3)
+    return np.multiply(2.0, table, order="C").reshape(32, 4, 4)
 
 
-class _Setting:
-    """A channel's contraction at one measurement setting (assignment, theta).
+def _setting(channel: PureState, assignment: RoleAssignment, theta: float) -> list:
+    """The channel's setting slot [key, base operators, outcome operators]
+    at (assignment, theta), each array read-only.
 
-    Holds the arranged amplitudes and Charlie's weights, and builds each
-    contraction at its first use, read-only: ``base()``, the two base
-    operators from ``_base_operators`` as (2, 4, 4), and ``operators()``,
-    the 32 outcome operators from ``_outcome_operators``.
+    The key is the assignment and theta's exact value, its sign included
+    (-0.0 is not 0.0).  On a miss the slot is refilled with the base
+    operators of the arranged channel and no outcome operators, which
+    ``_outcomes`` builds at first use; so a channel holds one setting, and
+    consecutive calls at it share its contraction.  A slot only holds a
+    finite theta, so a non-finite one never matches and ``_charlie_bras``
+    refuses it; nor a channel other than five qubits, which ``_arranged``
+    refuses.
     """
-
-    __slots__ = ("key", "grid", "weights", "_base", "_operators")
-
-    def __init__(self, key: tuple, grid: np.ndarray, weights: np.ndarray) -> None:
-        self.key, self.grid, self.weights = key, grid, weights
-        self._base = self._operators = None
-
-    def base(self) -> np.ndarray:
-        if self._base is None:
-            self._base = _base_operators(self.grid, self.weights).reshape(2, 4, 4)
-            self._base.setflags(write=False)
-        return self._base
-
-    def operators(self) -> np.ndarray:
-        if self._operators is None:
-            self._operators = _outcome_operators(self.grid, self.weights)
-            self._operators.setflags(write=False)
-        return self._operators
-
-
-def _setting(channel: PureState, assignment: RoleAssignment, theta: float) -> _Setting:
-    """The channel's contraction at (assignment, theta), from its one slot.
-
-    The slot is keyed by the assignment and theta's exact value, its sign
-    included (-0.0 is not 0.0); a call at any other setting replaces it, so
-    a channel holds one setting, and consecutive calls at that setting share
-    its contractions.  A slot only holds a finite theta, so a non-finite one
-    never matches and ``_charlie_bras`` refuses it.
-    """
-    _require_channel(channel)
     key = (assignment, theta, math.copysign(1.0, theta))
     slot = channel._setting
-    setting = slot[0]
-    if setting is None or setting.key != key:
-        grid = channel.amplitudes[assignment._gather]
-        setting = slot[0] = _Setting(key, grid, _charlie_bras(theta))
-    return setting
+    if slot[0] != key:
+        arranged = _arranged(channel, assignment)  # refuses a wrong width first
+        base = _base_operators(arranged, _charlie_bras(theta)).reshape(2, 4, 4)
+        base.setflags(write=False)
+        slot[:] = key, base, None
+    return slot
+
+
+def _outcomes(slot: list) -> np.ndarray:
+    """The setting slot's 32 outcome operators, built at first use."""
+    if slot[2] is None:
+        slot[2] = _outcome_operators(slot[1])
+        slot[2].setflags(write=False)
+    return slot[2]
 
 
 def transformation_operator(
@@ -272,7 +245,7 @@ def transformation_operator(
         raise ValueError("Bell outcome indices must be in 1..4")
     if type(charlie_outcome) is not int or charlie_outcome not in (1, 2):
         raise ValueError("Charlie outcome must be 1 or 2")
-    operators = _setting(channel, assignment, theta).operators()
+    operators = _outcomes(_setting(channel, assignment, theta))
     return operators[8 * (bell_first - 1) + 2 * (bell_second - 1) + charlie_outcome - 1].copy()
 
 
@@ -336,7 +309,7 @@ def criterion_check(
     both to be exactly 1/4, so a purity away from 1/4 explains a FAIL.
     """
     _require_tol(tol)
-    base = _setting(channel, assignment, theta).base()
+    base = _setting(channel, assignment, theta)[1]
     defect_1, defect_2 = _defects(base).tolist()
     return CriterionReport(
         assignment=assignment,
@@ -365,20 +338,19 @@ def pauli_factorization_check(
 ) -> FactorizationReport:
     """Verify all 32 outcome operators factor through the two base ones.
 
-    Compares the projection-built operator for every outcome, (1, 1, n)
-    included, against the base operator read off the amplitudes times
-    the local correction factors, entrywise, in the action layout.
-    One matrix product with ``_FACTOR_TABLE`` forms the base operators
-    times all 16 factors.
-    Holds identically for any channel; this check guards the Bell
-    dictionary and factor pairing.
+    Compares the Bell projection of the base operators for every outcome,
+    (1, 1, n) included, against the base operators times the local
+    correction factors, entrywise, in the action layout.  One matrix
+    product with ``_FACTOR_TABLE`` forms the base operators times all 16
+    factors.  Holds identically for any channel; this check guards the
+    Bell dictionary against the factor pairing.
     """
     _require_tol(tol)
-    setting = _setting(channel, assignment, theta)
+    slot = _setting(channel, assignment, theta)
     # action layout [n, row, column] times the table: [n, row, i, j, column]
-    action = setting.base().transpose(0, 2, 1).reshape(8, 4)
+    action = slot[1].transpose(0, 2, 1).reshape(8, 4)
     product = (action @ _FACTOR_TABLE).reshape(2, 4, 4, 4, 4)
-    direct = setting.operators().reshape(4, 4, 2, 4, 4)
+    direct = _outcomes(slot).reshape(4, 4, 2, 4, 4)
     max_dev = float(np.abs(direct - product.transpose(2, 3, 0, 1, 4)).max())
     return FactorizationReport(max_dev <= tol, max_dev)
 
@@ -438,14 +410,15 @@ def simulate(
         raise ValueError("the input must be a two-qubit state")
     if _norm_drifts(input_state.norm**2, STRICT_NORM_TOL):
         raise ValueError("the input state must be normalized")
-    operators = _setting(channel, assignment, theta).operators()
+    operators = _outcomes(_setting(channel, assignment, theta))
     residuals = _PREFACTOR * (operators.reshape(128, 4) @ input_state.amplitudes).reshape(32, 4)
     corrected = np.matvec(operators.conj().mT, residuals)
     re, im = corrected.real, corrected.imag
     norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))  # as np.linalg.norm forms it
     corrected /= np.where(norms > 0.0, norms, 1.0)[:, None]  # a zero row stays zero
     corrected.setflags(write=False)
-    fidelities = np.abs(np.vecdot(input_state.amplitudes, corrected)) ** 2
+    overlaps = np.vecdot(input_state.amplitudes, corrected)
+    fidelities = overlaps.real**2 + overlaps.imag**2  # not np.abs: alike at every SIMD level
     probabilities = np.vecdot(residuals, residuals).real.tolist()
     rows = zip(_OUTCOMES, probabilities, corrected, fidelities.tolist())
     return list(map(tuple.__new__, itertools.repeat(TeleportationRecord), rows))

@@ -8,8 +8,9 @@ The last line is one hash over everything; the lines before it give one
 hash per kind of output (``cli``, ``scan``, ``criterion``, ``eq5``,
 ``operator``, ``simulate``), so a change shows which outputs moved.
 ``--scan`` prints the ``scan`` line alone.  Standard error names numpy's
-SIMD baseline and the dispatch targets the CPU runs, as some output bits
-depend on them.
+SIMD baseline, the dispatch targets the CPU runs and the core name of
+the OpenBLAS kernel numpy loaded (``unknown`` where its library has no
+such symbol), as some output bits depend on them.
 Two checkouts that print the same hash give the same bytes on every run
 below, so a refactor meant to keep behaviour can be checked bit for bit
 against its parent.  The hash covers:
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import json
@@ -199,8 +202,20 @@ def simd_dispatch() -> str:
     return f"numpy {np.__version__} simd baseline {baseline}; dispatch {running or '-'}"
 
 
+def openblas_core() -> str:
+    """The core name of the OpenBLAS kernel that numpy's bundled library
+    runs, such as SkylakeX, or ``unknown``."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 if __name__ == "__main__":
-    sys.stderr.write(simd_dispatch() + "\n")
+    sys.stderr.write(f"{simd_dispatch()}; openblas {openblas_core()}\n")
     if sys.argv[1:] == ["--scan"]:
         sys.stdout.write(f"scan {scan_fingerprint()}\n")
         sys.exit(0)

@@ -855,12 +855,29 @@ def test_final_flush_into_closed_pipe_exits_broken_pipe(buffered_streams):
     os.close(read_end)
     try:
         help_proc = _run_module(["--help"], write_end)
-        # a usage error whose diagnostic cannot be written
-        usage_proc = _run_module(["scan"], subprocess.DEVNULL, stderr=write_end)
     finally:
         os.close(write_end)
     assert (help_proc.returncode, help_proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
-    assert usage_proc.returncode == cli.EXIT_BROKEN_PIPE
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["scan"], ["purity", "--state", "nosuch"]], ids=["usage", "input"]
+)
+def test_diagnostic_into_closed_pipe_keeps_input_error_exit(
+    buffered_streams, monkeypatch, argv, unbuffered
+):
+    # the diagnostic cannot be written, whether or not the stream buffers
+    # it, and the status still says input error
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module(argv, subprocess.PIPE, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

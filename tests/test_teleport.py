@@ -379,11 +379,13 @@ def test_bundle_contracts_the_channel_once(monkeypatch):
     for outcome in itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2)):
         transformation_operator(channel, assignment, *outcome, theta)
     assert len(bases) == 1 and len(projections) == 1
-    setting = channel._setting[0]
-    assert not setting.base().flags.writeable
-    operators = setting.operators()
-    assert operators.shape == (32, 4, 4) and operators.flags.c_contiguous
-    assert not operators.flags.writeable
+    key, base, operators = channel._setting
+    assert key == (assignment, theta, 1.0)
+    # the outcome operators are the Bell projection of the slot's base operators
+    assert projections[0] is base
+    assert base.shape == (2, 4, 4) and operators.shape == (32, 4, 4)
+    for array in (base, operators):
+        assert array.flags.c_contiguous and not array.flags.writeable
 
 
 @pytest.mark.parametrize("change", ["theta", "negative_zero", "assignment", "channel"])
@@ -402,14 +404,17 @@ def test_another_setting_contracts_again(monkeypatch, change):
     report = criterion_check(other_channel, other_assignment, other_theta)
     assert calls == [other_theta] and len(bases) == 1
     assert math.copysign(1.0, calls[0]) == math.copysign(1.0, other_theta)
-    # the new slot holds the contraction a cold channel object gives
+    key, base, operators = other_channel._setting
+    assert key == (other_assignment, other_theta, math.copysign(1.0, other_theta))
+    assert operators is None  # built at first use, which a criterion check is not
+    # the new slot holds the base operators a cold channel object gives
     cold = make_state(5, amplitudes)
     assert repr(report) == repr(criterion_check(cold, other_assignment, other_theta))
-    assert other_channel._setting[0].base().tobytes() == cold._setting[0].base().tobytes()
+    assert base.tobytes() == cold._setting[1].tobytes()
     if change == "negative_zero":  # -0.0 flips the sign of some zero entries
         positive = make_state(5, amplitudes)
         criterion_check(positive, assignment, 0.0)
-        assert positive._setting[0].base().tobytes() != cold._setting[0].base().tobytes()
+        assert positive._setting[1].tobytes() != cold._setting[1].tobytes()
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -542,6 +547,34 @@ def test_simulate_zero_probability_outcomes_report_zero_fidelity():
         assert record.fidelity == 0.0
 
 
+def test_simulate_fidelity_of_a_noise_residual_is_its_squared_parts():
+    """Bob's pair held in |00>: every operator is rank one, |00><w|, and an
+    input orthogonal to w of outcome (1, 1, 1) leaves that outcome a residual
+    of rounding noise, so its overlap with the input is complex, not near
+    real.  Each fidelity is re**2 + im**2 of its overlap to the bit, where
+    numpy's complex abs, squared, misses by an ulp on some of them."""
+    rng = np.random.default_rng(48)
+    assignment, abs_misses = RoleAssignment((1, 2), (3, 4), 5), 0
+    for _ in range(8):
+        amplitudes = np.zeros((2, 2, 2, 2, 2), dtype=complex)
+        amplitudes[:, :, 0, 0, :] = (rng.standard_normal(8) + 1j * rng.standard_normal(8)).reshape(
+            2, 2, 2
+        )
+        channel = make_state(5, amplitudes.reshape(32))
+        theta = float(rng.uniform(-math.pi, math.pi))
+        w = transformation_operator(channel, assignment, 1, 1, 1, theta)[0].conj()
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        x -= w * (np.vdot(w, x) / np.vdot(w, w))
+        input_state = make_state(2, x / np.linalg.norm(x))
+        records = simulate(channel, assignment, theta, input_state)
+        overlaps = np.vecdot(input_state.amplitudes, [r.bob_corrected for r in records])
+        assert records[0].probability < 1e-30
+        fidelities = overlaps.real**2 + overlaps.imag**2
+        assert [r.fidelity.hex() for r in records] == [f.hex() for f in fidelities.tolist()]
+        abs_misses += (np.abs(overlaps[:1]) ** 2)[0] != records[0].fidelity
+    assert abs_misses > 0
+
+
 def test_simulate_input_validation(brown, assign_12):
     with pytest.raises(ValueError, match="two-qubit"):
         simulate(brown, assign_12, 0.0, named_state("ghz5"))
@@ -651,8 +684,10 @@ def test_simulate_records_are_single_outcome_arithmetic(seed):
         assert record.probability.hex() == np.vdot(residual, residual).real.hex()
         assert record.bob_corrected.tobytes() == bob.tobytes()
         overlaps.append(np.vdot(x, record.bob_corrected))
-    # the fidelity's modulus is numpy's array abs, as in simulate
-    fidelities = np.abs(overlaps) ** 2
+    # the fidelity is the squared parts of the overlap, as in simulate, squared
+    # as an array: a float's ** 2 calls libm's pow, which can miss by an ulp
+    overlaps = np.array(overlaps)
+    fidelities = overlaps.real**2 + overlaps.imag**2
     assert [r.fidelity.hex() for r in records] == [f.hex() for f in fidelities.tolist()]
 
 
