@@ -80,13 +80,17 @@ def purity(rho: np.ndarray) -> float:
     return float(value.real)
 
 
-def _reduced_purity(s: PureState, keep: Iterable[int]) -> float:
-    """``purity(partial_trace(s, keep))``, memoized on ``s`` by sorted labels."""
-    kept = tuple(sorted(set(keep)))
+def _reduced_purity(s: PureState, keep: tuple[int, ...]) -> float:
+    """``purity(partial_trace(s, keep))``, memoized on ``s`` by sorted labels,
+    and by ``keep`` as given once it has been seen."""
     memo = s._purities
-    value = memo.get(kept)
+    value = memo.get(keep)
     if value is None:
-        value = memo[kept] = purity(partial_trace(s, kept))
+        kept = tuple(sorted(set(keep)))
+        value = memo.get(kept)
+        if value is None:
+            value = memo[kept] = purity(partial_trace(s, kept))
+        memo[keep] = value
     return value
 
 

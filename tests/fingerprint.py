@@ -2,12 +2,14 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/fingerprint.py [--scan]
+    PYTHONPATH=src python tests/fingerprint.py [--scan | --verify]
 
 The last line is one hash over everything; the lines before it give one
 hash per kind of output (``cli``, ``scan``, ``criterion``, ``eq5``,
 ``operator``, ``simulate``), so a change shows which outputs moved.
-``--scan`` prints the ``scan`` line alone.  Standard error names numpy's
+``--scan`` prints the ``scan`` line alone, and ``--verify`` the
+``criterion``, ``eq5``, ``operator`` and ``simulate`` lines alone, each
+from the same inputs as the full run.  Standard error names numpy's
 SIMD baseline, the dispatch targets the CPU runs and the core name of
 the OpenBLAS kernel numpy loaded (``unknown`` where its library has no
 such symbol), as some output bits depend on them.
@@ -131,25 +133,40 @@ def _scan(feed, index: int, channel) -> None:
         feed("scan", index, tol, json.dumps(scan(channel, tol).as_dicts()))
 
 
-def _library(feed, rng: np.random.Generator) -> None:
+def _verify(feed, rng: np.random.Generator, index: int, channel, inputs: list) -> None:
+    """The ``criterion``, ``eq5``, ``operator`` and ``simulate`` lines of one
+    channel, at three assignments and three angles that ``rng`` picks."""
     assignments = enumerate_assignments()
+    for pick in rng.choice(len(assignments), size=3, replace=False):
+        assignment = assignments[pick]
+        for theta in (0.0, math.pi / 4, float(rng.uniform(-math.pi, math.pi))):
+            feed("criterion", index, pick, theta, criterion_check(channel, assignment, theta))
+            feed("eq5", index, pick, theta,
+                 tuple(pauli_factorization_check(channel, assignment, theta)))
+            for outcome in ((1, 1, 1), (1, 1, 2), (2, 3, 1), (4, 4, 2)):
+                operator = transformation_operator(channel, assignment, *outcome, theta)
+                feed("operator", index, pick, theta, outcome, operator.tobytes())
+            for state in inputs[: 1 + index % 4]:
+                for record in simulate(channel, assignment, theta, state):
+                    feed("simulate", index, pick, theta, record.outcome,
+                         record.probability, record.bob_corrected.tobytes(),
+                         record.fidelity)
+
+
+def _library(feed, rng: np.random.Generator) -> None:
     inputs, channels = _inputs_and_channels(rng)
     for index, channel in enumerate(channels):
         _scan(feed, index, channel)
-        for pick in rng.choice(len(assignments), size=3, replace=False):
-            assignment = assignments[pick]
-            for theta in (0.0, math.pi / 4, float(rng.uniform(-math.pi, math.pi))):
-                feed("criterion", index, pick, theta, criterion_check(channel, assignment, theta))
-                feed("eq5", index, pick, theta,
-                     tuple(pauli_factorization_check(channel, assignment, theta)))
-                for outcome in ((1, 1, 1), (1, 1, 2), (2, 3, 1), (4, 4, 2)):
-                    operator = transformation_operator(channel, assignment, *outcome, theta)
-                    feed("operator", index, pick, theta, outcome, operator.tobytes())
-                for state in inputs[: 1 + index % 4]:
-                    for record in simulate(channel, assignment, theta, state):
-                        feed("simulate", index, pick, theta, record.outcome,
-                             record.probability, record.bob_corrected.tobytes(),
-                             record.fidelity)
+        _verify(feed, rng, index, channel, inputs)
+
+
+def verify_lines(feed) -> None:
+    """Feed the verify-path lines of ``fingerprint`` alone, in its order:
+    those of every kind but ``cli`` and ``scan``."""
+    rng = np.random.default_rng(SEED)
+    inputs, channels = _inputs_and_channels(rng)
+    for index, channel in enumerate(channels):
+        _verify(feed, rng, index, channel, inputs)
 
 
 def _line(parts: tuple) -> bytes:
@@ -189,6 +206,31 @@ def scan_fingerprint() -> str:
     return digest.hexdigest()
 
 
+def verify_fingerprint() -> dict[str, str]:
+    """The verify-path hashes of ``fingerprint``, by kind."""
+    kinds = collections.defaultdict(hashlib.sha256)
+    verify_lines(lambda *parts: kinds[parts[0]].update(_line(parts)))
+    return {kind: h.hexdigest() for kind, h in kinds.items()}
+
+
+def verify_outcomes() -> dict[str, list]:
+    """What the verify-path lines decide, in their order: each criterion
+    verdict, each factorization check's ``holds`` and each outcome
+    probability; for kernels whose last bits differ from this one's."""
+    outcomes = {"criterion": [], "eq5": [], "probability": []}
+
+    def feed(kind, *parts) -> None:
+        if kind == "criterion":
+            outcomes[kind].append(parts[-1].passed)
+        elif kind == "eq5":
+            outcomes[kind].append(parts[-1][0])
+        elif kind == "simulate":
+            outcomes["probability"].append(parts[4])
+
+    verify_lines(feed)
+    return outcomes
+
+
 def simd_dispatch() -> str:
     """numpy's SIMD baseline and the dispatch targets this CPU runs."""
     from numpy._core._multiarray_umath import (
@@ -218,6 +260,10 @@ if __name__ == "__main__":
     sys.stderr.write(f"{simd_dispatch()}; openblas {openblas_core()}\n")
     if sys.argv[1:] == ["--scan"]:
         sys.stdout.write(f"scan {scan_fingerprint()}\n")
+        sys.exit(0)
+    if sys.argv[1:] == ["--verify"]:
+        for kind, hexdigest in verify_fingerprint().items():
+            sys.stdout.write(f"{kind} {hexdigest}\n")
         sys.exit(0)
     overall, kinds = fingerprint()
     for kind, hexdigest in kinds.items():

@@ -1,14 +1,19 @@
 """Transformation operators, the unitarity criterion, protocol simulation."""
 
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fingerprint
 import telecrit
 import telecrit.angles as angles
 from conftest import random_channel, random_input
@@ -689,6 +694,167 @@ def test_simulate_records_are_single_outcome_arithmetic(seed):
     overlaps = np.array(overlaps)
     fidelities = overlaps.real**2 + overlaps.imag**2
     assert [r.fidelity.hex() for r in records] == [f.hex() for f in fidelities.tolist()]
+
+
+def _noisy_state(rng, num_qubits, scale=1.0):
+    """A state of complex Gaussian amplitudes times ``scale``, built without
+    normalizing; about one part in five is a signed zero or subnormal."""
+    parts = scale * rng.standard_normal((2, 2**num_qubits))
+    special = rng.random(parts.shape) < 0.2
+    parts[special] = rng.choice(_SPECIALS, special.sum())
+    amplitudes = np.empty(2**num_qubits, dtype=complex)
+    amplitudes.real, amplitudes.imag = parts
+    return PureState(num_qubits, amplitudes)
+
+
+def _noisy_input(rng):
+    """A normalized two-qubit input with signed-zero and subnormal parts."""
+    state = _noisy_state(rng, 2)
+    x = state.amplitudes
+    return PureState(2, x / math.sqrt(np.vdot(x, x).real))
+
+
+def _verify_setting(seed):
+    """A random channel, unit or scaled to 1e-160 or 1e-300, with noisy
+    parts, an assignment, an angle and a noisy input."""
+    rng = np.random.default_rng(seed)
+    channel = _noisy_state(rng, 5, float(rng.choice([1.0, 1e-160, 1e-300])))
+    assignment = enumerate_assignments()[int(rng.integers(30))]
+    return channel, assignment, float(rng.uniform(-math.pi, math.pi)), _noisy_input(rng)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_factorization_product_is_the_reshaped_one(seed):
+    """The base operators' product with the factor table, taken on the
+    stacked adjoint view, gives the deviation the (8, 4) copy gave, to the
+    bit: each entry is one base entry times +-1 and zeros."""
+    channel, assignment, theta, _ = _verify_setting(seed)
+    report = pauli_factorization_check(channel, assignment, theta)
+    slot = telecrit.teleport._setting(channel, assignment, theta)
+    action = slot[1].transpose(0, 2, 1).reshape(8, 4)
+    product = (action @ telecrit.teleport._FACTOR_TABLE).reshape(2, 4, 4, 4, 4)
+    direct = slot[2].reshape(4, 4, 2, 4, 4)
+    deviation = float(np.abs(direct - product.transpose(2, 3, 0, 1, 4)).max())
+    assert report.max_deviation.hex() == deviation.hex()
+    assert report.holds == (deviation <= 1e-10)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_simulate_records_keep_the_where_normalization(seed):
+    """Every record equals, to the bit, the formula that divided every row by
+    np.where(norms > 0, norms, 1.0) and tested the norm as norm ** 2: on
+    channels scaled to 1e-160, where Bob's corrected rows are subnormal and
+    their norms underflow to zero, and on inputs with subnormal parts."""
+    channel, assignment, theta, input_state = _verify_setting(seed)
+    x = input_state.amplitudes
+    assert abs(input_state.norm**2 - 1.0) <= telecrit.STRICT_NORM_TOL
+    records = simulate(channel, assignment, theta, input_state)
+    operators = telecrit.teleport._setting(channel, assignment, theta)[2]
+    residuals = telecrit.teleport._PREFACTOR * (operators.reshape(128, 4) @ x).reshape(32, 4)
+    corrected = np.matvec(operators.conj().mT, residuals)
+    re, im = corrected.real, corrected.imag
+    norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    corrected /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    overlaps = np.vecdot(x, corrected)
+    fidelities = overlaps.real**2 + overlaps.imag**2
+    probabilities = np.vecdot(residuals, residuals).real
+    assert b"".join(r.bob_corrected.tobytes() for r in records) == corrected.tobytes()
+    assert [r.probability.hex() for r in records] == [p.hex() for p in probabilities.tolist()]
+    assert [r.fidelity.hex() for r in records] == [f.hex() for f in fidelities.tolist()]
+
+
+def test_simulate_keeps_rows_whose_norm_underflows():
+    """A channel scaled to 1e-160 gives Bob corrected rows of ~1e-320 whose
+    squared parts underflow: such a row keeps its subnormal entries."""
+    rng = np.random.default_rng(34)
+    channel, input_state = PureState(5, 1e-160 * random_channel(rng).amplitudes), random_input(rng)
+    records = simulate(channel, RoleAssignment((1, 2), (3, 4), 5), 0.3, input_state)
+    rows = np.array([r.bob_corrected for r in records])
+    assert np.any(rows != 0.0) and np.all(np.abs(rows) < 1e-300)
+    assert [r.fidelity for r in records] == [0.0] * 32
+
+
+def test_outcome_operators_double_after_the_product():
+    """The outcome operators are 2 times the Bell projection, doubled after
+    the product: with the 2 folded into the bras, a subnormal product would
+    round once at twice its size and differ in its last bit."""
+    amplitudes = named_state("brown").amplitudes + np.where(
+        named_state("brown").amplitudes == 0, 3e-322, 0.0
+    )
+    channel, assignment = PureState(5, amplitudes), RoleAssignment((1, 3), (2, 4), 5)
+    base = telecrit.teleport._setting(channel, assignment, 0.4)[1]
+    operators = telecrit.teleport._outcome_operators(base)
+    rows = telecrit.teleport._BELL_PAIR_ROWS
+    table = (rows @ base).reshape(2, 4, 4, 4, 4).transpose(1, 2, 0, 4, 3)
+    assert operators.tobytes() == np.multiply(2.0, table, order="C").tobytes()
+    folded = ((2.0 * rows) @ base).reshape(2, 4, 4, 4, 4).transpose(1, 2, 0, 4, 3)
+    assert operators.tobytes() != np.ascontiguousarray(folded).tobytes()
+
+
+@pytest.mark.parametrize("drift, accepted", [
+    (0.9e-6, True), (-0.9e-6, True), (1.1e-6, False), (-1.1e-6, False),
+])
+def test_simulate_input_norm_boundary(brown, assign_12, drift, accepted):
+    """simulate accepts an input whose squared norm is within 1e-6 of 1."""
+    input_state = PureState(2, [math.sqrt((1.0 + drift) / 2), 0, 0, math.sqrt((1.0 + drift) / 2)])
+    if accepted:
+        assert len(simulate(brown, assign_12, 0.0, input_state)) == 32
+    else:
+        with pytest.raises(ValueError, match="normalized"):
+            simulate(brown, assign_12, 0.0, input_state)
+
+
+def _kernel_settings() -> dict[str, dict[str, str]]:
+    """Environments that switch kernels this CPU runs: numpy's X86_V3 and
+    higher dispatch targets off, and OpenBLAS's Haswell kernel."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    found = {}
+    if "X86_V3" in __cpu_dispatch__:
+        higher = __cpu_dispatch__[list(__cpu_dispatch__).index("X86_V3"):]
+        targets = [target for target in higher if __cpu_features__.get(target)]
+        if targets:
+            found["numpy below X86_V3"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    if __cpu_features__.get("X86_V3"):  # Haswell's kernel needs AVX2 and FMA3
+        found["OpenBLAS Haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    return found
+
+
+_CHILD = (
+    "import json, fingerprint; print(json.dumps([fingerprint.simd_dispatch(), "
+    "fingerprint.openblas_core(), fingerprint.verify_outcomes()]))"
+)
+
+
+def test_verify_decisions_do_not_depend_on_kernels():
+    """The fingerprint's verify-path inputs, run under other numpy and
+    OpenBLAS kernels, give the same criterion verdicts and factorization
+    verdicts, and probabilities within 1e-12; their last bits may move."""
+    settings_found = _kernel_settings()
+    if not settings_found:
+        pytest.skip("this CPU runs no kernel above numpy's X86_V2 baseline")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(telecrit.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, tests, os.environ.get("PYTHONPATH")]))
+    here = fingerprint.verify_outcomes()
+    for name, variables in settings_found.items():
+        env = {**os.environ, "PYTHONPATH": path, **variables}
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD], capture_output=True, env=env, timeout=300, check=True
+        )
+        dispatch, core, there = json.loads(proc.stdout)
+        if "NPY_DISABLE_CPU_FEATURES" in variables:
+            running = dispatch.rsplit("dispatch", 1)[-1].split()
+            assert not set(variables["NPY_DISABLE_CPU_FEATURES"].split()) & set(running)
+        elif core not in ("Haswell", "unknown"):
+            continue  # this OpenBLAS build has one kernel and ignores the variable
+        assert there["criterion"] == here["criterion"], name
+        assert there["eq5"] == here["eq5"], name
+        probabilities = np.array(there["probability"])
+        assert probabilities.shape == (len(here["probability"]),), name
+        assert np.max(np.abs(probabilities - here["probability"])) <= 1e-12, name
 
 
 def test_public_names():
