@@ -105,11 +105,9 @@ class PureState:
 
     @cached_property
     def _setting(self) -> list:
-        """One-slot memo for ``teleport``'s operators of this channel at its
-        last measurement setting, [key, base operators, outcome operators],
-        all None until the first; a call at another setting replaces it, and
-        it dies with the state."""
-        return [None, None, None]
+        """Holder of ``teleport``'s record of this channel at its last
+        measurement setting, keyed None until the first; it dies with the state."""
+        return [(None,)]
 
 
 def _norm_drifts(norm_sq: float, bound: float) -> bool:

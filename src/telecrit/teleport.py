@@ -18,7 +18,7 @@ The senders' Bell dictionary is states' ``_BELL_SIGNS``, paired with
 the stacked sender bras ``_BELL_PAIR_ROWS``.
 
 Engine: ``_base_operators`` is the one contraction of a channel's
-amplitudes with Charlie's weights, [[c, s], [s, -c]]: it sums the weights
+amplitudes with Charlie's real weights, [[c, s], [s, -c]]: it sums them
 times the Charlie halves of a stack of arranged channels, at a stack of
 angles, and the criterion, the angle classifier and the scan take the
 unitarity defect of its output with ``_defects``.  The 32 outcome
@@ -27,22 +27,22 @@ operators are the Bell projection of a setting's two base operators
 them; ``pauli_factorization_check`` checks that projection against
 base @ kron(F_i, F_j), all 16 factors in one product with
 ``_FACTOR_TABLE``, so it guards the Bell dictionary against the factor
-pairing.  A channel keeps its last measurement setting in one slot on
-the ``PureState``, beside its purity memo: the key (the assignment and
-theta's exact value; 0.0 and -0.0 differ), the base operators, built on
-a miss from ``_arranged``, and the 32 outcome operators, built at first
-use, each read-only.  ``criterion_check``, ``pauli_factorization_check``,
-``transformation_operator`` (which returns a copy) and ``simulate`` read
-it, so a verify bundle contracts the channel once; input checks run on
-every call.  ``simulate`` reads Bob's residuals off the 32 operators in
-one (128, 4) @ (4,) product, corrects each with its operator's adjoint in
-one ``np.matvec``, and returns each outcome as a ``TeleportationRecord``
-built from a row of one read-only (32, 4) array.  Every row dot is
-``np.vecdot``, which calls on each row the BLAS dot ``np.vdot`` calls;
-the defects and simulate's norms dot the strided real and imaginary
-views, as ``np.linalg.norm`` does, so they round as it does.  The
-brute-force simulation of the seven-qubit joint state, an independent
-check of these routes, lives with the test oracles.
+pairing.  A channel holds the record of its last measurement setting on
+the ``PureState``, beside its purity memo: (key, base operators, outcome
+operators), built whole on a miss and replaced in one assignment.
+``criterion_check``, ``pauli_factorization_check``,
+``transformation_operator`` (which returns a copy) and ``simulate`` each
+unpack the record ``_setting`` hands them, so a verify bundle contracts
+the channel once; input checks run on every call.  ``simulate`` reads
+Bob's residuals off the 32 operators in one (128, 4) @ (4,) product,
+corrects each with its operator's adjoint in one ``np.matvec``, and
+returns each outcome as a ``TeleportationRecord`` built from a row of
+one read-only (32, 4) array.  Every row dot is ``np.vecdot``, which
+calls on each row the BLAS dot ``np.vdot`` calls; the defects and
+simulate's norms dot the strided real and imaginary views, as
+``np.linalg.norm`` does, so they round as it does.  The brute-force
+simulation of the seven-qubit joint state, an independent check of these
+routes, lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _charlie_bras(theta: float) -> np.ndarray:
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=np.complex128)
+    return np.array([[c, s], [s, -c]])
 
 
 @dataclass(frozen=True)
@@ -197,35 +197,27 @@ def _outcome_operators(base: np.ndarray) -> np.ndarray:
     return np.multiply(2.0, table, order="C").reshape(32, 4, 4)
 
 
-def _setting(channel: PureState, assignment: RoleAssignment, theta: float) -> list:
-    """The channel's setting slot [key, base operators, outcome operators]
-    at (assignment, theta), each array read-only.
+def _setting(channel: PureState, assignment: RoleAssignment, theta: float) -> tuple:
+    """The channel's record (key, base operators, outcome operators) at
+    (assignment, theta), both arrays read-only.
 
     The key is the assignment and theta's exact value, its sign included
-    (-0.0 is not 0.0).  On a miss the slot is refilled with the base
-    operators of the arranged channel and no outcome operators, which
-    ``_outcomes`` builds at first use; so a channel holds one setting, and
-    consecutive calls at it share its contraction.  A slot only holds a
-    finite theta, so a non-finite one never matches and ``_charlie_bras``
-    refuses it; nor a channel other than five qubits, which ``_arranged``
-    refuses.
+    (-0.0 is not 0.0).  A miss builds the record whole and swaps it into
+    the channel's holder, so a channel holds one setting, consecutive calls
+    at it share its contraction, and each caller keeps the record it was
+    handed.  A record only holds a finite theta and a unit-norm, five-qubit
+    channel, which ``_charlie_bras`` and ``_arranged`` check on a miss.
     """
     key = (assignment, theta, math.copysign(1.0, theta))
-    slot = channel._setting
-    if slot[0] != key:
-        arranged = _arranged(channel, assignment)  # refuses a wrong width first
+    record = channel._setting[0]
+    if record[0] != key:
+        arranged = _arranged(channel, assignment)  # refuses a wrong channel first
         base = _base_operators(arranged, _charlie_bras(theta)).reshape(2, 4, 4)
+        outcomes = _outcome_operators(base)
         base.setflags(write=False)
-        slot[:] = key, base, None
-    return slot
-
-
-def _outcomes(slot: list) -> np.ndarray:
-    """The setting slot's 32 outcome operators, built at first use."""
-    if slot[2] is None:
-        slot[2] = _outcome_operators(slot[1])
-        slot[2].setflags(write=False)
-    return slot[2]
+        outcomes.setflags(write=False)
+        record = channel._setting[0] = key, base, outcomes
+    return record
 
 
 def transformation_operator(
@@ -247,7 +239,7 @@ def transformation_operator(
         raise ValueError("Bell outcome indices must be in 1..4")
     if type(charlie_outcome) is not int or charlie_outcome not in (1, 2):
         raise ValueError("Charlie outcome must be 1 or 2")
-    operators = _outcomes(_setting(channel, assignment, theta))
+    _, _, operators = _setting(channel, assignment, theta)
     return operators[8 * (bell_first - 1) + 2 * (bell_second - 1) + charlie_outcome - 1].copy()
 
 
@@ -311,7 +303,7 @@ def criterion_check(
     both to be exactly 1/4, so a purity away from 1/4 explains a FAIL.
     """
     _require_tol(tol)
-    base = _setting(channel, assignment, theta)[1]
+    _, base, _ = _setting(channel, assignment, theta)
     defect_1, defect_2 = _defects(base).tolist()
     return CriterionReport(
         assignment,
@@ -348,10 +340,10 @@ def pauli_factorization_check(
     Bell dictionary against the factor pairing.
     """
     _require_tol(tol)
-    slot = _setting(channel, assignment, theta)
+    _, base, operators = _setting(channel, assignment, theta)
     # action layout [n, row, column] times the table: [n, row, i, j, column]
-    product = (slot[1].mT @ _FACTOR_TABLE).reshape(2, 4, 4, 4, 4)
-    direct = _outcomes(slot).reshape(4, 4, 2, 4, 4)
+    product = (base.mT @ _FACTOR_TABLE).reshape(2, 4, 4, 4, 4)
+    direct = operators.reshape(4, 4, 2, 4, 4)
     max_dev = float(np.abs(direct - product.transpose(2, 3, 0, 1, 4)).max())
     return FactorizationReport(max_dev <= tol, max_dev)
 
@@ -412,7 +404,7 @@ def simulate(
     x = input_state.amplitudes
     if _norm_drifts(np.vdot(x, x).real, STRICT_NORM_TOL):
         raise ValueError("the input state must be normalized")
-    operators = _outcomes(_setting(channel, assignment, theta))
+    _, _, operators = _setting(channel, assignment, theta)
     residuals = _PREFACTOR * (operators.reshape(128, 4) @ x).reshape(32, 4)
     corrected = np.matvec(operators.conj().mT, residuals)
     re, im = corrected.real, corrected.imag

@@ -23,9 +23,11 @@ of a channel, 30 bundles, each at a fresh seeded angle that both sides
 share, so no bundle starts at the setting the last one left on the
 channel.  Before timing, it asserts that both sides give the same bundle
 results (reprs, and the bytes of Bob's corrected states) on every
-channel at three angles of every assignment.  The process pins itself
-to one CPU and one BLAS thread before numpy loads.  pytest does not
-collect this file.
+channel at three angles of every assignment.  Last it times
+``criterion_check`` alone the same way, 30 checks per block, each at a
+fresh seeded angle, so every check builds its setting's record.  The
+process pins itself to one CPU and one BLAS thread before numpy loads.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -103,14 +105,34 @@ def _bundle_bits(bundle: tuple) -> str:
     return repr((report.as_dict(), report.tol, tuple(factorization), rows))
 
 
-def _verify_block(package, channel, input_state, thetas) -> float:
-    """Seconds per verify bundle, over one block: one bundle per assignment,
-    each at its own angle."""
+def _criterion(package, channel, assignment, theta, input_state):
+    """A criterion check alone at one setting."""
+    return package.criterion_check(channel, assignment, theta)
+
+
+def _verify_block(package, channel, input_state, thetas, step) -> float:
+    """Seconds per ``step`` (a bundle or a criterion check), over one block:
+    one step per assignment, each at its own angle."""
     assignments = package.enumerate_assignments()
     start = time.perf_counter()
     for assignment, theta in zip(assignments, thetas):
-        _bundle(package, channel, assignment, theta, input_state)
+        step(package, channel, assignment, theta, input_state)
     return (time.perf_counter() - start) / len(thetas)
+
+
+def _time_verify(sides, channels, inputs, rng, blocks, step) -> dict:
+    """Per-step times of every channel on both sides, in alternating blocks
+    at fresh seeded angles that both sides share."""
+    times = {side: {name: [] for name in channels[side]} for side in sides}
+    for block in range(blocks):
+        order = ("this", "other") if block % 2 == 0 else ("other", "this")
+        thetas = {name: rng.uniform(-math.pi, math.pi, 30).tolist() for name in times["this"]}
+        for side in order:
+            for name, channel in channels[side].items():
+                times[side][name].append(
+                    _verify_block(sides[side], channel, inputs[side], thetas[name], step)
+                )
+    return times
 
 
 def _print_medians(times: dict[str, dict[str, list[float]]], unit: str) -> None:
@@ -173,17 +195,10 @@ def main(argv: list[str]) -> int:
             }
             assert bits["this"] == bits["other"], f"{name}: the two verify bundles differ"
 
-    times = {side: {name: [] for name in raw} for side in sides}
-    for block in range(blocks):
-        order = ("this", "other") if block % 2 == 0 else ("other", "this")
-        thetas = {name: rng.uniform(-math.pi, math.pi, 30).tolist() for name in raw}
-        for side in order:
-            for name, channel in channels[side].items():
-                times[side][name].append(
-                    _verify_block(sides[side], channel, inputs[side], thetas[name])
-                )
-    _print_medians(times, "bundle")
+    _print_medians(_time_verify(sides, channels, inputs, rng, blocks, _bundle), "bundle")
     print(f"{blocks} blocks of 30 bundles per channel and side, one CPU")
+    _print_medians(_time_verify(sides, channels, inputs, rng, blocks, _criterion), "check")
+    print(f"{blocks} blocks of 30 criterion checks per channel and side, one CPU")
     return 0
 
 

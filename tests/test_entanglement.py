@@ -1,5 +1,7 @@
 """Partial trace, the purity summary, the closed-form pair-purity expansion."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,15 +13,19 @@ from telecrit import (
     PAIR_PURITY_TARGET,
     PureState,
     RoleAssignment,
+    classify_theta,
     criterion_check,
     enumerate_assignments,
     make_state,
     named_state,
     partial_trace,
+    pauli_factorization_check,
     purity,
     purity_summary,
     scan,
+    simulate,
     tensor,
+    transformation_operator,
 )
 
 
@@ -72,17 +78,40 @@ def test_density_matrix_validation(brown):
 
 
 def test_unnormalized_channel_is_refused(brown):
-    # PureState keeps amplitudes as given; only partial_trace's trace check
-    # stands between an unnormalized channel and a report; a reduction that
-    # raises is never memoized, so every reader raises again on a second call
-    doubled = PureState(5, 2 * brown.amplitudes)
-    for _ in range(2):
+    # PureState keeps amplitudes as given; every channel reader refuses one
+    # whose squared norm is off 1, an overflowing one too, and keeps no
+    # record of it, so every reader raises again on a second call
+    assignment, x = RoleAssignment((1, 2), (3, 4), 5), make_state(2, [1, 0, 0, 0])
+    for channel in (PureState(5, 2 * brown.amplitudes), PureState(5, 1e160 * brown.amplitudes)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="trace must be 1"):
+                scan(channel)
+            with pytest.raises(ValueError, match="trace must be 1"):
+                criterion_check(channel, assignment, 0.0)
+            with pytest.raises(ValueError, match="trace must be 1"):
+                purity_summary(channel)
+            with pytest.raises(ValueError, match="trace must be 1"):
+                simulate(channel, assignment, 0.0, x)
+            with pytest.raises(ValueError, match="trace must be 1"):
+                pauli_factorization_check(channel, assignment, 0.0)
+            with pytest.raises(ValueError, match="trace must be 1"):
+                transformation_operator(channel, assignment, 1, 1, 1, 0.0)
+            with pytest.raises(ValueError, match="trace must be 1"):
+                classify_theta(channel, assignment)
+
+
+@pytest.mark.parametrize("drift, accepted", [
+    (0.9e-12, True), (-0.9e-12, True), (1.1e-12, False), (-1.1e-12, False),
+])
+def test_channel_norm_boundary(brown, drift, accepted):
+    """A channel is accepted while its squared norm is within NORM_TOL of 1."""
+    channel = PureState(5, math.sqrt(1.0 + drift) * brown.amplitudes)
+    assignment, x = RoleAssignment((1, 2), (3, 4), 5), make_state(2, [1, 0, 0, 0])
+    if accepted:
+        assert len(simulate(channel, assignment, 0.0, x)) == 32
+    else:
         with pytest.raises(ValueError, match="trace must be 1"):
-            scan(doubled)
-        with pytest.raises(ValueError, match="trace must be 1"):
-            criterion_check(doubled, RoleAssignment((1, 2), (3, 4), 5), 0.0)
-        with pytest.raises(ValueError, match="trace must be 1"):
-            purity_summary(doubled)
+            simulate(channel, assignment, 0.0, x)
 
 
 def _spy_on_partial_trace(monkeypatch):

@@ -384,9 +384,12 @@ def test_bundle_contracts_the_channel_once(monkeypatch):
     for outcome in itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2)):
         transformation_operator(channel, assignment, *outcome, theta)
     assert len(bases) == 1 and len(projections) == 1
-    key, base, operators = channel._setting
+    record = channel._setting[0]  # the holder's one record, handed out whole
+    assert type(record) is tuple
+    assert telecrit.teleport._setting(channel, assignment, theta) is record
+    key, base, operators = record
     assert key == (assignment, theta, 1.0)
-    # the outcome operators are the Bell projection of the slot's base operators
+    # the outcome operators are the Bell projection of the record's base operators
     assert projections[0] is base
     assert base.shape == (2, 4, 4) and operators.shape == (32, 4, 4)
     for array in (base, operators):
@@ -406,20 +409,51 @@ def test_another_setting_contracts_again(monkeypatch, change):
     criterion_check(channel, assignment, 0.0)
     calls = _spy(monkeypatch, "_charlie_bras")
     bases = _spy(monkeypatch, "_base_operators")
+    projections = _spy(monkeypatch, "_outcome_operators")
     report = criterion_check(other_channel, other_assignment, other_theta)
-    assert calls == [other_theta] and len(bases) == 1
+    assert calls == [other_theta] and len(bases) == 1 and len(projections) == 1
     assert math.copysign(1.0, calls[0]) == math.copysign(1.0, other_theta)
-    key, base, operators = other_channel._setting
+    key, base, operators = other_channel._setting[0]
     assert key == (other_assignment, other_theta, math.copysign(1.0, other_theta))
-    assert operators is None  # built at first use, which a criterion check is not
-    # the new slot holds the base operators a cold channel object gives
+    assert projections[0] is base
+    # the new record holds the operators a cold channel object gives
     cold = make_state(5, amplitudes)
     assert repr(report) == repr(criterion_check(cold, other_assignment, other_theta))
-    assert base.tobytes() == cold._setting[1].tobytes()
+    _, cold_base, cold_operators = cold._setting[0]
+    assert base.tobytes() == cold_base.tobytes()
+    assert operators.tobytes() == cold_operators.tobytes()
     if change == "negative_zero":  # -0.0 flips the sign of some zero entries
         positive = make_state(5, amplitudes)
         criterion_check(positive, assignment, 0.0)
-        assert positive._setting[1].tobytes() != cold._setting[1].tobytes()
+        assert positive._setting[0][1].tobytes() != cold_base.tobytes()
+
+
+def test_a_setting_changed_during_a_build_pairs_no_key_with_other_operators(monkeypatch):
+    """A criterion check at theta = 0, run once from inside the outcome
+    operators' build at pi/4, moves the channel to theta = 0 mid-build; the
+    records then simulated at pi/4 and at 0, and an operator at 0, are a cold
+    channel's, bit for bit."""
+    rng = np.random.default_rng(35)
+    amplitudes, input_state = random_channel(rng).amplitudes, random_input(rng)
+    channel, assignment = make_state(5, amplitudes), RoleAssignment((1, 2), (3, 4), 5)
+    build = telecrit.teleport._outcome_operators
+
+    def reenter(base):
+        monkeypatch.setattr(telecrit.teleport, "_outcome_operators", build)
+        criterion_check(channel, assignment, 0.0)
+        return build(base)
+
+    monkeypatch.setattr(telecrit.teleport, "_outcome_operators", reenter)
+    thetas = (math.pi / 4, 0.0)
+    runs = [simulate(channel, assignment, theta, input_state) for theta in thetas]
+    operator = transformation_operator(channel, assignment, 1, 1, 1, 0.0)
+    for theta, records in zip(thetas, runs):
+        cold_records = simulate(make_state(5, amplitudes), assignment, theta, input_state)
+        assert [r.probability for r in records] == [r.probability for r in cold_records]
+        for record, cold_record in zip(records, cold_records, strict=True):
+            assert record.bob_corrected.tobytes() == cold_record.bob_corrected.tobytes()
+    cold_operator = transformation_operator(make_state(5, amplitudes), assignment, 1, 1, 1, 0.0)
+    assert operator.tobytes() == cold_operator.tobytes()
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -436,7 +470,7 @@ def test_non_finite_theta_rejected_with_a_warm_slot(monkeypatch, assign_12, thet
     for call in calls:
         with pytest.raises(ValueError, match="theta must be finite"):
             call()
-    # the refused angle left the slot as it was
+    # the refused angle left the record as it was
     weights = _spy(monkeypatch, "_charlie_bras")
     _bundle(channel, assign_12, 0.3, input_state)
     assert weights == []
@@ -696,31 +730,43 @@ def test_simulate_records_are_single_outcome_arithmetic(seed):
     assert [r.fidelity.hex() for r in records] == [f.hex() for f in fidelities.tolist()]
 
 
-def _noisy_state(rng, num_qubits, scale=1.0):
-    """A state of complex Gaussian amplitudes times ``scale``, built without
-    normalizing; about one part in five is a signed zero or subnormal."""
-    parts = scale * rng.standard_normal((2, 2**num_qubits))
+def _noisy_amplitudes(rng, num_qubits):
+    """Complex Gaussian amplitudes, not normalized; about one part in five is
+    a signed zero or subnormal."""
+    parts = rng.standard_normal((2, 2**num_qubits))
     special = rng.random(parts.shape) < 0.2
     parts[special] = rng.choice(_SPECIALS, special.sum())
     amplitudes = np.empty(2**num_qubits, dtype=complex)
     amplitudes.real, amplitudes.imag = parts
-    return PureState(num_qubits, amplitudes)
+    return amplitudes
 
 
 def _noisy_input(rng):
     """A normalized two-qubit input with signed-zero and subnormal parts."""
-    state = _noisy_state(rng, 2)
-    x = state.amplitudes
+    x = _noisy_amplitudes(rng, 2)
     return PureState(2, x / math.sqrt(np.vdot(x, x).real))
 
 
+def _tiny_half(rng, assignment, scale):
+    """A normalized channel with noisy parts whose half with Charlie's qubit
+    0 under ``assignment`` is scaled to ``scale``: at theta = +-0.0 Bob's
+    outcome-1 operators are that half alone, so for scale 1e-160 or 1e-300
+    their corrected rows' squared norms underflow to zero."""
+    amplitudes = _noisy_amplitudes(rng, 5)
+    amplitudes[assignment._gather[::2]] *= scale  # arranged order ends with Charlie
+    return make_state(5, amplitudes)
+
+
 def _verify_setting(seed):
-    """A random channel, unit or scaled to 1e-160 or 1e-300, with noisy
-    parts, an assignment, an angle and a noisy input."""
+    """A normalized channel with noisy parts, unit or with a Charlie half
+    scaled to 1e-160 or 1e-300 at theta = +-0.0, an assignment, an angle and
+    a noisy input."""
     rng = np.random.default_rng(seed)
-    channel = _noisy_state(rng, 5, float(rng.choice([1.0, 1e-160, 1e-300])))
     assignment = enumerate_assignments()[int(rng.integers(30))]
-    return channel, assignment, float(rng.uniform(-math.pi, math.pi)), _noisy_input(rng)
+    scale = float(rng.choice([1.0, 1e-160, 1e-300]))
+    channel = _tiny_half(rng, assignment, scale)
+    theta = rng.uniform(-math.pi, math.pi) if scale == 1.0 else rng.choice([0.0, -0.0])
+    return channel, assignment, float(theta), _noisy_input(rng)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -731,10 +777,10 @@ def test_factorization_product_is_the_reshaped_one(seed):
     bit: each entry is one base entry times +-1 and zeros."""
     channel, assignment, theta, _ = _verify_setting(seed)
     report = pauli_factorization_check(channel, assignment, theta)
-    slot = telecrit.teleport._setting(channel, assignment, theta)
-    action = slot[1].transpose(0, 2, 1).reshape(8, 4)
+    _, base, operators = telecrit.teleport._setting(channel, assignment, theta)
+    action = base.transpose(0, 2, 1).reshape(8, 4)
     product = (action @ telecrit.teleport._FACTOR_TABLE).reshape(2, 4, 4, 4, 4)
-    direct = slot[2].reshape(4, 4, 2, 4, 4)
+    direct = operators.reshape(4, 4, 2, 4, 4)
     deviation = float(np.abs(direct - product.transpose(2, 3, 0, 1, 4)).max())
     assert report.max_deviation.hex() == deviation.hex()
     assert report.holds == (deviation <= 1e-10)
@@ -745,13 +791,14 @@ def test_factorization_product_is_the_reshaped_one(seed):
 def test_simulate_records_keep_the_where_normalization(seed):
     """Every record equals, to the bit, the formula that divided every row by
     np.where(norms > 0, norms, 1.0) and tested the norm as norm ** 2: on
-    channels scaled to 1e-160, where Bob's corrected rows are subnormal and
-    their norms underflow to zero, and on inputs with subnormal parts."""
+    channels with a Charlie half scaled to 1e-160 or 1e-300, where some of
+    Bob's corrected rows have norms that underflow to zero, and on inputs
+    with subnormal parts."""
     channel, assignment, theta, input_state = _verify_setting(seed)
     x = input_state.amplitudes
     assert abs(input_state.norm**2 - 1.0) <= telecrit.STRICT_NORM_TOL
     records = simulate(channel, assignment, theta, input_state)
-    operators = telecrit.teleport._setting(channel, assignment, theta)[2]
+    _, _, operators = telecrit.teleport._setting(channel, assignment, theta)
     residuals = telecrit.teleport._PREFACTOR * (operators.reshape(128, 4) @ x).reshape(32, 4)
     corrected = np.matvec(operators.conj().mT, residuals)
     re, im = corrected.real, corrected.imag
@@ -766,14 +813,17 @@ def test_simulate_records_keep_the_where_normalization(seed):
 
 
 def test_simulate_keeps_rows_whose_norm_underflows():
-    """A channel scaled to 1e-160 gives Bob corrected rows of ~1e-320 whose
-    squared parts underflow: such a row keeps its subnormal entries."""
+    """A channel whose Charlie half is scaled to 1e-160 gives, at theta = 0,
+    Bob corrected rows of ~1e-320 for Charlie outcome 1 whose squared parts
+    underflow: such a row keeps its subnormal entries."""
     rng = np.random.default_rng(34)
-    channel, input_state = PureState(5, 1e-160 * random_channel(rng).amplitudes), random_input(rng)
-    records = simulate(channel, RoleAssignment((1, 2), (3, 4), 5), 0.3, input_state)
-    rows = np.array([r.bob_corrected for r in records])
-    assert np.any(rows != 0.0) and np.all(np.abs(rows) < 1e-300)
-    assert [r.fidelity for r in records] == [0.0] * 32
+    assignment = RoleAssignment((1, 2), (3, 4), 5)
+    channel, input_state = _tiny_half(rng, assignment, 1e-160), random_input(rng)
+    records = simulate(channel, assignment, 0.0, input_state)
+    tiny = np.array([r.bob_corrected for r in records[0::2]])  # Charlie outcome 1
+    assert np.any(tiny != 0.0) and np.all(np.abs(tiny) < 1e-300)
+    assert [r.fidelity for r in records[0::2]] == [0.0] * 16
+    assert all(abs(np.linalg.norm(r.bob_corrected) - 1.0) < 1e-15 for r in records[1::2])
 
 
 def test_outcome_operators_double_after_the_product():
@@ -784,8 +834,7 @@ def test_outcome_operators_double_after_the_product():
         named_state("brown").amplitudes == 0, 3e-322, 0.0
     )
     channel, assignment = PureState(5, amplitudes), RoleAssignment((1, 3), (2, 4), 5)
-    base = telecrit.teleport._setting(channel, assignment, 0.4)[1]
-    operators = telecrit.teleport._outcome_operators(base)
+    _, base, operators = telecrit.teleport._setting(channel, assignment, 0.4)
     rows = telecrit.teleport._BELL_PAIR_ROWS
     table = (rows @ base).reshape(2, 4, 4, 4, 4).transpose(1, 2, 0, 4, 3)
     assert operators.tobytes() == np.multiply(2.0, table, order="C").tobytes()
