@@ -31,20 +31,20 @@ argmin is the first candidate within 4 ulps of the least value, node 0
 on a flat profile, whose values differ only in their last bits.
 
 Engine: ``scan`` stacks the channel re-arranged for all 30 assignments
-with one gather, and ``_classify`` classifies each distinct row of the
-stack once, every step on all distinct rows at once: the coefficients
-as stacked products; the candidate list once per distinct coefficient
-set (a1, b1, a2, b2), its quartics' roots from np.roots' companion
-matrices stacked into one ``eigvals`` per size; the closed form above
-at every candidate, one flat pass; and the exact defects, both outcomes
-in one stacked evaluation, only at the candidates the closed form
-leaves within a margin of max(their row's least value, tol^2).  The
-others get inf: their exact values provably exceed the row's minimum,
-its 4-ulp ties and tol, so none is the argmin, a root or a neighbour
-that decides one.  Every step works row by row and keeps the rounding
-of its single-matrix form (criterion_check's kernel, np.vdot, np.roots,
-math.cos, math.sin), so a duplicate row, a subset of the candidates or
-``classify_theta``, the same engine on a stack of one, gets the same
+with one gather, each in its role class's orientation, lower-labelled
+pair first: a pair swap transposes the base operators and keeps their
+defects, so the stack has at most 15 distinct rows.  ``_classify``
+classifies each distinct row once, all of them in every step: the
+coefficients as stacked products; the candidate list once per distinct
+coefficient set (a1, b1, a2, b2), its quartic's roots from one stacked
+``eigvals`` per companion size; the closed form above at every
+candidate; and the exact defects, both outcomes in one stacked call,
+only at the candidates the closed form leaves within a margin of
+max(their row's least value, tol^2); the others provably exceed the
+row's minimum, its 4-ulp ties and tol, and get inf.  Every step keeps
+the rounding of its single-matrix form (criterion_check's kernel,
+np.vdot, np.roots, math.cos, math.sin), so a duplicate row, a subset of
+the candidates or ``classify_theta`` (a stack of one) gets the same
 bits.  README "Engine" gives the details.
 """
 
@@ -354,13 +354,13 @@ def classify_theta(
     of the least value.
     """
     _require_tol(tol)
-    return _classify(_arranged(channel, assignment)[None], tol)[0]
+    return _classify(_arranged(channel, assignment._oriented)[None], tol)[0]
 
 
-# the 30 assignments of a scan and, in row k, assignment k's gather index:
-# channel.amplitudes[_GATHER] arranges all 30 at once, as _arranged does one
+# the 30 assignments of a scan and, in row k, the gather index of assignment
+# k's class orientation: channel.amplitudes[_GATHER] arranges all 30 at once
 _ASSIGNMENTS = tuple(enumerate_assignments())
-_GATHER = np.stack([a._gather for a in _ASSIGNMENTS])
+_GATHER = np.stack([a._oriented._gather for a in _ASSIGNMENTS])
 _GATHER.setflags(write=False)
 
 

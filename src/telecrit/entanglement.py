@@ -47,9 +47,8 @@ def _require_channel(channel: PureState) -> None:
     """The one channel check: five qubits, squared norm within NORM_TOL of 1."""
     if channel.num_qubits != 5:
         raise ValueError("the channel must be a five-qubit state")
-    norm_sq = float(np.vdot(channel.amplitudes, channel.amplitudes).real)
-    if _norm_drifts(norm_sq, NORM_TOL):  # as partial_trace's trace bound
-        raise ValueError(f"the channel's trace must be 1, got squared norm {norm_sq!r}")
+    if _norm_drifts(channel._norm_sq, NORM_TOL):  # as partial_trace's trace bound
+        raise ValueError(f"the channel's trace must be 1, got squared norm {channel._norm_sq!r}")
 
 
 def partial_trace(s: PureState, keep: Iterable[int]) -> np.ndarray:

@@ -104,6 +104,11 @@ class PureState:
         return {}
 
     @cached_property
+    def _norm_sq(self) -> float:
+        """Squared norm of the amplitudes, formed once per state."""
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+
+    @cached_property
     def _setting(self) -> list:
         """Holder of ``teleport``'s record of this channel at its last
         measurement setting, keyed None until the first; it dies with the state."""

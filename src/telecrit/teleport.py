@@ -149,6 +149,14 @@ class RoleAssignment:
         index.setflags(write=False)
         return index
 
+    @cached_property
+    def _oriented(self) -> RoleAssignment:
+        """The assignment in its role class's orientation, lower-labelled pair
+        first; swapping the pairs transposes the base operators."""
+        if min(self.bob) < min(self.alice):
+            return RoleAssignment(self.bob, self.alice, self.charlie)
+        return self
+
     def as_dict(self) -> dict:
         return {
             "alice": list(self.alice),
@@ -304,7 +312,9 @@ def criterion_check(
     """
     _require_tol(tol)
     _, base, _ = _setting(channel, assignment, theta)
-    defect_1, defect_2 = _defects(base).tolist()
+    # the role class's defects: a swapped orientation's operators are base.mT
+    swapped = min(assignment.bob) < min(assignment.alice)  # as in RoleAssignment._oriented
+    defect_1, defect_2 = _defects(base.mT if swapped else base).tolist()
     return CriterionReport(
         assignment,
         theta,

@@ -5,9 +5,11 @@ channel is re-arranged once per assignment, the candidate angles come
 from one assignment's coefficients and one ``np.roots`` call, every
 candidate is checked by ``unitarity_defect`` of each base operator on
 its own, and ``scan`` takes two partial traces per assignment.  Like the
-engine it works over the profile's period pi/2.  The full-period rule it
-replaced (candidates over [0, pi), two quartics) is kept beside it as
-``classify_theta_full_period``, to check the half period against.
+engine it works over the profile's period pi/2, and it judges each
+assignment in its role class's orientation (``class_orientation``).  The
+full-period rule it replaced (candidates over [0, pi), two quartics) is
+kept beside it as ``classify_theta_full_period``, to check the half
+period against.
 """
 
 from __future__ import annotations
@@ -35,6 +37,16 @@ from telecrit.teleport import (
     _charlie_bras,
     unitarity_defect,
 )
+
+
+def class_orientation(assignment: RoleAssignment) -> RoleAssignment:
+    """The assignment with Alice's and Bob's pairs swapped when Bob's holds
+    the lower label, else itself.  The swap transposes both base operators,
+    and ||M^H M - I|| = ||M M^H - I||, so an assignment and its swap form one
+    role class with one defect profile, evaluated in this orientation."""
+    if min(assignment.bob) < min(assignment.alice):
+        return RoleAssignment(assignment.bob, assignment.alice, assignment.charlie)
+    return assignment
 
 
 def _canonical_root(theta: float) -> float:
@@ -120,7 +132,7 @@ def _classify(
     """Verdict from the profile at the candidates; each root r is reported
     as r + shift for every shift, canonicalized and deduplicated modulo pi."""
     _require_tol(tol)
-    grid = _arranged(channel, assignment).reshape([2] * 5)
+    grid = _arranged(channel, class_orientation(assignment)).reshape([2] * 5)
     thetas = candidate_angles(grid)
     values = np.array(
         [

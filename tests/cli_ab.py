@@ -9,7 +9,9 @@ workload, each with ``--output json``: purity of brown and man_m5,
 criterion of brown, man_m5 and a man_m5 text file, scan of brown and a
 brown JSON file, eq5check of brown, and teleport of brown with fixed and
 seeded random input.  For each command the script first asserts that
-both sides exit with the same code and write the same stdout bytes.  It
+both sides exit with the same code and write the same stdout bytes, but
+for ``scan``, whose reports it compares entry by entry as ``scan_ab.py``
+does, since their last bits and the order of exact ties may differ.  It
 then runs ``rounds`` rounds (default 20), each running every command once
 per side as a fresh ``python -m telecrit.cli`` process, the side that
 goes first switching every round.  Just before each CLI process a fresh
@@ -33,6 +35,7 @@ os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
+import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
@@ -40,6 +43,8 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import telecrit  # noqa: E402
+# this file's directory is on sys.path
+from scan_ab import assert_scans_agree, keyed  # noqa: E402
 
 PAIRING = ["--alice", "1,3", "--bob", "2,4", "--charlie", "5", "--theta", "pi/4"]
 SUBCOMMANDS = ("purity", "criterion", "scan", "teleport", "eq5check")
@@ -92,9 +97,12 @@ def main(argv: list[str]) -> int:
                 for side, env in envs.items()
             }
             this, other = procs["this"], procs["other"]
-            assert (this.returncode, this.stdout) == (other.returncode, other.stdout), (
-                f"{command}: the two sides differ"
-            )
+            assert this.returncode == other.returncode, f"{command}: the exit codes differ"
+            if command[0] == "scan":
+                docs = [keyed(json.loads(proc.stdout)) for proc in (this, other)]
+                assert_scans_agree(*docs, str(command))
+            else:
+                assert this.stdout == other.stdout, f"{command}: the two sides differ"
 
         times = {side: {cmd: ([], []) for cmd in SUBCOMMANDS} for side in envs}
         for block in range(rounds):

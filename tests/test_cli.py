@@ -80,6 +80,25 @@ def test_criterion_fail_exit_one(capsys):
     assert "verdict: FAIL" in out
 
 
+def test_criterion_swapped_pairs_report_the_same_defects(capsys):
+    # (A, B, c) and (B, A, c) form one role class: swapping the pairs
+    # transposes the base operators, and both report the class's defects
+    docs = []
+    for alice, bob in (("1,3", "2,4"), ("2,4", "1,3")):
+        code, out, _ = run_cli(
+            capsys,
+            "criterion", "--state", "brown", "--alice", alice, "--bob", bob,
+            "--charlie", "5", "--theta", "pi/4", "--output", "json",
+        )
+        assert code == 0
+        docs.append(json.loads(out))
+    first, second = docs
+    assert first["assignment"]["alice"] == second["assignment"]["bob"] == [1, 3]
+    for key in ("sigma111_defect", "sigma112_defect"):
+        assert first[key] == second[key] < 1e-12  # to the bit
+    assert first["purity_alice_pair"] == second["purity_bob_pair"]
+
+
 def test_criterion_theta_alias_matches_numeric(capsys):
     _, alias_out, _ = run_cli(
         capsys,

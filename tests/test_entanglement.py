@@ -144,6 +144,33 @@ def test_pair_purities_are_traced_once_per_channel(monkeypatch):
     assert calls == {1: 10, 2: 20}
 
 
+def test_channel_norm_is_formed_once_per_channel(monkeypatch):
+    # a sweep of 90 verify bundles (30 assignments at three angles) checks
+    # the channel on every call, but forms its squared norm once
+    rng = np.random.default_rng(13)
+    channel = make_state(5, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    twin = PureState(5, channel.amplitudes)  # a distinct but equal channel object
+    x = make_state(2, [0.6, 0, 0, 0.8j])
+    dots = {channel: 0, twin: 0}
+    vdot = np.vdot
+
+    def spy(a, b):
+        for s in dots:
+            dots[s] += a is s.amplitudes or b is s.amplitudes
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", spy)
+    for assignment in enumerate_assignments():
+        for theta in (0.0, 0.3, 1.2):
+            criterion_check(channel, assignment, theta)
+            pauli_factorization_check(channel, assignment, theta)
+            simulate(channel, assignment, theta, x)
+    assert dots == {channel: 1, twin: 0}
+    # the twin forms its own
+    criterion_check(twin, RoleAssignment((1, 2), (3, 4), 5), 0.0)
+    assert dots == {channel: 1, twin: 1}
+
+
 def test_purity_of_maximally_mixed_pair():
     assert purity(np.eye(4) / 4.0) == pytest.approx(0.25, abs=1e-15)
     assert PAIR_PURITY_TARGET == 0.25

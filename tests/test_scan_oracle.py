@@ -225,7 +225,8 @@ def test_batched_defects_are_criterion_arithmetic(source):
     thetas = angles._candidate_sets(coeffs)
     want = []
     for assignment, row in zip(enumerate_assignments(), thetas):
-        grid = permute_qubits(channel, relabeling(assignment)).amplitudes.reshape([2] * 5)
+        oriented = angles_oracle.class_orientation(assignment)
+        grid = permute_qubits(channel, relabeling(oriented)).amplitudes.reshape([2] * 5)
         assert row == angles_oracle._candidate_angles(grid).tolist()
         for theta in row:
             # the single-matrix form, one base operator at a time
@@ -276,10 +277,64 @@ def test_screen_is_within_its_bound_of_the_exact_profile(seed, source):
             assert abs(next(approx) - exact * exact) <= 1e-12 * scale
 
 
+# |d_old - d| for the two forms of one defect, ||M^H M - I|| and ||M M^H - I||
+# (the swapped orientation's): every entry of either gap is a 4-term sum of
+# products whose moduli sum to at most ||M||_F^2 <= 8 on a normalized channel,
+# so each rounds within ~1e-14 and the two norms within 4 times that
+_ORIENTATION_BOUND = 1e-13
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(("dense", "sparse", *(f"lu_{name}" for name in CATALOG))),
+    st.sampled_from((1e-10, 1e-3, 0.5)),
+    st.floats(min_value=-2 * math.pi, max_value=2 * math.pi),
+)
+@settings(max_examples=30, deadline=None)
+def test_swapped_pairs_share_one_role_class(seed, source, tol, theta):
+    """(A, B, c) and (B, A, c) get the same criterion defects, classification
+    and scan entry, to the bit, within-role order as drawn; each scan entry's
+    min_defect is the criterion's at its argmin, to the bit; and the defects
+    of the unswapped operators, in their own orientation, agree with the
+    reported ones within _ORIENTATION_BOUND, with the same verdicts."""
+    rng = np.random.default_rng(seed)
+    if source == "dense":
+        channel = random_channel(rng)
+    elif source == "sparse":
+        channel = sparse_channel(rng)
+    else:
+        channel = lu_rotated(named_state(source[3:]), rng)
+    entries = {e.assignment: e.classification for e in scan(channel, tol).entries}
+    for assignment, cls in entries.items():
+        swap = RoleAssignment(assignment.bob, assignment.alice, assignment.charlie)
+        assert json.dumps(cls) == json.dumps(entries[swap])  # signed zeros included
+        report = criterion_check(channel, assignment, cls.argmin_theta, tol)
+        assert max(report.sigma111_defect, report.sigma112_defect) == cls.min_defect
+        alice, bob = assignment.alice, assignment.bob
+        if rng.integers(2):
+            alice, bob = alice[::-1], bob[::-1]
+        pair = RoleAssignment(alice, bob, assignment.charlie)
+        swap = RoleAssignment(bob, alice, assignment.charlie)
+        assert classify_theta(channel, pair, tol) == classify_theta(channel, swap, tol)
+        assert classify_theta(channel, assignment, tol) == cls
+        here = criterion_check(channel, pair, theta, tol)
+        there = criterion_check(channel, swap, theta, tol)
+        assert here[2:5] == there[2:5]
+        # the old form: each unswapped operator's defect in its own orientation
+        grid = permute_qubits(channel, relabeling(pair)).amplitudes.reshape([2] * 5)
+        for m, reported in zip(_base_operators(grid, _charlie_bras(theta))[:, 0], here[2:4]):
+            old = float(np.linalg.norm(m.conj().T @ m - np.eye(4)))
+            assert abs(old - reported) <= _ORIENTATION_BOUND
+            if abs(reported - tol) > _ORIENTATION_BOUND:
+                assert (old <= tol) == (reported <= tol)
+
+
 def test_gather_table_matches_permute_qubits():
+    # each row arranges its assignment's role class orientation
     channel = random_channel(np.random.default_rng(23))
     for row, assignment in zip(angles._GATHER, enumerate_assignments()):
-        arranged = permute_qubits(channel, relabeling(assignment)).amplitudes
+        oriented = angles_oracle.class_orientation(assignment)
+        arranged = permute_qubits(channel, relabeling(oriented)).amplitudes
         assert np.array_equal(channel.amplitudes[row], arranged)
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import angles_oracle
 import fingerprint
 import telecrit
 import telecrit.angles as angles
@@ -118,10 +119,16 @@ def test_gather_index_is_the_permute_qubits_arrangement():
         assert gather.dtype == np.intp and not gather.flags.writeable
         assert np.array_equal(gather, want.astype(np.intp))
         assert assignment._gather is gather  # cached on the assignment
-    # scan arranges through the same cache
+        # its role class's orientation swaps the pairs when Bob's holds the
+        # lower label; the loop checks that assignment's gather as well
+        oriented = assignment._oriented
+        assert oriented == angles_oracle.class_orientation(assignment)
+        assert assignment._oriented is oriented  # cached on the assignment
+    # scan arranges through the same caches, in 15 distinct rows
     assert angles._GATHER.shape == (30, 32)
     for assignment, row in zip(angles._ASSIGNMENTS, angles._GATHER, strict=True):
-        assert np.array_equal(row, assignment._gather)
+        assert np.array_equal(row, assignment._oriented._gather)
+    assert len({row.tobytes() for row in angles._GATHER}) == 15
 
 
 def test_base_operator_golden_entries(brown, assign_12, assign_13, assign_14):
