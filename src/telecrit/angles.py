@@ -2,50 +2,39 @@
 
 Charlie's outcome-1 base operator is M(theta) = cos(theta) G0 +
 sin(theta) G1, and the outcome-2 operator is M(theta - pi/2).  With
-A = G0^H G0, B = G1^H G1 and C = G0^H G1,
+A = G0^H G0, B = G1^H G1 and C = G0^H G1, the blocks of the Gram matrix
+[G0 | G1]^H [G0 | G1],
 
     M^H M - I = P + cos(2 theta) Q + sin(2 theta) R,
     P = (A + B)/2 - I,   Q = (A - B)/2,   R = (C + C^H)/2,
 
-so the squared defect of outcome 1 is the trig polynomial
+and outcome 2 flips the sign of the angle terms.  So the defects are
+d1, d2 = ||P +- (cos(2 theta) Q + sin(2 theta) R)||_F, and the squared
+defect of outcome 1 is the trig polynomial
 
     d1^2 = a0 + a1 cos 2theta + b1 sin 2theta + a2 cos 4theta + b2 sin 4theta
 
 with coefficients from the Frobenius inner products of P, Q and R.
-Outcome 2 flips the signs of a1 and b1, so the combined profile is
+Outcome 2 flips the signs of a1 and b1, so the combined profile
 
     max(d1, d2)^2 = a0 + a2 cos 4theta + b2 sin 4theta
-                    + |a1 cos 2theta + b1 sin 2theta|,
+                    + |a1 cos 2theta + b1 sin 2theta|
 
-with period pi/2, as d1(theta + pi/2) = d2(theta).  On [0, pi/2) it is
+has period pi/2, as d1(theta + pi/2) = d2(theta).  On [0, pi/2) it is
 monotone between consecutive angles of a finite candidate set: the
 crossing d1 = d2, the stationary points of branch + (the real roots of a
 quartic in t = tan theta; branch - has the same angles plus pi/2), and
 the nodes k pi/8, k = 0..3, which fix a trig polynomial of these
 harmonics and cover degenerate coefficient sets.  The coefficients
-place the candidates and screen them, but every verdict comes from both
-defects evaluated with the arithmetic criterion_check uses: all_theta
-when every candidate passes; otherwise each candidate r that is a
-cyclic local minimum and passes gives the roots r and r + pi/2.  The
-argmin is the first candidate within 4 ulps of the least value, node 0
-on a flat profile, whose values differ only in their last bits.
-
-Engine: ``scan`` stacks the channel re-arranged for all 30 assignments
-with one gather, each in its role class's orientation, lower-labelled
-pair first: a pair swap transposes the base operators and keeps their
-defects, so the stack has at most 15 distinct rows.  ``_classify``
-classifies each distinct row once, all of them in every step: the
-coefficients as stacked products; the candidate list once per distinct
-coefficient set (a1, b1, a2, b2), its quartic's roots from one stacked
-``eigvals`` per companion size; the closed form above at every
-candidate; and the exact defects, both outcomes in one stacked call,
-only at the candidates the closed form leaves within a margin of
-max(their row's least value, tol^2); the others provably exceed the
-row's minimum, its 4-ulp ties and tol, and get inf.  Every step keeps
-the rounding of its single-matrix form (criterion_check's kernel,
-np.vdot, np.roots, math.cos, math.sin), so a duplicate row, a subset of
-the candidates or ``classify_theta`` (a stack of one) gets the same
-bits.  README "Engine" gives the details.
+(a1, b1, a2, b2) place the candidates, and max(d1, d2) is evaluated at
+every candidate from P, Q and R, within _GRAM_BOUND of the defects
+criterion_check computes; a value within that bound of tol is replaced
+by criterion_check's own, so every pass/fail is the criterion's.
+all_theta when every candidate passes; otherwise each candidate r that
+is a cyclic local minimum and passes gives the roots r and r + pi/2.
+The argmin is the first candidate within 4 ulps of the least value,
+node 0 on a flat profile, whose values differ only in their last bits.
+README "Engine" describes how ``scan`` batches these steps.
 """
 
 from __future__ import annotations
@@ -191,28 +180,28 @@ def _root_angles(rows: list[list[float]]) -> list[list[float]]:
     return angles
 
 
-def _coefficients(arranged: np.ndarray) -> np.ndarray:
-    """Profile coefficients (a0, a1, b1, a2, b2) of each row of the stack, one (m, 5) row each."""
-    m0, m1 = _base_operators(arranged, np.eye(2))  # M(0), M(pi/2): outcome 1's bras
-    m0h, m1h = m0.conj().transpose(0, 2, 1), m1.conj().transpose(0, 2, 1)
-    a, b, c = m0h @ m0, m1h @ m1, m0h @ m1
+def _coefficients(arranged: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(P, Q, R) of each row of the stack as (m, 16) stacks, and its profile
+    coefficients (a1, b1, a2, b2) as one (m, 4) row each, all from one Gram
+    [M(0) | M(pi/2)]^H [M(0) | M(pi/2)] per row."""
+    g = np.concatenate(_base_operators(arranged, np.eye(2)), axis=2)  # outcome 1's bras
+    gram = g.conj().mT @ g
+    a, b, c = gram[:, :4, :4], gram[:, 4:, 4:], gram[:, :4, 4:]
     p, q = (a + b) / 2 - np.eye(4), (a - b) / 2
-    r = (c + c.conj().transpose(0, 2, 1)) / 2
+    r = (c + c.conj().mT) / 2
     p, q, r = p.reshape(-1, 16), q.reshape(-1, 16), r.reshape(-1, 16)
     # Re <x|y> of each row pair: np.vecdot calls np.vdot's BLAS dot row by row
-    pairs = ((p, p), (p, q), (p, r), (q, q), (r, r), (q, r))
-    pp, pq, pr, qq, rr, qr = (np.vecdot(x, y).real for x, y in pairs)
-    return np.stack((pp + (qq + rr) / 2, 2 * pq, 2 * pr, (qq - rr) / 2, qr), axis=1)
+    pairs = ((p, q), (p, r), (q, q), (r, r), (q, r))
+    pq, pr, qq, rr, qr = (np.vecdot(x, y).real for x, y in pairs)
+    return (p, q, r), np.stack((2 * pq, 2 * pr, (qq - rr) / 2, qr), axis=1)
 
 
 def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
-    """Per row of an (m, 5) coefficient stack, sorted angles in [0, pi/2)
+    """Per row of an (m, 4) coefficient stack, sorted angles in [0, pi/2)
     that bound the monotone pieces of the profile over its period."""
     # a row's list is a function of its (a1, b1, a2, b2) bits: build each once
-    keys, first = _first_rows(coeffs[:, 1:])
-    distinct = coeffs[list(first.values()), 1:]
-
-    rows = distinct.tolist()
+    keys, first = _first_rows(coeffs)
+    rows = coeffs[list(first.values())].tolist()
     sets = []
     for (a1, b1, a2, b2), roots in zip(rows, _root_angles(rows)):
         # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes; math.atan2, as
@@ -232,59 +221,45 @@ def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
     return [found[key] for key in keys]
 
 
-# The screen's margin in d^2 per unit of 1 + |a0| + |a1| + |b1| + |a2| + |b2|.
-# A normalized channel has |G0|^2 + |G1|^2 = _SCALE^2 = 8, so every entry of
-# A, B, C, P, Q, R and M^H M - I is at most 9 in modulus.  Both routes to d^2
-# (exact: 4-term products, 16 squared moduli; closed form: six 16-term dots,
-# cos and sin within an ulp) round under a hundred times on terms whose
-# moduli sum to at most 2 * 16 * 81, so each is within 100 * 2^-53 * 2592
-# < 3e-11 and the two within 1e-10 of each other (worst seen: 1.5e-15 per
-# unit, 300 dense, LU-rotated and sparse channels).  A screened-out
-# candidate's exact d^2 thus exceeds its row's least, that least's 4-ulp
-# ties and tol^2.
-_SCREEN_MARGIN = 1e-9
-
-
-def _screen(
-    coeffs: np.ndarray, flat: np.ndarray, owner: np.ndarray, starts: list[int], tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form max(d1, d2)^2 at each angle of ``flat``, whose row of
-    the (m, 5) coefficient stack is ``owner`` (ascending; row k, never empty,
-    starts at ``starts[k]``), and the cut of that row: max(its least value,
-    tol^2) plus the margin."""
-    a0, a1, b1, a2, b2 = coeffs.T[:, owner]
-    two, four = 2 * flat, 4 * flat
-    approx = a0 + a2 * np.cos(four) + b2 * np.sin(four)
-    approx += np.abs(a1 * np.cos(two) + b1 * np.sin(two))
-    least = np.minimum.reduceat(approx, starts)
-    cut = np.maximum(least, tol * tol) + _SCREEN_MARGIN * (1 + np.abs(coeffs).sum(axis=1))
-    return approx, cut[owner]
+# The largest |Gram value - criterion_check's defect| at one angle.  On a
+# normalized channel ||M(0)||_F^2 + ||M(pi/2)||_F^2 = _SCALE^2 = 8, so
+# ||M(theta)||_F^2 <= 8 too.  Each product either route forms, the Gram or
+# M^H M at theta, has 4-term entries within 4 ulps of their moduli's sums,
+# which total at most 8 in Frobenius norm, and each gap, P +- (cos 2theta Q
+# + sin 2theta R) or M^H M - I, has norm at most 10.  The few roundings that
+# form a gap from its product, and its norm (a dot of 32 squares, within 16
+# ulps of 10), keep each route within 5e-14 of the exact defect, and so the
+# two within 1e-13 (worst seen: 4.4e-15 over 291,810 candidates of the
+# catalog and of dense, sparse and LU-rotated channels).
+_GRAM_BOUND = 1e-13
 
 
 def _profiles(
-    arranged: np.ndarray, coeffs: np.ndarray, thetas: list[list[float]], tol: float
+    arranged: np.ndarray, blocks: tuple[np.ndarray, ...], thetas: list[list[float]], tol: float
 ) -> list[float]:
-    """max(d1, d2) at every candidate within its row's cut, inf elsewhere.
+    """max(d1, d2) at every candidate, flattened in the order of ``thetas``.
 
     ``thetas[k]`` are the angles of row k of the (m, 32) stack and
-    ``coeffs[k]`` its coefficients; the values come back flattened in
-    the same order.
+    ``blocks`` its (P, Q, R) rows.  A value within _GRAM_BOUND of tol is
+    replaced by both defects evaluated as criterion_check evaluates them.
     """
     counts = [len(row) for row in thetas]
     flat = np.fromiter(chain.from_iterable(thetas), np.float64, sum(counts))
     owner = np.repeat(np.arange(len(thetas)), counts)
-    starts = list(accumulate(counts, initial=0))[:-1]
-    approx, cut = _screen(coeffs, flat, owner, starts, tol)
-    keep = np.flatnonzero(approx <= cut)
-    # numpy's float64 cos and sin round as math.cos and math.sin, which
-    # _charlie_bras uses; test_batched_defects_are_criterion_arithmetic
-    # checks every value against that form to the bit
-    c, s = np.cos(flat[keep]), np.sin(flat[keep])
-    weights = np.concatenate((c, s, s, -c)).reshape(2, 2, -1)  # _charlie_bras of each
-    base = _base_operators(arranged[owner[keep]], weights)  # both outcomes, (2, k, 4, 4)
-    d1, d2 = _defects(base.reshape(-1, 4, 4)).reshape(2, -1)
-    values = np.full(len(flat), np.inf)
-    values[keep] = np.maximum(d1, d2)
+    p, q, r = (block[owner].view(np.float64) for block in blocks)
+    two = 2 * flat[:, None]
+    turn = np.cos(two) * q + np.sin(two) * r
+    plus, minus = p + turn, p - turn
+    values = np.sqrt(np.maximum(np.vecdot(plus, plus), np.vecdot(minus, minus)))
+    band = np.flatnonzero(np.abs(values - tol) <= _GRAM_BOUND)
+    if len(band):
+        # numpy's float64 cos and sin round as math.cos and math.sin, which
+        # _charlie_bras uses; test_batched_defects_are_criterion_arithmetic
+        # checks these values against that form to the bit
+        c, s = np.cos(flat[band]), np.sin(flat[band])
+        weights = np.concatenate((c, s, s, -c)).reshape(2, 2, -1)  # _charlie_bras of each
+        base = _base_operators(arranged[owner[band]], weights)  # both outcomes, (2, k, 4, 4)
+        values[band] = _defects(base.reshape(-1, 4, 4)).reshape(2, -1).max(axis=0)
     return values.tolist()
 
 
@@ -329,9 +304,9 @@ def _classify(arranged: np.ndarray, tol: float) -> list[ThetaClassification]:
     """
     keys, first = _first_rows(arranged)
     distinct = arranged[list(first.values())]
-    coeffs = _coefficients(distinct)
+    blocks, coeffs = _coefficients(distinct)
     thetas = _candidate_sets(coeffs)
-    values = _profiles(distinct, coeffs, thetas, tol)
+    values = _profiles(distinct, blocks, thetas, tol)
     bounds = list(accumulate(map(len, thetas), initial=0))
     found = {
         key: _verdict(row, values[start:stop], tol)

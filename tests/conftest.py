@@ -1,8 +1,14 @@
 """Shared fixtures and the acceptance-suite summary hook."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import telecrit
 from telecrit import RoleAssignment, make_state, named_state
 
 
@@ -64,6 +70,52 @@ def random_input(rng):
     """Random normalized two-qubit input state."""
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return make_state(2, vec / np.linalg.norm(vec))
+
+
+def _kernel_settings() -> dict[str, dict[str, str]]:
+    """Environments that switch kernels this CPU runs: numpy's X86_V3 and
+    higher dispatch targets off, and OpenBLAS's Haswell kernel."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    found = {}
+    if "X86_V3" in __cpu_dispatch__:
+        higher = __cpu_dispatch__[list(__cpu_dispatch__).index("X86_V3"):]
+        targets = [target for target in higher if __cpu_features__.get(target)]
+        if targets:
+            found["numpy below X86_V3"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    if __cpu_features__.get("X86_V3"):  # Haswell's kernel needs AVX2 and FMA3
+        found["OpenBLAS Haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    return found
+
+
+def kernel_outcomes(call: str) -> dict:
+    """``fingerprint.<call>()`` run in a child process under each kernel
+    setting of ``_kernel_settings`` that takes effect, by setting name;
+    skips the test where this CPU runs no kernel above numpy's X86_V2
+    baseline."""
+    settings_found = _kernel_settings()
+    if not settings_found:
+        pytest.skip("this CPU runs no kernel above numpy's X86_V2 baseline")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(telecrit.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, tests, os.environ.get("PYTHONPATH")]))
+    child = (
+        "import json, fingerprint; print(json.dumps([fingerprint.simd_dispatch(), "
+        f"fingerprint.openblas_core(), fingerprint.{call}()]))"
+    )
+    found = {}
+    for name, variables in settings_found.items():
+        env = {**os.environ, "PYTHONPATH": path, **variables}
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, env=env, timeout=300, check=True
+        )
+        dispatch, core, found[name] = json.loads(proc.stdout)
+        if "NPY_DISABLE_CPU_FEATURES" in variables:
+            running = dispatch.rsplit("dispatch", 1)[-1].split()
+            assert not set(variables["NPY_DISABLE_CPU_FEATURES"].split()) & set(running)
+        elif core not in ("Haswell", "unknown"):
+            del found[name]  # this OpenBLAS build has one kernel and ignores the variable
+    return found
 
 
 # one summary line per acceptance criterion; the label maps to the

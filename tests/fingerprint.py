@@ -231,6 +231,16 @@ def verify_outcomes() -> dict[str, list]:
     return outcomes
 
 
+def scan_outcomes() -> list[list[dict]]:
+    """The entries of the scan lines, in their order, one list of dicts per
+    scan; for kernels whose last bits differ from this one's."""
+    outcomes = []
+    _, channels = _inputs_and_channels(np.random.default_rng(SEED))
+    for index, channel in enumerate(channels):
+        _scan(lambda *parts: outcomes.append(json.loads(parts[-1])), index, channel)
+    return outcomes
+
+
 def simd_dispatch() -> str:
     """numpy's SIMD baseline and the dispatch targets this CPU runs."""
     from numpy._core._multiarray_umath import (

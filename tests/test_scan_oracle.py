@@ -1,4 +1,6 @@
-"""The batched angle engine agrees exactly with the per-assignment oracle."""
+"""The batched angle engine agrees with the per-assignment oracle: kinds,
+root counts and every pass/fail exactly, angles and defects within the
+engine's stated bound."""
 
 import json
 import math
@@ -13,6 +15,8 @@ import angles_oracle
 import telecrit.angles as angles
 from outcome_oracle import permute_qubits, relabeling
 from telecrit import (
+    KIND_DISCRETE,
+    KIND_NONE,
     RoleAssignment,
     classify_theta,
     criterion_check,
@@ -26,11 +30,61 @@ CATALOG = ("brown", "man_m5", "ghz5", "product_zero_n")
 TOLERANCES = (1e-10, 0.5, 10.0)
 
 
-def _assert_scan_matches(channel, tol):
-    got = scan(channel, tol).as_dicts()
-    want = angles_oracle.scan(channel, tol).as_dicts()
-    assert got == want
-    assert json.dumps(got) == json.dumps(want)  # signed zeros included
+def _channel(source, rng):
+    """A dense, sparse or LU-rotated catalog channel (``lu_<name>``)."""
+    if source == "dense":
+        return random_channel(rng)
+    if source == "sparse":
+        return sparse_channel(rng)
+    return lu_rotated(named_state(source[3:]), rng)
+
+
+def _gap(x, y):
+    """Distance of two angles on the circle of period pi/2."""
+    return min(abs(x - y), math.pi / 2 - abs(x - y))
+
+
+def _assert_classification_matches(got, want, channel, assignment, ties=False):
+    """Kinds, root counts and argmin_theta equal; roots and min_defect within
+    _GRAM_BOUND.  With ``ties``, the engine's argmin_theta may instead be a
+    candidate whose criterion defect ties the oracle's least within twice
+    that bound: the engine ranks candidates by values within the bound of
+    the criterion's, so where several lie that close, as where candidates a
+    few ulps apart place one root of an LU-rotated brown or man_m5, it can
+    pick another of them."""
+    assert got.kind == want.kind
+    assert (got.roots is None) == (want.roots is None)
+    if want.roots is not None:
+        assert len(got.roots) == len(want.roots)
+        assert all(abs(a - b) <= angles._GRAM_BOUND for a, b in zip(got.roots, want.roots))
+    assert abs(got.min_defect - want.min_defect) <= angles._GRAM_BOUND
+    if not ties:
+        assert got.argmin_theta == want.argmin_theta
+    elif got.argmin_theta != want.argmin_theta:
+        assert 0.0 <= got.argmin_theta < math.pi / 2
+        report = criterion_check(channel, assignment, got.argmin_theta)
+        assert max(report[2:4]) <= want.min_defect + 2 * angles._GRAM_BOUND
+
+
+def _assert_scan_matches(channel, tol, ties=False):
+    """Entries keyed by assignment match as classifications do, ``ties`` as
+    there, purities to the bit, and the engine's entries keep the sort
+    rule: working-first, then min_defect, then assignment order."""
+    got = scan(channel, tol).entries
+    want = {e.assignment: e for e in angles_oracle.scan(channel, tol).entries}
+    assert len(got) == len(want) == 30
+    for entry in got:
+        other = want[entry.assignment]
+        _assert_classification_matches(
+            entry.classification, other.classification, channel, entry.assignment, ties
+        )
+        assert (entry.purity_alice, entry.purity_bob) == (other.purity_alice, other.purity_bob)
+    order = {a: k for k, a in enumerate(enumerate_assignments())}
+    keys = [
+        (angles._KIND_ORDER[e.classification.kind], e.classification.min_defect, order[e.assignment])
+        for e in got
+    ]
+    assert keys == sorted(keys)
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -40,7 +94,8 @@ def test_catalog_matches_oracle(name):
         _assert_scan_matches(channel, tol)
         for assignment in enumerate_assignments():
             got = classify_theta(channel, assignment, tol)
-            assert got == angles_oracle.classify_theta(channel, assignment, tol)
+            want = angles_oracle.classify_theta(channel, assignment, tol)
+            _assert_classification_matches(got, want, channel, assignment)
 
 
 @given(
@@ -56,7 +111,7 @@ def test_random_channels_match_oracle(seed, source, tol):
         channel = random_channel(rng)
     else:
         channel = lu_rotated(named_state(source), rng)
-    _assert_scan_matches(channel, tol)
+    _assert_scan_matches(channel, tol, ties=True)
     # classify_theta also takes assignments outside the 30 of the scan
     base = enumerate_assignments()[int(rng.integers(30))]
     alice, bob = base.alice, base.bob
@@ -64,7 +119,8 @@ def test_random_channels_match_oracle(seed, source, tol):
         alice, bob = alice[::-1], bob[::-1]
     assignment = RoleAssignment(alice, bob, base.charlie)
     got = classify_theta(channel, assignment, tol)
-    assert got == angles_oracle.classify_theta(channel, assignment, tol)
+    want = angles_oracle.classify_theta(channel, assignment, tol)
+    _assert_classification_matches(got, want, channel, assignment, ties=True)
 
 
 @pytest.mark.parametrize("seed", [492, 1365, 3472600])
@@ -72,9 +128,9 @@ def test_flat_profiles_break_ties_by_candidate_order(seed):
     # man_m5 under these local unitaries has rows whose profile is flat, so
     # the candidates' values differ only in their last bits; engine and
     # oracle both take the first candidate within 4 ulps of the least,
-    # node 0 on a flat row, so ulp noise moves neither argmin nor order
+    # node 0 on a flat row, so ulp noise does not move the argmin
     channel = lu_rotated(named_state("man_m5"), np.random.default_rng(seed))
-    _assert_scan_matches(channel, 1e-10)
+    _assert_scan_matches(channel, 1e-10, ties=True)
     flat = 0
     for entry in scan(channel, 1e-10).entries:
         defects = [
@@ -85,11 +141,6 @@ def test_flat_profiles_break_ties_by_candidate_order(seed):
             flat += 1
             assert entry.classification.argmin_theta == 0.0
     assert flat > 0
-
-
-def _gap(x, y):
-    """Distance of two angles on the circle of period pi/2."""
-    return min(abs(x - y), math.pi / 2 - abs(x - y))
 
 
 def test_sparse_channels_match_np_roots_route(monkeypatch):
@@ -109,7 +160,7 @@ def test_sparse_channels_match_np_roots_route(monkeypatch):
         for tol in TOLERANCES:
             _assert_scan_matches(channel, tol)
         arranged = channel.amplitudes[angles._GATHER]
-        thetas = angles._candidate_sets(angles._coefficients(arranged))
+        thetas = angles._candidate_sets(angles._coefficients(arranged)[1])
         for row, got in zip(arranged, thetas):
             want = angles_oracle._candidate_angles(row).tolist()
             if angles_oracle._coefficients(row)[2:] != (0.0, 0.0):
@@ -135,12 +186,7 @@ def test_t_route_matches_z_route(seed, source, tol):
     root counts, and roots, minima and the criterion's defect at both
     argmins within 1e-12."""
     rng = np.random.default_rng(seed)
-    if source == "dense":
-        channel = random_channel(rng)
-    elif source == "sparse":
-        channel = sparse_channel(rng)
-    else:
-        channel = lu_rotated(named_state(source[3:]), rng)
+    channel = _channel(source, rng)
     arranged = channel.amplitudes[angles._GATHER]
     t_route = angles._classify(arranged, tol)
     with pytest.MonkeyPatch.context() as patch:
@@ -200,28 +246,17 @@ def test_random_channels_half_period_matches_full_period(seed, source, tol):
     _assert_half_period_matches_full(channel, tol)
 
 
-def _screen(coeffs, thetas, tol):
-    """The engine's closed-form values and cuts, flattened as its candidates are."""
-    counts = [len(row) for row in thetas]
-    flat = np.array([theta for row in thetas for theta in row])
-    owner = np.repeat(np.arange(len(thetas)), counts)
-    starts = [sum(counts[:k]) for k in range(len(counts))]
-    return angles._screen(coeffs, flat, owner, starts, tol)
-
-
 @pytest.mark.parametrize("source", ["brown", "man_m5", "dense", "lu_brown"])
-def test_batched_defects_are_criterion_arithmetic(source):
-    # every value the verdicts read is the criterion's own defect, to the bit,
-    # and every candidate the screen leaves out is above its row's cut there
+def test_batched_defects_are_criterion_arithmetic(source, monkeypatch):
+    """The stacked re-check that replaces a Gram value near tol gives the
+    criterion's own defects, to the bit: with an infinite band it replaces
+    every candidate's value.  With the engine's band, every value is
+    within _GRAM_BOUND of them.  Every row's candidate list is the oracle's,
+    to the bit."""
     rng = np.random.default_rng(17)
-    if source == "dense":
-        channel = random_channel(rng)
-    elif source == "lu_brown":
-        channel = lu_rotated(named_state("brown"), rng)
-    else:
-        channel = named_state(source)
+    channel = named_state(source) if source in CATALOG else _channel(source, rng)
     arranged = channel.amplitudes[angles._GATHER]
-    coeffs = angles._coefficients(arranged)
+    blocks, coeffs = angles._coefficients(arranged)
     thetas = angles._candidate_sets(coeffs)
     want = []
     for assignment, row in zip(enumerate_assignments(), thetas):
@@ -233,48 +268,63 @@ def test_batched_defects_are_criterion_arithmetic(source):
             base = _base_operators(grid, _charlie_bras(theta))[:, 0]
             want.append(max(float(np.linalg.norm(m.conj().T @ m - np.eye(4))) for m in base))
     for tol in (1e-10, 0.5, 10.0):
-        values = angles._profiles(arranged, coeffs, thetas, tol)
-        _, cut = _screen(coeffs, thetas, tol)
-        assert len(values) == len(want) == len(cut)
-        screened = 0
-        for value, exact, row_cut in zip(values, want, cut.tolist()):
-            if value == math.inf:
-                screened += 1
-                assert exact * exact > row_cut
-            else:
-                assert value == exact
-        if tol == 1e-10:
-            assert screened > 0
-
-
-_SCREEN_SOURCES = ("dense", "sparse", *(f"lu_{name}" for name in CATALOG))
+        values = angles._profiles(arranged, blocks, thetas, tol)
+        assert len(values) == len(want)
+        assert all(abs(value - exact) <= angles._GRAM_BOUND for value, exact in zip(values, want))
+    monkeypatch.setattr(angles, "_GRAM_BOUND", math.inf)
+    assert angles._profiles(arranged, blocks, thetas, 1e-10) == want
 
 
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from(_SCREEN_SOURCES),
+    st.sampled_from(("dense", "sparse", *(f"lu_{name}" for name in CATALOG))),
 )
 @settings(max_examples=30, deadline=None)
-def test_screen_is_within_its_bound_of_the_exact_profile(seed, source):
-    """The closed form max(d1, d2)^2 is the criterion's own squared defect to
-    1e-12 per unit of 1 + sum |coeff| at every candidate, and that bound lies
-    at least 1e3 below the margin the screen adds to its cuts."""
-    assert 1e-12 * 1e3 <= angles._SCREEN_MARGIN
-    rng = np.random.default_rng(seed)
-    if source == "dense":
-        channel = random_channel(rng)
-    elif source == "sparse":
-        channel = sparse_channel(rng)
-    else:
-        channel = lu_rotated(named_state(source[3:]), rng)
-    coeffs = angles._coefficients(channel.amplitudes[angles._GATHER])
+def test_gram_values_are_within_their_bound_of_the_criterion(seed, source):
+    """The Gram value max ||P +- (cos 2theta Q + sin 2theta R)||_F at every
+    candidate of every row is criterion_check's max(d1, d2) there within
+    _GRAM_BOUND; tol = -1 keeps the re-check band empty."""
+    channel = _channel(source, np.random.default_rng(seed))
+    arranged = channel.amplitudes[angles._GATHER]
+    blocks, coeffs = angles._coefficients(arranged)
     thetas = angles._candidate_sets(coeffs)
-    approx = iter(_screen(coeffs, thetas, 0.0)[0].tolist())
-    for assignment, row, scale in zip(enumerate_assignments(), thetas, 1 + np.abs(coeffs).sum(1)):
+    values = iter(angles._profiles(arranged, blocks, thetas, -1.0))
+    for assignment, row in zip(enumerate_assignments(), thetas):
         for theta in row:
             report = criterion_check(channel, assignment, theta)
             exact = max(report.sigma111_defect, report.sigma112_defect)
-            assert abs(next(approx) - exact * exact) <= 1e-12 * scale
+            assert abs(next(values) - exact) <= angles._GRAM_BOUND
+
+
+def test_tolerance_at_a_root_defect_decides_as_the_criterion(monkeypatch):
+    """tol set to the criterion's own defect at a brown root, and to its
+    float neighbours on both sides: the Gram value lies within the band, so
+    the engine re-checks it, and scan and classify_theta pass exactly the
+    candidates criterion_check passes."""
+    brown = named_state("brown")
+    assignment = RoleAssignment((1, 3), (2, 4), 5)
+    root = classify_theta(brown, assignment).argmin_theta
+    defect = max(criterion_check(brown, assignment, root)[2:4])
+    assert 0.0 < defect < angles._GRAM_BOUND
+    rechecked = []
+    defects = angles._defects
+    monkeypatch.setattr(angles, "_defects", lambda m: rechecked.append(len(m)) or defects(m))
+    for tol in (math.nextafter(defect, 0.0), defect, math.nextafter(defect, 1.0)):
+        rechecked.clear()
+        passed = criterion_check(brown, assignment, root, tol).passed
+        assert passed == (tol >= defect)
+        got = classify_theta(brown, assignment, tol)
+        assert rechecked
+        assert got.kind == (KIND_DISCRETE if passed else KIND_NONE)
+        assert got.argmin_theta == root and got.min_defect == defect
+        entries = {e.assignment: e.classification for e in scan(brown, tol).entries}
+        assert entries[assignment] == got
+        for other, cls in entries.items():
+            at_argmin = criterion_check(brown, other, cls.argmin_theta, tol).passed
+            assert at_argmin == (cls.kind != KIND_NONE)
+            for theta in cls.roots or ():
+                if theta < math.pi / 2:  # a candidate; r + pi/2 is its shift
+                    assert criterion_check(brown, other, theta, tol).passed
 
 
 # |d_old - d| for the two forms of one defect, ||M^H M - I|| and ||M M^H - I||
@@ -294,22 +344,18 @@ _ORIENTATION_BOUND = 1e-13
 def test_swapped_pairs_share_one_role_class(seed, source, tol, theta):
     """(A, B, c) and (B, A, c) get the same criterion defects, classification
     and scan entry, to the bit, within-role order as drawn; each scan entry's
-    min_defect is the criterion's at its argmin, to the bit; and the defects
+    min_defect is the criterion's at its argmin within _GRAM_BOUND; and the defects
     of the unswapped operators, in their own orientation, agree with the
     reported ones within _ORIENTATION_BOUND, with the same verdicts."""
     rng = np.random.default_rng(seed)
-    if source == "dense":
-        channel = random_channel(rng)
-    elif source == "sparse":
-        channel = sparse_channel(rng)
-    else:
-        channel = lu_rotated(named_state(source[3:]), rng)
+    channel = _channel(source, rng)
     entries = {e.assignment: e.classification for e in scan(channel, tol).entries}
     for assignment, cls in entries.items():
         swap = RoleAssignment(assignment.bob, assignment.alice, assignment.charlie)
         assert json.dumps(cls) == json.dumps(entries[swap])  # signed zeros included
         report = criterion_check(channel, assignment, cls.argmin_theta, tol)
-        assert max(report.sigma111_defect, report.sigma112_defect) == cls.min_defect
+        defect = max(report.sigma111_defect, report.sigma112_defect)
+        assert abs(defect - cls.min_defect) <= angles._GRAM_BOUND
         alice, bob = assignment.alice, assignment.bob
         if rng.integers(2):
             alice, bob = alice[::-1], bob[::-1]

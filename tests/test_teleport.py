@@ -1,12 +1,8 @@
 """Transformation operators, the unitarity criterion, protocol simulation."""
 
 import itertools
-import json
 import math
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,7 +13,7 @@ import angles_oracle
 import fingerprint
 import telecrit
 import telecrit.angles as angles
-from conftest import random_channel, random_input
+from conftest import kernel_outcomes, random_channel, random_input
 from outcome_oracle import (
     bell_state,
     charlie_state,
@@ -862,50 +858,12 @@ def test_simulate_input_norm_boundary(brown, assign_12, drift, accepted):
             simulate(brown, assign_12, 0.0, input_state)
 
 
-def _kernel_settings() -> dict[str, dict[str, str]]:
-    """Environments that switch kernels this CPU runs: numpy's X86_V3 and
-    higher dispatch targets off, and OpenBLAS's Haswell kernel."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    found = {}
-    if "X86_V3" in __cpu_dispatch__:
-        higher = __cpu_dispatch__[list(__cpu_dispatch__).index("X86_V3"):]
-        targets = [target for target in higher if __cpu_features__.get(target)]
-        if targets:
-            found["numpy below X86_V3"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
-    if __cpu_features__.get("X86_V3"):  # Haswell's kernel needs AVX2 and FMA3
-        found["OpenBLAS Haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
-    return found
-
-
-_CHILD = (
-    "import json, fingerprint; print(json.dumps([fingerprint.simd_dispatch(), "
-    "fingerprint.openblas_core(), fingerprint.verify_outcomes()]))"
-)
-
-
 def test_verify_decisions_do_not_depend_on_kernels():
     """The fingerprint's verify-path inputs, run under other numpy and
     OpenBLAS kernels, give the same criterion verdicts and factorization
     verdicts, and probabilities within 1e-12; their last bits may move."""
-    settings_found = _kernel_settings()
-    if not settings_found:
-        pytest.skip("this CPU runs no kernel above numpy's X86_V2 baseline")
-    tests = os.path.dirname(os.path.abspath(__file__))
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(telecrit.__file__)))
-    path = os.pathsep.join(filter(None, [package_root, tests, os.environ.get("PYTHONPATH")]))
     here = fingerprint.verify_outcomes()
-    for name, variables in settings_found.items():
-        env = {**os.environ, "PYTHONPATH": path, **variables}
-        proc = subprocess.run(
-            [sys.executable, "-c", _CHILD], capture_output=True, env=env, timeout=300, check=True
-        )
-        dispatch, core, there = json.loads(proc.stdout)
-        if "NPY_DISABLE_CPU_FEATURES" in variables:
-            running = dispatch.rsplit("dispatch", 1)[-1].split()
-            assert not set(variables["NPY_DISABLE_CPU_FEATURES"].split()) & set(running)
-        elif core not in ("Haswell", "unknown"):
-            continue  # this OpenBLAS build has one kernel and ignores the variable
+    for name, there in kernel_outcomes("verify_outcomes").items():
         assert there["criterion"] == here["criterion"], name
         assert there["eq5"] == here["eq5"], name
         probabilities = np.array(there["probability"])
