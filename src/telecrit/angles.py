@@ -28,8 +28,9 @@ the nodes k pi/8, k = 0..3, which fix a trig polynomial of these
 harmonics and cover degenerate coefficient sets.  The coefficients
 (a1, b1, a2, b2) place the candidates, and max(d1, d2) is evaluated at
 every candidate from P, Q and R, within _GRAM_BOUND of the defects
-criterion_check computes; a value within that bound of tol is replaced
-by criterion_check's own, so every pass/fail is the criterion's.
+criterion_check computes.  A value within that bound of tol, or of a
+row's least value where several candidates do, is replaced by
+criterion_check's own, so every pass/fail and argmin is the criterion's.
 all_theta when every candidate passes; otherwise each candidate r that
 is a cyclic local minimum and passes gives the roots r and r + pi/2.
 The argmin is the first candidate within 4 ulps of the least value,
@@ -182,11 +183,11 @@ def _root_angles(rows: list[list[float]]) -> list[list[float]]:
 
 def _coefficients(arranged: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """(P, Q, R) of each row of the stack as (m, 16) stacks, and its profile
-    coefficients (a1, b1, a2, b2) as one (m, 4) row each, all from one Gram
-    [M(0) | M(pi/2)]^H [M(0) | M(pi/2)] per row."""
-    g = np.concatenate(_base_operators(arranged, np.eye(2)), axis=2)  # outcome 1's bras
-    gram = g.conj().mT @ g
-    a, b, c = gram[:, :4, :4], gram[:, 4:, 4:], gram[:, :4, 4:]
+    coefficients (a1, b1, a2, b2) as one (m, 4) row each, all from the
+    blocks A, B and C of the Gram of [M(0) | M(pi/2)] per row."""
+    m0, m1 = _base_operators(arranged, np.eye(2))  # M(0), M(pi/2): outcome 1's bras
+    m0h, m1h = m0.conj().mT, m1.conj().mT
+    a, b, c = m0h @ m0, m1h @ m1, m0h @ m1
     p, q = (a + b) / 2 - np.eye(4), (a - b) / 2
     r = (c + c.conj().mT) / 2
     p, q, r = p.reshape(-1, 16), q.reshape(-1, 16), r.reshape(-1, 16)
@@ -240,8 +241,9 @@ def _profiles(
     """max(d1, d2) at every candidate, flattened in the order of ``thetas``.
 
     ``thetas[k]`` are the angles of row k of the (m, 32) stack and
-    ``blocks`` its (P, Q, R) rows.  A value within _GRAM_BOUND of tol is
-    replaced by both defects evaluated as criterion_check evaluates them.
+    ``blocks`` its (P, Q, R) rows.  A value within _GRAM_BOUND of tol, or
+    one of a row's candidates that may tie for its argmin, is replaced by
+    both defects evaluated as criterion_check evaluates them.
     """
     counts = [len(row) for row in thetas]
     flat = np.fromiter(chain.from_iterable(thetas), np.float64, sum(counts))
@@ -251,15 +253,24 @@ def _profiles(
     turn = np.cos(two) * q + np.sin(two) * r
     plus, minus = p + turn, p - turn
     values = np.sqrt(np.maximum(np.vecdot(plus, plus), np.vecdot(minus, minus)))
-    band = np.flatnonzero(np.abs(values - tol) <= _GRAM_BOUND)
-    if len(band):
+    # _verdict's argmin, the first candidate within 4 ulps of its row's least
+    # criterion defect, lies within 2 _GRAM_BOUND + 4 ulps < 3 _GRAM_BOUND of
+    # the row's least Gram value.  Where one candidate does, it is that one;
+    # where several do, they tie, unless every candidate surely passes and
+    # node 0 is the argmin of an all_theta row.
+    starts = list(accumulate(counts, initial=0))[:-1]
+    near = values <= np.minimum.reduceat(values, starts)[owner] + 3 * _GRAM_BOUND
+    open_rows = np.maximum.reduceat(values, starts) >= tol - _GRAM_BOUND
+    tied = (np.bincount(owner[near], minlength=len(counts)) > 1) & open_rows
+    redo = np.flatnonzero(near & tied[owner] | (np.abs(values - tol) <= _GRAM_BOUND))
+    if len(redo):
         # numpy's float64 cos and sin round as math.cos and math.sin, which
         # _charlie_bras uses; test_batched_defects_are_criterion_arithmetic
         # checks these values against that form to the bit
-        c, s = np.cos(flat[band]), np.sin(flat[band])
+        c, s = np.cos(flat[redo]), np.sin(flat[redo])
         weights = np.concatenate((c, s, s, -c)).reshape(2, 2, -1)  # _charlie_bras of each
-        base = _base_operators(arranged[owner[band]], weights)  # both outcomes, (2, k, 4, 4)
-        values[band] = _defects(base.reshape(-1, 4, 4)).reshape(2, -1).max(axis=0)
+        base = _base_operators(arranged[owner[redo]], weights)  # both outcomes, (2, k, 4, 4)
+        values[redo] = _defects(base.reshape(-1, 4, 4)).reshape(2, -1).max(axis=0)
     return values.tolist()
 
 

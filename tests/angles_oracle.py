@@ -60,14 +60,10 @@ def _canonical_root(theta: float) -> float:
 
 
 def _coefficients(grid: np.ndarray) -> tuple[float, float, float, float]:
-    """(a1, b1, a2, b2) of one arranged channel's defect profile, from the
-    blocks of the Gram of [M(0) | M(pi/2)]: the engine's one product, as
-    some BLAS kernels (OpenBLAS Haswell) round an 8x8 product and its three
-    4x4 blocks, formed apart, differently in the last bit."""
+    """(a1, b1, a2, b2) of one arranged channel's defect profile."""
     g0, g1 = _base_operators(grid, _charlie_bras(0.0))[:, 0]
-    g = np.hstack((g0, -g1))  # M(0), M(pi/2)
-    gram = g.conj().T @ g
-    a, b, c = gram[:4, :4], gram[4:, 4:], gram[:4, 4:]
+    g1 = -g1  # M(0), M(pi/2)
+    a, b, c = g0.conj().T @ g0, g1.conj().T @ g1, g0.conj().T @ g1
     p, q, r = (a + b) / 2 - np.eye(4), (a - b) / 2, (c + c.conj().T) / 2
 
     def dot(x: np.ndarray, y: np.ndarray) -> float:

@@ -460,12 +460,13 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
         assert all(0.0 <= theta < PI / 2 for theta in thetas)
 
 
-@pytest.mark.parametrize("name", ["ghz5", "man_m5", "brown", "dense"])
-def test_scan_contracts_once_and_rechecks_no_candidate(monkeypatch, name):
+@pytest.mark.parametrize("name, tied", [("ghz5", 0), ("man_m5", 12), ("brown", 0), ("dense", 0)])
+def test_scan_contracts_once_and_rechecks_only_argmin_ties(monkeypatch, name, tied):
     """A scan contracts the channel once, for the Gram of M(0) and M(pi/2)
-    of every distinct row, and at the default tol evaluates no candidate
-    again with the criterion's arithmetic: every Gram value lies outside
-    the band around tol."""
+    of every distinct row.  At the default tol every Gram value lies
+    outside the band around tol, so the criterion's arithmetic runs again
+    only at candidates that may tie for a row's argmin: the four of each of
+    man_m5's three flat none rows, whose values all lie near 2."""
     contractions, rechecked = [], []
     base_operators, defects = angles._base_operators, angles._defects
 
@@ -480,8 +481,9 @@ def test_scan_contracts_once_and_rechecks_no_candidate(monkeypatch, name):
     else:
         channel = named_state(name)
     assert len(scan(channel).entries) == 30
-    assert contractions == [(2, 2)]
-    assert rechecked == []
+    # one contraction and one defect call for the re-checks, both outcomes
+    assert contractions == [(2, 2)] + [(2, 2, tied)] * bool(tied)
+    assert rechecked == [2 * tied] * bool(tied)
 
 
 @given(
