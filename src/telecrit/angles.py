@@ -25,17 +25,19 @@ monotone between consecutive angles of a finite candidate set: the
 crossing d1 = d2, the stationary points of branch + (the real roots of a
 quartic in t = tan theta; branch - has the same angles plus pi/2), and
 the nodes k pi/8, k = 0..3, which fix a trig polynomial of these
-harmonics and cover degenerate coefficient sets.  The coefficients
-(a1, b1, a2, b2) place the candidates, and max(d1, d2) is evaluated at
-every candidate from P, Q and R, within _GRAM_BOUND of the defects
-criterion_check computes.  A value within that bound of tol, or of a
-row's least value where several candidates do, is replaced by
-criterion_check's own, so every pass/fail and argmin is the criterion's.
-all_theta when every candidate passes; otherwise each candidate r that
-is a cyclic local minimum and passes gives the roots r and r + pi/2.
-The argmin is the first candidate within 4 ulps of the least value,
-node 0 on a flat profile, whose values differ only in their last bits.
-README "Engine" describes how ``scan`` batches these steps.
+harmonics and cover degenerate coefficient sets (a constant profile,
+all four 0, has node 0 alone).  The coefficients (a1, b1, a2, b2) place
+the candidates, and max(d1, d2) is evaluated at every candidate from P,
+Q and R, within _GRAM_BOUND of the defects criterion_check computes.  A
+value within that bound of tol, or of a row's least value where
+candidates at distinct angles do, is replaced by criterion_check's own:
+every pass/fail is the criterion's, and the argmin too, up to
+_COINCIDENT.  all_theta when every candidate passes; otherwise each
+candidate r that is a cyclic local minimum and passes gives the roots r
+and r + pi/2.  The argmin is the first candidate within 4 ulps of the
+least value, node 0 on a flat profile, whose values differ only in
+their last bits.  README "Engine" describes how ``scan`` batches these
+steps.
 """
 
 from __future__ import annotations
@@ -74,8 +76,10 @@ class ThetaClassification(NamedTuple):
 
     ``roots`` is present (sorted, canonicalized into [0, pi)) only for
     kind discrete_theta.  ``min_defect``/``argmin_theta`` are always
-    reported, the argmin in [0, pi/2): 0 for all_theta, else the first
-    candidate within 4 ulps of the least value, ``min_defect`` its value.
+    reported, the argmin in [0, pi/2): 0 for all_theta and on a constant
+    profile, else the first candidate within 4 ulps of the least value,
+    ``min_defect`` its value; that is the criterion's argmin, or one
+    within 1e-12 rad of it, the same angle placed twice.
     """
 
     kind: str
@@ -205,6 +209,10 @@ def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
     rows = coeffs[list(first.values())].tolist()
     sets = []
     for (a1, b1, a2, b2), roots in zip(rows, _root_angles(rows)):
+        if not (a1 or b1 or a2 or b2):
+            # a flat profile: node 0 decides it, as _verdict's tie rule would
+            sets.append([0.0])
+            continue
         # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes; math.atan2, as
         # np.arctan2 runs numpy's own SIMD kernel, which on an AVX-512 CPU
         # differs from libm in the last bit on about 7% of inputs and would
@@ -234,6 +242,13 @@ def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
 # catalog and of dense, sparse and LU-rotated channels).
 _GRAM_BOUND = 1e-13
 
+# The widest span of near-tied candidates that are one angle, landed twice
+# as r and r + pi/2 folded or as a near-double root pair (4.5e-13 at most
+# seen over 1,200 channels; distinct tied angles lay >= 0.09 apart).
+# eigvals places a near-double root only to ~sqrt(eps) = 1.5e-8, so an
+# argmin within 1e-12 of the criterion's is as exact as the angle is.
+_COINCIDENT = 1e-12
+
 
 def _profiles(
     arranged: np.ndarray, blocks: tuple[np.ndarray, ...], thetas: list[list[float]], tol: float
@@ -242,8 +257,9 @@ def _profiles(
 
     ``thetas[k]`` are the angles of row k of the (m, 32) stack and
     ``blocks`` its (P, Q, R) rows.  A value within _GRAM_BOUND of tol, or
-    one of a row's candidates that may tie for its argmin, is replaced by
-    both defects evaluated as criterion_check evaluates them.
+    one of a row's candidates at distinct angles that may tie for its
+    argmin, is replaced by both defects evaluated as criterion_check
+    evaluates them.
     """
     counts = [len(row) for row in thetas]
     flat = np.fromiter(chain.from_iterable(thetas), np.float64, sum(counts))
@@ -255,13 +271,19 @@ def _profiles(
     values = np.sqrt(np.maximum(np.vecdot(plus, plus), np.vecdot(minus, minus)))
     # _verdict's argmin, the first candidate within 4 ulps of its row's least
     # criterion defect, lies within 2 _GRAM_BOUND + 4 ulps < 3 _GRAM_BOUND of
-    # the row's least Gram value.  Where one candidate does, it is that one;
-    # where several do, they tie, unless every candidate surely passes and
-    # node 0 is the argmin of an all_theta row.
+    # the row's least Gram value.  Where the candidates that do span at most
+    # _COINCIDENT, they are one angle, whose Gram pick is within 2
+    # _GRAM_BOUND + 4 ulps of their least criterion defect; else they tie,
+    # unless every candidate surely passes and node 0 is the all_theta argmin.
     starts = list(accumulate(counts, initial=0))[:-1]
     near = values <= np.minimum.reduceat(values, starts)[owner] + 3 * _GRAM_BOUND
     open_rows = np.maximum.reduceat(values, starts) >= tol - _GRAM_BOUND
     tied = (np.bincount(owner[near], minlength=len(counts)) > 1) & open_rows
+    if tied.any():
+        # candidates lie in [0, pi/2), so -1 and 2 leave the far ones out
+        top = np.maximum.reduceat(np.where(near, flat, -1.0), starts)
+        bottom = np.minimum.reduceat(np.where(near, flat, 2.0), starts)
+        tied &= top - bottom > _COINCIDENT
     redo = np.flatnonzero(near & tied[owner] | (np.abs(values - tol) <= _GRAM_BOUND))
     if len(redo):
         # numpy's float64 cos and sin round as math.cos and math.sin, which

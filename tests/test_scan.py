@@ -460,13 +460,25 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
         assert all(0.0 <= theta < PI / 2 for theta in thetas)
 
 
-@pytest.mark.parametrize("name, tied", [("ghz5", 0), ("man_m5", 12), ("brown", 0), ("dense", 0)])
+@pytest.mark.parametrize(
+    "name, tied",
+    [
+        ("ghz5", 0),
+        ("man_m5", 0),
+        ("brown", 0),
+        ("dense", 0),
+        ("lu_brown_1", 0),
+        ("lu_brown_2", 0),
+        ("lu_brown_20", 0),
+    ],
+)
 def test_scan_contracts_once_and_rechecks_only_argmin_ties(monkeypatch, name, tied):
     """A scan contracts the channel once, for the Gram of M(0) and M(pi/2)
     of every distinct row.  At the default tol every Gram value lies
     outside the band around tol, so the criterion's arithmetic runs again
-    only at candidates that may tie for a row's argmin: the four of each of
-    man_m5's three flat none rows, whose values all lie near 2."""
+    only at candidates of distinct angles that may tie for a row's argmin.
+    None do here: man_m5's and brown's flat rows have node 0 alone, and an
+    LU-rotated brown's near-tied candidates are one angle placed twice."""
     contractions, rechecked = [], []
     base_operators, defects = angles._base_operators, angles._defects
 
@@ -478,6 +490,8 @@ def test_scan_contracts_once_and_rechecks_only_argmin_ties(monkeypatch, name, ti
     monkeypatch.setattr(angles, "_defects", lambda m: rechecked.append(len(m)) or defects(m))
     if name == "dense":
         channel = random_channel(np.random.default_rng(20091119))
+    elif name.startswith("lu_brown_"):
+        channel = lu_rotated(named_state("brown"), np.random.default_rng(int(name[9:])))
     else:
         channel = named_state(name)
     assert len(scan(channel).entries) == 30

@@ -15,6 +15,7 @@ import angles_oracle
 import telecrit.angles as angles
 from outcome_oracle import permute_qubits, relabeling
 from telecrit import (
+    KIND_ALL,
     KIND_DISCRETE,
     KIND_NONE,
     RoleAssignment,
@@ -44,16 +45,20 @@ def _gap(x, y):
     return min(abs(x - y), math.pi / 2 - abs(x - y))
 
 
-def _assert_classification_matches(got, want):
-    """Kinds, root counts and argmin_theta equal; roots and min_defect within
-    _GRAM_BOUND."""
+def _assert_classification_matches(got, want, channel, assignment):
+    """Kinds and root counts equal; roots and min_defect within _GRAM_BOUND;
+    argmin_theta equal, or a coincident candidate: within _COINCIDENT, with
+    a criterion defect within 2 _GRAM_BOUND of the oracle's."""
     assert got.kind == want.kind
     assert (got.roots is None) == (want.roots is None)
     if want.roots is not None:
         assert len(got.roots) == len(want.roots)
         assert all(abs(a - b) <= angles._GRAM_BOUND for a, b in zip(got.roots, want.roots))
     assert abs(got.min_defect - want.min_defect) <= angles._GRAM_BOUND
-    assert got.argmin_theta == want.argmin_theta
+    if got.argmin_theta != want.argmin_theta:
+        assert abs(got.argmin_theta - want.argmin_theta) <= angles._COINCIDENT
+        defect = max(criterion_check(channel, assignment, got.argmin_theta)[2:4])
+        assert abs(defect - want.min_defect) <= 2 * angles._GRAM_BOUND
 
 
 def _assert_scan_matches(channel, tol):
@@ -65,7 +70,9 @@ def _assert_scan_matches(channel, tol):
     assert len(got) == len(want) == 30
     for entry in got:
         other = want[entry.assignment]
-        _assert_classification_matches(entry.classification, other.classification)
+        _assert_classification_matches(
+            entry.classification, other.classification, channel, entry.assignment
+        )
         assert (entry.purity_alice, entry.purity_bob) == (other.purity_alice, other.purity_bob)
     order = {a: k for k, a in enumerate(enumerate_assignments())}
     keys = [
@@ -83,7 +90,7 @@ def test_catalog_matches_oracle(name):
         for assignment in enumerate_assignments():
             got = classify_theta(channel, assignment, tol)
             want = angles_oracle.classify_theta(channel, assignment, tol)
-            _assert_classification_matches(got, want)
+            _assert_classification_matches(got, want, channel, assignment)
 
 
 @given(
@@ -108,17 +115,22 @@ def test_random_channels_match_oracle(seed, source, tol):
     assignment = RoleAssignment(alice, bob, base.charlie)
     got = classify_theta(channel, assignment, tol)
     want = angles_oracle.classify_theta(channel, assignment, tol)
-    _assert_classification_matches(got, want)
+    _assert_classification_matches(got, want, channel, assignment)
 
 
 @pytest.mark.parametrize("seed", [492, 1365, 3472600])
-def test_flat_profiles_break_ties_by_candidate_order(seed):
+def test_flat_profiles_break_ties_by_candidate_order(seed, monkeypatch):
     # man_m5 under these local unitaries has rows whose profile is flat, so
     # the candidates' values differ only in their last bits; engine and
     # oracle both take the first candidate within 4 ulps of the least,
-    # node 0 on a flat row, so ulp noise does not move the argmin
+    # node 0 on a flat row, so ulp noise does not move the argmin.  The
+    # candidates are distinct angles, so the engine re-checks them
     channel = lu_rotated(named_state("man_m5"), np.random.default_rng(seed))
+    rechecked = []
+    batched = angles._defects
+    monkeypatch.setattr(angles, "_defects", lambda m: rechecked.append(len(m)) or batched(m))
     _assert_scan_matches(channel, 1e-10)
+    assert rechecked
     flat = 0
     for entry in scan(channel, 1e-10).entries:
         defects = [
@@ -134,8 +146,9 @@ def test_flat_profiles_break_ties_by_candidate_order(seed):
 @pytest.mark.parametrize("seed", [1, 2, 20])
 def test_near_tied_candidates_keep_the_criterion_argmin(seed):
     # brown under these local unitaries has roots placed by two candidates a
-    # few ulps apart, whose defects tie far within _GRAM_BOUND; ranked by
-    # Gram values, 16, 20 and 22 entries would take the other candidate
+    # few ulps apart, whose defects tie far within _GRAM_BOUND: one angle,
+    # so the engine takes the Gram values' pick, within _COINCIDENT of the
+    # criterion's argmin and within 2 _GRAM_BOUND of its least defect
     _assert_scan_matches(lu_rotated(named_state("brown"), np.random.default_rng(seed)), 1e-10)
 
 
@@ -321,6 +334,42 @@ def test_tolerance_at_a_root_defect_decides_as_the_criterion(monkeypatch):
             for theta in cls.roots or ():
                 if theta < math.pi / 2:  # a candidate; r + pi/2 is its shift
                     assert criterion_check(brown, other, theta, tol).passed
+
+
+@pytest.mark.parametrize(
+    "alice, bob, charlie", [((1, 3), (2, 5), 4), ((1, 2), (3, 5), 4)], ids=["none", "all_theta"]
+)
+def test_tolerance_at_a_flat_row_defect_decides_as_the_criterion_at_node_0(
+    alice, bob, charlie, monkeypatch
+):
+    """man_m5's flat rows, a none one and an all_theta one, have coefficients
+    all 0 and node 0 alone for a candidate.  With tol at the criterion's
+    defect there, and at its float neighbours, node 0 is re-checked, and
+    every flat row of scan and classify_theta is all_theta where
+    criterion_check passes at 0 and none where it fails, never discrete."""
+    man = named_state("man_m5")
+    assignment = RoleAssignment(alice, bob, charlie)
+    arranged = man.amplitudes[angles._GATHER]
+    flat = [not row.any() for row in angles._coefficients(arranged)[1]]
+    defect = max(criterion_check(man, assignment, 0.0)[2:4])
+    rechecked = []
+    defects = angles._defects
+    monkeypatch.setattr(angles, "_defects", lambda m: rechecked.append(len(m)) or defects(m))
+    for tol in (math.nextafter(defect, 0.0), defect, math.nextafter(defect, 3.0)):
+        rechecked.clear()
+        got = classify_theta(man, assignment, tol)
+        assert rechecked == [2]  # node 0, both outcomes
+        passed = criterion_check(man, assignment, 0.0, tol).passed
+        assert passed == (tol >= defect)
+        assert got == (KIND_ALL if passed else KIND_NONE, None, defect, 0.0)
+        entries = {e.assignment: e.classification for e in scan(man, tol).entries}
+        assert entries[assignment] == got
+        for other, is_flat in zip(enumerate_assignments(), flat):
+            if is_flat:
+                cls = entries[other]
+                passed = criterion_check(man, other, 0.0, tol).passed
+                assert cls.kind == (KIND_ALL if passed else KIND_NONE)
+                assert cls.argmin_theta == 0.0
 
 
 # |d_old - d| for the two forms of one defect, ||M^H M - I|| and ||M M^H - I||
