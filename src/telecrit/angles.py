@@ -29,15 +29,15 @@ harmonics and cover degenerate coefficient sets (a constant profile,
 all four 0, has node 0 alone).  The coefficients (a1, b1, a2, b2) place
 the candidates, and max(d1, d2) is evaluated at every candidate from P,
 Q and R, within _GRAM_BOUND of the defects criterion_check computes.  A
-value within that bound of tol, or of a row's least value where
-candidates at distinct angles do, is replaced by criterion_check's own:
-every pass/fail is the criterion's, and the argmin too, up to
-_COINCIDENT.  all_theta when every candidate passes; otherwise each
-candidate r that is a cyclic local minimum and passes gives the roots r
-and r + pi/2.  The argmin is the first candidate within 4 ulps of the
-least value, node 0 on a flat profile, whose values differ only in
-their last bits.  README "Engine" describes how ``scan`` batches these
-steps.
+value within that bound of tol is replaced by criterion_check's own, so
+every pass/fail is the criterion's.  all_theta when every candidate
+passes; otherwise each candidate r that is a cyclic local minimum and
+passes gives the roots r and r + pi/2.  The argmin is the first
+candidate within 4 ulps of the least value, node 0 on a flat profile,
+whose values differ only in their last bits; its value, min_defect, is
+within _GRAM_BOUND of the criterion's defect there and, up to those 4
+ulps, of the criterion's least defect over the candidates.  README
+"Engine" describes how ``scan`` batches these steps.
 """
 
 from __future__ import annotations
@@ -78,8 +78,9 @@ class ThetaClassification(NamedTuple):
     kind discrete_theta.  ``min_defect``/``argmin_theta`` are always
     reported, the argmin in [0, pi/2): 0 for all_theta and on a constant
     profile, else the first candidate within 4 ulps of the least value,
-    ``min_defect`` its value; that is the criterion's argmin, or one
-    within 1e-12 rad of it, the same angle placed twice.
+    ``min_defect`` its value.  That value is within 1e-13 of the
+    criterion's defect at ``argmin_theta`` and, up to the 4 ulps, of the
+    criterion's least defect over the candidates.
     """
 
     kind: str
@@ -242,13 +243,6 @@ def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
 # catalog and of dense, sparse and LU-rotated channels).
 _GRAM_BOUND = 1e-13
 
-# The widest span of near-tied candidates that are one angle, landed twice
-# as r and r + pi/2 folded or as a near-double root pair (4.5e-13 at most
-# seen over 1,200 channels; distinct tied angles lay >= 0.09 apart).
-# eigvals places a near-double root only to ~sqrt(eps) = 1.5e-8, so an
-# argmin within 1e-12 of the criterion's is as exact as the angle is.
-_COINCIDENT = 1e-12
-
 
 def _profiles(
     arranged: np.ndarray, blocks: tuple[np.ndarray, ...], thetas: list[list[float]], tol: float
@@ -256,10 +250,9 @@ def _profiles(
     """max(d1, d2) at every candidate, flattened in the order of ``thetas``.
 
     ``thetas[k]`` are the angles of row k of the (m, 32) stack and
-    ``blocks`` its (P, Q, R) rows.  A value within _GRAM_BOUND of tol, or
-    one of a row's candidates at distinct angles that may tie for its
-    argmin, is replaced by both defects evaluated as criterion_check
-    evaluates them.
+    ``blocks`` its (P, Q, R) rows.  A value within _GRAM_BOUND of tol is
+    replaced by both defects evaluated as criterion_check evaluates them,
+    so every pass/fail is the criterion's; the rest are Gram values.
     """
     counts = [len(row) for row in thetas]
     flat = np.fromiter(chain.from_iterable(thetas), np.float64, sum(counts))
@@ -269,22 +262,7 @@ def _profiles(
     turn = np.cos(two) * q + np.sin(two) * r
     plus, minus = p + turn, p - turn
     values = np.sqrt(np.maximum(np.vecdot(plus, plus), np.vecdot(minus, minus)))
-    # _verdict's argmin, the first candidate within 4 ulps of its row's least
-    # criterion defect, lies within 2 _GRAM_BOUND + 4 ulps < 3 _GRAM_BOUND of
-    # the row's least Gram value.  Where the candidates that do span at most
-    # _COINCIDENT, they are one angle, whose Gram pick is within 2
-    # _GRAM_BOUND + 4 ulps of their least criterion defect; else they tie,
-    # unless every candidate surely passes and node 0 is the all_theta argmin.
-    starts = list(accumulate(counts, initial=0))[:-1]
-    near = values <= np.minimum.reduceat(values, starts)[owner] + 3 * _GRAM_BOUND
-    open_rows = np.maximum.reduceat(values, starts) >= tol - _GRAM_BOUND
-    tied = (np.bincount(owner[near], minlength=len(counts)) > 1) & open_rows
-    if tied.any():
-        # candidates lie in [0, pi/2), so -1 and 2 leave the far ones out
-        top = np.maximum.reduceat(np.where(near, flat, -1.0), starts)
-        bottom = np.minimum.reduceat(np.where(near, flat, 2.0), starts)
-        tied &= top - bottom > _COINCIDENT
-    redo = np.flatnonzero(near & tied[owner] | (np.abs(values - tol) <= _GRAM_BOUND))
+    redo = np.flatnonzero(np.abs(values - tol) <= _GRAM_BOUND)
     if len(redo):
         # numpy's float64 cos and sin round as math.cos and math.sin, which
         # _charlie_bras uses; test_batched_defects_are_criterion_arithmetic

@@ -6,24 +6,24 @@ Run from the repository root, with the other checkout's ``src`` directory::
     PYTHONPATH=src python tests/scan_ab.py <other-src-dir> [blocks]
 
 The other ``telecrit`` is imported as ``telecrit_other``, beside the one
-on ``PYTHONPATH``.  Five channels are built as ``conftest`` builds them:
-brown, ghz5, man_m5, a seeded dense channel and a seeded brown under
-local unitaries.  Each side gets its own states from the same raw
-amplitudes, so neither shares the other's purity memo.  The script
-asserts that both sides' scans agree on these five and on 20 seeded
-sparse channels of +-1 amplitudes, each at tol 1e-10, 1e-6, 0.5 and 10:
-entries keyed by assignment, with equal kinds, root counts and purities,
-roots and ``min_defect`` within ``ROUNDING``, and ``argmin_theta`` equal
-or a coincident candidate: within ``_COINCIDENT`` of the other side's,
-with a ``criterion_check`` defect within 2 ``_GRAM_BOUND`` of its
-``min_defect``.  The sides may differ in last bits, and entries whose
+on ``PYTHONPATH``.  Six channels are built as ``conftest`` builds them:
+brown, ghz5, man_m5, a seeded dense channel, and a seeded brown and
+man_m5 under local unitaries.  Each side gets its own states from the
+same raw amplitudes, so neither shares the other's purity memo.  The
+script asserts that both sides' scans agree on these six and on 20
+seeded sparse channels of +-1 amplitudes, each at tol 1e-10, 1e-6, 0.5
+and 10: entries keyed by assignment, with equal kinds, root counts and
+purities, roots and ``min_defect`` within ``ROUNDING``, and
+``argmin_theta`` equal or a candidate whose ``criterion_check`` defect
+is within 2 ``_GRAM_BOUND`` of the other side's ``min_defect``.  The
+sides may differ in last bits, and entries whose
 ``min_defect`` ties within them may sort in another order.  It prints
 the largest move of a root, of a ``min_defect`` and of an
 ``argmin_theta``, the number of moved argmins, and the number of scans
-whose entries came in another order.  For each of the five it prints,
+whose entries came in another order.  For each of the six it prints,
 per side, the candidates one scan at the default tol places and the
 candidates it re-checks with the criterion's arithmetic.  It then times
-the five, alternating blocks of 20 scans per channel between the sides,
+the six, alternating blocks of 20 scans per channel between the sides,
 the side that goes first switching every block, and prints each
 channel's median time per scan and the ratio of the summed medians,
 this side over the other.  After the scans it times the verify path the
@@ -60,7 +60,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import telecrit  # noqa: E402
-from telecrit.angles import _COINCIDENT, _GRAM_BOUND  # noqa: E402
+from telecrit.angles import _GRAM_BOUND  # noqa: E402
 # this file's directory is on sys.path
 from conftest import lu_rotated, random_channel, sparse_channel  # noqa: E402
 
@@ -84,13 +84,15 @@ def _import_other(src: str):
 
 def _raw_channels() -> dict[str, np.ndarray]:
     rng = np.random.default_rng(20091119)
-    brown = telecrit.named_state("brown")
+    brown, man_m5 = telecrit.named_state("brown"), telecrit.named_state("man_m5")
     return {
         "brown": brown.amplitudes,
         "ghz5": telecrit.named_state("ghz5").amplitudes,
-        "man_m5": telecrit.named_state("man_m5").amplitudes,
+        "man_m5": man_m5.amplitudes,
         "dense": random_channel(rng).amplitudes,
         "lu_brown": lu_rotated(brown, rng).amplitudes,
+        # near-flat rows whose candidates tie for the argmin
+        "lu_man_m5": lu_rotated(man_m5, np.random.default_rng(492)).amplitudes,
     }
 
 
@@ -168,10 +170,10 @@ def keyed(entries: list[dict]) -> dict[tuple, dict]:
 def assert_scans_agree(this: dict, other: dict, where: str, channel) -> dict[str, float]:
     """Both sides' scan entries of ``channel``, keyed by assignment: kinds,
     root counts and purities equal; roots and min_defect within ROUNDING;
-    argmin_theta equal, or within _COINCIDENT with this side's criterion
-    defect there within 2 _GRAM_BOUND of the other's min_defect.  Returns
-    the largest move of a root, of a min_defect and of an argmin_theta,
-    and the number of moved argmins."""
+    argmin_theta equal, or this side's criterion defect there within
+    2 _GRAM_BOUND of the other's min_defect.  Returns the largest move of
+    a root, of a min_defect and of an argmin_theta, and the number of
+    moved argmins."""
     assert this.keys() == other.keys(), where
     moved = {"root": 0.0, "min_defect": 0.0, "argmin_theta": 0.0, "argmins": 0}
     for key, got in this.items():
@@ -182,7 +184,6 @@ def assert_scans_agree(this: dict, other: dict, where: str, channel) -> dict[str
         assert got["purity_bob"] == want["purity_bob"], f"{at}: purities differ"
         theta, theta_other = got["argmin_theta"], want["argmin_theta"]
         if theta != theta_other:
-            assert abs(theta - theta_other) <= _COINCIDENT, f"{at}: argmin_theta moved"
             report = telecrit.criterion_check(channel, telecrit.RoleAssignment(*key), theta)
             defect = max(report.sigma111_defect, report.sigma112_defect)
             assert abs(defect - want["min_defect"]) <= 2 * _GRAM_BOUND, f"{at}: argmin defect moved"

@@ -461,7 +461,7 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
 
 
 @pytest.mark.parametrize(
-    "name, tied",
+    "name, rechecks",
     [
         ("ghz5", 0),
         ("man_m5", 0),
@@ -470,15 +470,17 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
         ("lu_brown_1", 0),
         ("lu_brown_2", 0),
         ("lu_brown_20", 0),
+        ("lu_man_m5_492", 0),
+        ("lu_man_m5_1365", 0),
+        ("lu_man_m5_3472600", 0),
     ],
 )
-def test_scan_contracts_once_and_rechecks_only_argmin_ties(monkeypatch, name, tied):
+def test_scan_contracts_once_and_rechecks_only_the_tol_band(monkeypatch, name, rechecks):
     """A scan contracts the channel once, for the Gram of M(0) and M(pi/2)
-    of every distinct row.  At the default tol every Gram value lies
-    outside the band around tol, so the criterion's arithmetic runs again
-    only at candidates of distinct angles that may tie for a row's argmin.
-    None do here: man_m5's and brown's flat rows have node 0 alone, and an
-    LU-rotated brown's near-tied candidates are one angle placed twice."""
+    of every distinct row.  The criterion's arithmetic runs again only at
+    candidates whose Gram value lies within _GRAM_BOUND of tol; at the
+    default tol none does here, not even on an LU-rotated man_m5's
+    near-flat rows, whose candidates tie for the argmin."""
     contractions, rechecked = [], []
     base_operators, defects = angles._base_operators, angles._defects
 
@@ -490,14 +492,15 @@ def test_scan_contracts_once_and_rechecks_only_argmin_ties(monkeypatch, name, ti
     monkeypatch.setattr(angles, "_defects", lambda m: rechecked.append(len(m)) or defects(m))
     if name == "dense":
         channel = random_channel(np.random.default_rng(20091119))
-    elif name.startswith("lu_brown_"):
-        channel = lu_rotated(named_state("brown"), np.random.default_rng(int(name[9:])))
+    elif name.startswith("lu_"):
+        source, seed = name[3:].rsplit("_", 1)
+        channel = lu_rotated(named_state(source), np.random.default_rng(int(seed)))
     else:
         channel = named_state(name)
     assert len(scan(channel).entries) == 30
     # one contraction and one defect call for the re-checks, both outcomes
-    assert contractions == [(2, 2)] + [(2, 2, tied)] * bool(tied)
-    assert rechecked == [2 * tied] * bool(tied)
+    assert contractions == [(2, 2)] + [(2, 2, rechecks)] * bool(rechecks)
+    assert rechecked == [2 * rechecks] * bool(rechecks)
 
 
 @given(
