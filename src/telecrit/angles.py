@@ -37,7 +37,7 @@ candidate within 4 ulps of the least value, node 0 on a flat profile,
 whose values differ only in their last bits; its value, min_defect, is
 within _GRAM_BOUND of the criterion's defect there and, up to those 4
 ulps, of the criterion's least defect over the candidates.  README
-"Engine" describes how ``scan`` batches these steps.
+"Engine" describes how ``scan`` runs these steps in one fixed shape.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from .entanglement import _reduced_purity, _require_channel, _require_tol
 from .states import PureState
-from .teleport import RoleAssignment, _arranged, _base_operators, _defects
+from .teleport import _SCALE, RoleAssignment, _arranged, _base_operators, _defects
 
 __all__ = [
     "KIND_ALL",
@@ -129,9 +129,6 @@ def enumerate_assignments() -> list[RoleAssignment]:
 # the nodes k pi/8 of the half period, in every candidate set
 _NODES = [k * math.pi / 8 for k in range(4)]
 
-# np.roots' companion matrices below their first rows, by size
-_SUBDIAGONALS = [np.eye(k, k=-1) for k in range(5)]
-
 
 def _first_rows(rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
     """The bytes of each row, and the index of the first row of each distinct byte string."""
@@ -150,56 +147,54 @@ def _quartic(a1: float, b1: float, a2: float, b2: float) -> list[float]:
 
 
 def _root_angles(rows: list[list[float]]) -> list[list[float]]:
-    """np.arctan(np.roots(q).astype(complex)).real for the quartic q of each
-    (a1, b1, a2, b2) row with a2 or b2 nonzero, np.roots' companion matrices
-    of each size stacked into one eigvals call; a row with a2 = b2 = 0 gets
-    no angles (_candidate_sets places its one)."""
-    angles: list[list[float]] = [[] for _ in rows]
-    tops: dict[int, list[tuple[int, list[float]]]] = {}
+    """Re(arctan t) of the eigenvalues t of a 4x4 for the quartic q of each
+    (a1, b1, a2, b2) row with a2 or b2 nonzero, all from one eigvals call:
+    the companion of q / q[lead], lead its first nonzero coefficient, and
+    zeros past it (README "Engine").  A row with a2 = b2 = 0 gets none."""
+    tops: dict[int, list[float]] = {}
     for k, row in enumerate(rows):
         if row[2] or row[3]:  # then q is nonzero
             q = _quartic(*row)
-            # np.roots trims q's leading and trailing zeros, and appends a
-            # zero root for each trailing one
-            first, last = 0, 4
-            while not q[last]:
-                last -= 1
-            while True:
-                while not q[first]:
-                    first += 1
-                top = [-x / q[first] for x in q[first + 1 : last + 1]]
+            # the first nonzero lead whose companion row does not overflow; one
+            # that does has its extra roots past |t| = 1e77: pi/2 in floats, node 0
+            for lead in (j for j, x in enumerate(q) if x):
+                top = [-x / q[lead] for x in q[lead + 1 :]]
                 if math.isfinite(sum(top)):
                     break
-                # where np.roots' companion overflows, the lead's extra roots
-                # lie past |t| = 1e77, at theta = pi/2 in floats: node 0
-                first += 1
-            angles[k] = [0.0] * (4 - last)  # the eigenvalues' angles go in front
-            tops.setdefault(last - first, []).append((k, top))
-    for size, group in tops.items():
-        if size:
-            companion = np.repeat(_SUBDIAGONALS[size][None], len(group), axis=0)
-            companion[:, 0] = [top for _, top in group]
-            with np.errstate(divide="ignore"):  # arctan(+-i), where a2, b2 underflow
-                roots = np.arctan(np.linalg.eigvals(companion).astype(complex)).real.tolist()
-            for (k, _), found in zip(group, roots):
-                angles[k] = found + angles[k]
+            tops[k] = top
+    angles: list[list[float]] = [[] for _ in rows]
+    if tops:
+        companion = np.zeros((len(tops), 4, 4))
+        companion[:, 0] = [top + [0.0] * (4 - len(top)) for top in tops.values()]
+        subdiagonal = np.arange(1, 4) < [[len(top)] for top in tops.values()]
+        companion.reshape(-1, 16)[:, 4::5] = subdiagonal
+        with np.errstate(divide="ignore"):  # arctan(+-i), where a2, b2 underflow
+            roots = np.arctan(np.linalg.eigvals(companion).astype(complex)).real.tolist()
+        for k, found in zip(tops, roots):
+            angles[k] = found
     return angles
 
 
-def _coefficients(arranged: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(P, Q, R) of each row of the stack as (m, 16) stacks, and its profile
-    coefficients (a1, b1, a2, b2) as one (m, 4) row each, all from the
-    blocks A, B and C of the Gram of [M(0) | M(pi/2)] per row."""
-    m0, m1 = _base_operators(arranged, np.eye(2))  # M(0), M(pi/2): outcome 1's bras
-    m0h, m1h = m0.conj().mT, m1.conj().mT
-    a, b, c = m0h @ m0, m1h @ m1, m0h @ m1
-    p, q = (a + b) / 2 - np.eye(4), (a - b) / 2
-    r = (c + c.conj().mT) / 2
-    p, q, r = p.reshape(-1, 16), q.reshape(-1, 16), r.reshape(-1, 16)
-    # Re <x|y> of each row pair: np.vecdot calls np.vdot's BLAS dot row by row
-    pairs = ((p, q), (p, r), (q, q), (r, r), (q, r))
-    pq, pr, qq, rr, qr = (np.vecdot(x, y).real for x, y in pairs)
-    return (p, q, r), np.stack((2 * pq, 2 * pr, (qq - rr) / 2, qr), axis=1)
+# (A, C, C^H, B) of a Gram to (P + I, Q, R), (P, Q, R) to the gaps of outcomes
+# 1 and 2, and the flattened dots of (P, Q, R) to (2PQ, 2PR, (QQ - RR)/2, QR)
+_BLOCK_MAP = np.array([[0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, -0.5], [0.0, 0.5, 0.5, 0.0]])
+_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
+_DOT_MAP = np.zeros((9, 4))
+_DOT_MAP[[1, 2, 4, 8, 5], [0, 1, 2, 2, 3]] = 2.0, 2.0, 0.5, -0.5, 1.0
+
+
+def _coefficients(arranged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q, R) of each row of the stack as one (m, 3, 32) real stack, real
+    and imaginary parts side by side, and its profile coefficients (a1, b1,
+    a2, b2), (m, 4), all from one product: each row's [M(0) | M(pi/2)] Gram."""
+    # the (4, 8) view of a row is [M(0) | M(pi/2)] with its columns interleaved
+    halves = _SCALE * arranged.reshape(-1, 4, 8)
+    gram = (halves.conj().mT @ halves).reshape(-1, 4, 2, 4, 2).transpose(0, 2, 4, 1, 3)
+    blocks = _BLOCK_MAP @ gram.reshape(-1, 4, 16).view(np.float64)
+    blocks[:, 0, ::10] -= 1.0  # P's diagonal, real parts
+    # Re <x|y> of every pair of P, Q and R is the dot of their real rows
+    dots = (blocks @ blocks.mT).reshape(-1, 9)
+    return blocks, dots @ _DOT_MAP
 
 
 def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
@@ -237,31 +232,31 @@ def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
 # M^H M at theta, has 4-term entries within 4 ulps of their moduli's sums,
 # which total at most 8 in Frobenius norm, and each gap, P +- (cos 2theta Q
 # + sin 2theta R) or M^H M - I, has norm at most 10.  The few roundings that
-# form a gap from its product, and its norm (a dot of 32 squares, within 16
-# ulps of 10), keep each route within 5e-14 of the exact defect, and so the
-# two within 1e-13 (worst seen: 4.4e-15 over 291,810 candidates of the
-# catalog and of dense, sparse and LU-rotated channels).
+# form a gap from its product (half sums, then 3-term sums), and its norm (a
+# dot of 32 squares, within 16 ulps of 10), keep each route within 5e-14 of
+# the exact defect, and so the two within 1e-13 (worst seen: 3.1e-15 over
+# 294,858 candidates of the catalog and dense, sparse and LU-rotated ones).
 _GRAM_BOUND = 1e-13
 
 
 def _profiles(
-    arranged: np.ndarray, blocks: tuple[np.ndarray, ...], thetas: list[list[float]], tol: float
+    arranged: np.ndarray, blocks: np.ndarray, thetas: list[list[float]], tol: float
 ) -> list[float]:
     """max(d1, d2) at every candidate, flattened in the order of ``thetas``.
 
     ``thetas[k]`` are the angles of row k of the (m, 32) stack and
-    ``blocks`` its (P, Q, R) rows.  A value within _GRAM_BOUND of tol is
-    replaced by both defects evaluated as criterion_check evaluates them,
-    so every pass/fail is the criterion's; the rest are Gram values.
+    ``blocks`` its (P, Q, R) rows, both gaps of every candidate from one
+    product.  A value within _GRAM_BOUND of tol is replaced by both
+    defects evaluated as criterion_check evaluates them, so every
+    pass/fail is the criterion's; the rest are Gram values.
     """
     counts = [len(row) for row in thetas]
     flat = np.fromiter(chain.from_iterable(thetas), np.float64, sum(counts))
     owner = np.repeat(np.arange(len(thetas)), counts)
-    p, q, r = (block[owner].view(np.float64) for block in blocks)
-    two = 2 * flat[:, None]
-    turn = np.cos(two) * q + np.sin(two) * r
-    plus, minus = p + turn, p - turn
-    values = np.sqrt(np.maximum(np.vecdot(plus, plus), np.vecdot(minus, minus)))
+    two = 2 * flat
+    turn = np.stack((np.ones_like(two), np.cos(two), np.sin(two)), axis=1)
+    gaps = (turn[:, None] * _SIGNS) @ blocks[owner]
+    values = np.sqrt(np.vecdot(gaps, gaps).max(axis=1))
     redo = np.flatnonzero(np.abs(values - tol) <= _GRAM_BOUND)
     if len(redo):
         # numpy's float64 cos and sin round as math.cos and math.sin, which
@@ -343,26 +338,29 @@ def classify_theta(
     return _classify(_arranged(channel, assignment._oriented)[None], tol)[0]
 
 
-# the 30 assignments of a scan and, in row k, the gather index of assignment
-# k's class orientation: channel.amplitudes[_GATHER] arranges all 30 at once
+# the 30 assignments of a scan, their 15 role-class orientations, whose gather
+# indices are _GATHER's rows, and the class _CLASS_OF[k] of assignment k
 _ASSIGNMENTS = tuple(enumerate_assignments())
-_GATHER = np.stack([a._oriented._gather for a in _ASSIGNMENTS])
+_CLASSES = tuple(dict.fromkeys(a._oriented for a in _ASSIGNMENTS))
+_GATHER = np.stack([c._gather for c in _CLASSES])
 _GATHER.setflags(write=False)
+_CLASS_OF = [_CLASSES.index(a._oriented) for a in _ASSIGNMENTS]
 
 
 def scan(channel: PureState, tol: float = 1e-10) -> ScanReport:
     """Classify every role assignment of a five-qubit channel.
 
-    All 30 assignments go through one classify pass; the ten pair
-    purities are read once per scan from the channel's memo into one
-    table, so each is computed at most once per channel.  Entries are
-    sorted working-first:
-    all_theta, then discrete_theta, then none; ties by min_defect, then
-    by assignment order.
+    The 15 role classes go through one classify pass, each assignment
+    taking its class's result; the ten pair purities are read once per
+    scan from the channel's memo into one table, so each is computed at
+    most once per channel.  Entries are sorted working-first: all_theta,
+    then discrete_theta, then none; ties by min_defect, then by
+    assignment order.
     """
     _require_tol(tol)
     _require_channel(channel)
-    classes = _classify(channel.amplitudes[_GATHER], tol)
+    found = _classify(channel.amplitudes[_GATHER], tol)
+    classes = [found[j] for j in _CLASS_OF]
     purities = {pair: _reduced_purity(channel, pair) for pair in combinations(range(1, 6), 2)}
     # _ASSIGNMENTS is in (alice, bob) order, so the index is the last key
     keys = [(_KIND_ORDER[cls.kind], cls.min_defect, k) for k, cls in enumerate(classes)]

@@ -5,6 +5,11 @@ Run from the repository root, with the other checkout's ``src`` directory::
 
     PYTHONPATH=src python tests/scan_ab.py <other-src-dir> [blocks]
 
+``blocks`` defaults to 300.  One block is 20 scans of ~0.3 ms per
+channel, so a short run reads mostly noise: 40 blocks of one pair of
+checkouts read per-channel ratios from x0.68 to x1.36, where 300-block
+runs of the same pair read x0.76 to x0.93 on every channel.
+
 The other ``telecrit`` is imported as ``telecrit_other``, beside the one
 on ``PYTHONPATH``.  Six channels are built as ``conftest`` builds them:
 brown, ghz5, man_m5, a seeded dense channel, and a seeded brown and
@@ -251,7 +256,7 @@ def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         sys.stderr.write(__doc__)
         return 2
-    blocks = int(argv[1]) if len(argv) == 2 else 50
+    blocks = int(argv[1]) if len(argv) == 2 else 300
     other = _import_other(argv[0])
     sides = {"this": telecrit, "other": other}
     raw = _raw_channels()

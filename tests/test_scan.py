@@ -262,6 +262,12 @@ def test_verdict_dedupes_roots_across_pi():
     assert got == (KIND_DISCRETE, (0.0, PI / 2 - 4e-7), 0.0, 0.0)
 
 
+def _gap(x, y):
+    """Distance of two angles on the circle of period pi/2."""
+    d = abs(x - y) % (PI / 2)
+    return min(d, PI / 2 - d)
+
+
 def _quartic_rows(*rows):
     """(a1, b1, a2, b2) rows of (a1, b1, a2, b2, sign) rows: branch - (sign -1)
     negates the floats a1 and b1."""
@@ -301,6 +307,11 @@ _QUARTIC_CASES = {
     ],
     # all zero: no roots
     "zero": [(0.0, 0.0, 0.0, 0.0, 1)],
+    # a sparse channel's row: t^4's coefficient is 0 and t^3's 4.4e-16, so one
+    # root lies near 1e16, where a companion of t q(t) loses the small ones
+    "tiny-lead": [
+        (1.7777777777777786, 1.7777777777777788, 0.44444444444444475, 0.8888888888888894, 1)
+    ],
     # signed zeros in every coefficient
     "signed-zero": [
         (-0.0, -0.0, -0.0, -0.0, 1),
@@ -314,7 +325,7 @@ _QUARTIC_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_QUARTIC_CASES))
-def test_root_angles_replicate_np_roots(case):
+def test_candidates_cover_the_real_roots_of_np_roots(case):
     mixed = _quartic_rows(
         *_QUARTIC_CASES[case], (0.4, -1.2, -0.7, 0.3, 1), (0.0, 0.0, 0.0, 0.0, 1)
     )
@@ -322,49 +333,29 @@ def test_root_angles_replicate_np_roots(case):
         # each coefficient column meets a -0.0
         parts = np.array(mixed)
         assert np.all(np.any((parts == 0) & np.signbit(parts), axis=0))
-    got = angles._root_angles(mixed)
-    # bit for bit where a2 or b2 != 0, order and signed zeros included; none
-    # where a2 = b2 = 0
-    want = [
-        np.arctan(np.roots(angles._quartic(*row)).astype(complex)).real.tolist()
-        if row[2] or row[3] else []
-        for row in mixed
+    # four angles where a2 or b2 != 0, none where a2 = b2 = 0
+    assert [len(row) for row in angles._root_angles(mixed)] == [
+        4 if row[2] or row[3] else 0 for row in mixed
     ]
-    assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
+    # every real root of q, as np.roots finds it, is a stationary angle
+    # within 1e-12 of a candidate, on the circle of period pi/2
+    for row, thetas in zip(mixed, angles._candidate_sets(np.array(mixed))):
+        roots = np.roots(angles._quartic(*row))
+        for theta in np.arctan(roots[roots.imag == 0].real).tolist():
+            assert min(_gap(theta, x) for x in thetas) <= 1e-12
 
 
 def test_root_angles_drop_a_lead_whose_companion_overflows():
-    # b2 = 5e-324 makes t^4's coefficient 5e-324, so np.roots' companion row
-    # overflows and np.roots raises; that lead's extra root lies past |t| =
-    # 1e77, at theta = pi/2 in floats, so the engine solves q without it
+    # b2 = 5e-324 makes t^4's coefficient 5e-324, so the companion's top row
+    # overflows; that lead's extra root lies past |t| = 1e77, at theta = pi/2
+    # in floats, so the engine solves q without it and that root is node 0
     row = [0.0, 0.0, 1.0, 5e-324]
-    q = angles._quartic(*row)
-    with pytest.raises(np.linalg.LinAlgError), np.errstate(over="ignore"):
-        np.roots(q)
     (got,) = angles._root_angles([row])
-    assert got == np.arctan(np.roots(q[1:]).astype(complex)).real.tolist()
+    assert sorted(got) == pytest.approx([-PI / 4, 0.0, 0.0, PI / 4], abs=1e-12)
     # man_m5 plus 1e-162 everywhere has such rows; the complex companion in
     # z overflowed on it too
     channel = make_state(5, named_state("man_m5").amplitudes + 1e-162)
     assert len(scan(channel).entries) == 30
-
-
-def test_root_angles_stack_one_companion_per_size(monkeypatch):
-    # full quartics, cubics (b2 = b1/2), catalog quadratics and a monomial:
-    # one eigvals call for each companion size present, none for size 0
-    rows = [[0.4, -1.2, -0.7, 0.3], [1.0, 2.0, 0.0, 1.0], [0.5, 0.0, 2.0, 0.0],
-            [0.1, 0.0, -3.0, 0.0], [8.0, 0.0, 2.0, 0.0], [-0.3, 0.7, 0.2, -0.1]]
-    stacks = []
-    eigvals = np.linalg.eigvals
-
-    def counting(matrices):
-        stacks.append(matrices.shape)
-        return eigvals(matrices)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
-    got = angles._root_angles(rows)
-    assert sorted(stacks) == [(1, 3, 3), (2, 2, 2), (2, 4, 4)]
-    assert [len(row) for row in got] == [4, 3, 3, 3, 1, 4]
 
 
 def test_candidate_sets_fold_a_root_at_half_period_to_zero():
@@ -422,14 +413,9 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
 ):
     """Every distinct arranged row gets a candidate list, but the crossing,
     the quartic and its companion matrix are built once per distinct
-    coefficient set (a1, b1, a2, b2); a2 = b2 = 0 needs no matrix.  The
-    matrices of one size share one eigvals call.  Their sizes are not
-    pinned: they follow how each quartic trims, which can follow the BLAS
-    kernel (man_m5's b1 is 0.0 with SkylakeX's and 9.9e-32 with Nehalem's
-    kernel, which turns one 2x2 companion into a 4x4 one)."""
-    quartics, candidates, stacks, needing = [], [], [], []
+    coefficient set (a1, b1, a2, b2); a2 = b2 = 0 needs no matrix."""
+    quartics, candidates, needing = [], [], []
     root_angles, candidate_sets = angles._root_angles, angles._candidate_sets
-    eigvals = np.linalg.eigvals
 
     def counting_roots(batch):
         quartics.append(len(batch))
@@ -441,23 +427,38 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
         candidates.extend(lists)
         return lists
 
-    def counting_eigvals(matrices):
-        stacks.append(matrices.shape)
-        return eigvals(matrices)
-
     monkeypatch.setattr(angles, "_root_angles", counting_roots)
     monkeypatch.setattr(angles, "_candidate_sets", recording_sets)
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     assert len(scan(named_state(name)).entries) == 30
     assert quartics == [sets]
-    sizes = [shape[-1] for shape in stacks]
-    assert len(set(sizes)) == len(sizes)  # one call per companion size
-    assert sum(shape[0] for shape in stacks) == needing[0] == companions
+    assert needing == [companions]
     assert len(candidates) == rows
     for thetas in candidates:
         # one crossing, four nodes and at most four stationary angles
         assert len(thetas) <= 9
         assert all(0.0 <= theta < PI / 2 for theta in thetas)
+
+
+@pytest.mark.parametrize(
+    "name, companions", [("ghz5", 1), ("man_m5", 2), ("brown", 2), ("dense", 15)]
+)
+def test_scan_makes_one_eigvals_call(monkeypatch, name, companions):
+    """Every companion matrix of a scan is 4x4, whatever the trimming of its
+    quartic, so one eigvals call solves them all, under any BLAS kernel."""
+    stacks = []
+    eigvals = np.linalg.eigvals
+
+    def counting(matrices):
+        stacks.append(matrices.shape)
+        return eigvals(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    if name == "dense":
+        channel = random_channel(np.random.default_rng(20091119))
+    else:
+        channel = named_state(name)
+    assert len(scan(channel).entries) == 30
+    assert stacks == [(companions, 4, 4)]
 
 
 @pytest.mark.parametrize(
@@ -476,11 +477,13 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
     ],
 )
 def test_scan_contracts_once_and_rechecks_only_the_tol_band(monkeypatch, name, rechecks):
-    """A scan contracts the channel once, for the Gram of M(0) and M(pi/2)
-    of every distinct row.  The criterion's arithmetic runs again only at
-    candidates whose Gram value lies within _GRAM_BOUND of tol; at the
-    default tol none does here, not even on an LU-rotated man_m5's
-    near-flat rows, whose candidates tie for the argmin."""
+    """A scan contracts the channel once: the scaled (4, 8) view of each
+    distinct arranged row is [M(0) | M(pi/2)], Charlie's bras at 0 and pi/2
+    being the identity, so its Gram needs no base-operator kernel call.
+    The criterion's arithmetic, in one kernel call and one defect call,
+    runs again only at candidates whose Gram value lies within _GRAM_BOUND
+    of tol; at the default tol none does here, not even on an LU-rotated
+    man_m5's near-flat rows, whose candidates tie for the argmin."""
     contractions, rechecked = [], []
     base_operators, defects = angles._base_operators, angles._defects
 
@@ -498,8 +501,8 @@ def test_scan_contracts_once_and_rechecks_only_the_tol_band(monkeypatch, name, r
     else:
         channel = named_state(name)
     assert len(scan(channel).entries) == 30
-    # one contraction and one defect call for the re-checks, both outcomes
-    assert contractions == [(2, 2)] + [(2, 2, rechecks)] * bool(rechecks)
+    # one kernel call and one defect call for the re-checks, both outcomes
+    assert contractions == [(2, 2, rechecks)] * bool(rechecks)
     assert rechecked == [2 * rechecks] * bool(rechecks)
 
 

@@ -45,6 +45,19 @@ def _gap(x, y):
     return min(abs(x - y), math.pi / 2 - abs(x - y))
 
 
+# how far a candidate may lie from the nearest of the oracle's, and back,
+# on the circle of period pi/2, for the same coefficients (worst seen:
+# 6.7e-16 on the sparse channels below, 1.3e-15 on a dense channel)
+_CANDIDATE_BOUND = 1e-14
+
+
+def _assert_same_points(got, want):
+    """Two candidate lists are the same points of the circle of period pi/2,
+    each within _CANDIDATE_BOUND of one of the other's."""
+    assert all(min(_gap(x, y) for y in want) <= _CANDIDATE_BOUND for x in got)
+    assert all(min(_gap(x, y) for x in got) <= _CANDIDATE_BOUND for y in want)
+
+
 def _assert_classification_matches(got, want, channel, assignment):
     """Kinds and root counts equal; roots and min_defect within _GRAM_BOUND;
     argmin_theta equal, or a candidate whose criterion defect is within
@@ -145,7 +158,8 @@ def test_flat_profiles_break_ties_by_candidate_order(seed):
 
 def test_sparse_channels_match_np_roots_route(monkeypatch):
     # sparse signed-integer channels reach rows with a2 = b2 = 0 and h != 0,
-    # whose stationary angle the engine places in closed form, not by np.roots
+    # whose stationary angle the engine places in closed form, not by a
+    # companion matrix
     harmonic = []
     root_angles = angles._root_angles
 
@@ -159,18 +173,13 @@ def test_sparse_channels_match_np_roots_route(monkeypatch):
         channel = sparse_channel(rng)
         for tol in TOLERANCES:
             _assert_scan_matches(channel, tol)
-        arranged = channel.amplitudes[angles._GATHER]
-        thetas = angles._candidate_sets(angles._coefficients(arranged)[1])
-        for row, got in zip(arranged, thetas):
-            want = angles_oracle._candidate_angles(row).tolist()
-            if angles_oracle._coefficients(row)[2:] != (0.0, 0.0):
-                assert got == want  # bit for bit
-                continue
-            # np.roots' quadratic gives the closed-form angle twice, within a
-            # few ulps, and its appended zero root is node 0: the same points
-            # of the circle of period pi/2, to 4.5e-16
-            assert all(min(_gap(x, y) for y in want) <= 4.5e-16 for x in got)
-            assert all(min(_gap(x, y) for x in got) <= 4.5e-16 for y in want)
+        # the engine's candidates from the oracle's coefficients: its Gram
+        # product rounds them otherwise, and where an exact 0 becomes 1e-16
+        # a quartic with roots near t = +-i adds candidates the oracle lacks
+        for row in channel.amplitudes[angles._GATHER]:
+            coeffs = np.array([angles_oracle._coefficients(row)])
+            (got,) = angles._candidate_sets(coeffs)
+            _assert_same_points(got, angles_oracle._candidate_angles(row).tolist())
     assert any(harmonic)
 
 
@@ -192,7 +201,7 @@ def test_t_route_matches_z_route(seed, source, tol):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(angles, "_root_angles", angles_oracle.z_root_angles)
         z_route = angles._classify(arranged, tol)
-    for assignment, got, want in zip(enumerate_assignments(), t_route, z_route):
+    for assignment, got, want in zip(angles._CLASSES, t_route, z_route, strict=True):
         assert got.kind == want.kind
         assert (got.roots is None) == (want.roots is None)
         if want.roots is not None:
@@ -252,17 +261,16 @@ def test_batched_defects_are_criterion_arithmetic(source, monkeypatch):
     criterion's own defects, to the bit: with an infinite band it replaces
     every candidate's value.  With the engine's band, every value is
     within _GRAM_BOUND of them.  Every row's candidate list is the oracle's,
-    to the bit."""
+    as points within _CANDIDATE_BOUND."""
     rng = np.random.default_rng(17)
     channel = named_state(source) if source in CATALOG else _channel(source, rng)
     arranged = channel.amplitudes[angles._GATHER]
     blocks, coeffs = angles._coefficients(arranged)
     thetas = angles._candidate_sets(coeffs)
     want = []
-    for assignment, row in zip(enumerate_assignments(), thetas):
-        oriented = angles_oracle.class_orientation(assignment)
+    for oriented, row in zip(angles._CLASSES, thetas, strict=True):
         grid = permute_qubits(channel, relabeling(oriented)).amplitudes.reshape([2] * 5)
-        assert row == angles_oracle._candidate_angles(grid).tolist()
+        _assert_same_points(row, angles_oracle._candidate_angles(grid).tolist())
         for theta in row:
             # the single-matrix form, one base operator at a time
             base = _base_operators(grid, _charlie_bras(theta))[:, 0]
@@ -289,7 +297,7 @@ def test_gram_values_are_within_their_bound_of_the_criterion(seed, source):
     blocks, coeffs = angles._coefficients(arranged)
     thetas = angles._candidate_sets(coeffs)
     values = iter(angles._profiles(arranged, blocks, thetas, -1.0))
-    for assignment, row in zip(enumerate_assignments(), thetas):
+    for assignment, row in zip(angles._CLASSES, thetas, strict=True):
         for theta in row:
             report = criterion_check(channel, assignment, theta)
             exact = max(report.sigma111_defect, report.sigma112_defect)
@@ -355,7 +363,7 @@ def test_tolerance_at_a_flat_row_defect_decides_as_the_criterion_at_node_0(
         assert got == (KIND_ALL if passed else KIND_NONE, None, defect, 0.0)
         entries = {e.assignment: e.classification for e in scan(man, tol).entries}
         assert entries[assignment] == got
-        for other, is_flat in zip(enumerate_assignments(), flat):
+        for other, is_flat in zip(angles._CLASSES, flat, strict=True):
             if is_flat:
                 cls = entries[other]
                 passed = criterion_check(man, other, 0.0, tol).passed
@@ -412,12 +420,12 @@ def test_swapped_pairs_share_one_role_class(seed, source, tol, theta):
 
 
 def test_gather_table_matches_permute_qubits():
-    # each row arranges its assignment's role class orientation
+    # each assignment's row arranges its role class orientation
     channel = random_channel(np.random.default_rng(23))
-    for row, assignment in zip(angles._GATHER, enumerate_assignments()):
+    for assignment, k in zip(enumerate_assignments(), angles._CLASS_OF, strict=True):
         oriented = angles_oracle.class_orientation(assignment)
         arranged = permute_qubits(channel, relabeling(oriented)).amplitudes
-        assert np.array_equal(channel.amplitudes[row], arranged)
+        assert np.array_equal(channel.amplitudes[angles._GATHER[k]], arranged)
 
 
 @pytest.mark.parametrize("width", [2, 6])

@@ -120,11 +120,13 @@ def test_gather_index_is_the_permute_qubits_arrangement():
         oriented = assignment._oriented
         assert oriented == angles_oracle.class_orientation(assignment)
         assert assignment._oriented is oriented  # cached on the assignment
-    # scan arranges through the same caches, in 15 distinct rows
-    assert angles._GATHER.shape == (30, 32)
-    for assignment, row in zip(angles._ASSIGNMENTS, angles._GATHER, strict=True):
-        assert np.array_equal(row, assignment._oriented._gather)
+    # scan arranges through the same caches, one distinct row per role
+    # class, and hands each assignment its class's row
+    assert angles._GATHER.shape == (15, 32)
     assert len({row.tobytes() for row in angles._GATHER}) == 15
+    assert sorted(set(angles._CLASS_OF)) == list(range(15))
+    for assignment, k in zip(angles._ASSIGNMENTS, angles._CLASS_OF, strict=True):
+        assert np.array_equal(angles._GATHER[k], assignment._oriented._gather)
 
 
 def test_base_operator_golden_entries(brown, assign_12, assign_13, assign_14):
@@ -671,8 +673,8 @@ def test_vecdot_rounds_as_vdot_on_the_engine_views(data):
     """np.vecdot, the engine's one row dot, equals np.vdot row by row on the
     views the engine hands it: the strided real and imaginary parts of an
     (n, 16) gap (_defects, simulate's norms), complex (32, 4) rows against
-    themselves and against other rows (simulate's probabilities,
-    _coefficients), and a 1-D bra against a (32, 4) stack (fidelities)."""
+    themselves (simulate's probabilities) and against other rows, and a
+    1-D bra against a (32, 4) stack (fidelities)."""
     gap = data.draw(_edge_arrays((data.draw(st.integers(1, 6)), 16)))
     rows, other = data.draw(_edge_arrays((32, 4))), data.draw(_edge_arrays((32, 4)))
     bra = data.draw(_edge_arrays((1, 4)))[0]
