@@ -175,12 +175,10 @@ def _root_angles(rows: list[list[float]]) -> list[list[float]]:
     return angles
 
 
-# (A, C, C^H, B) of a Gram to (P + I, Q, R), (P, Q, R) to the gaps of outcomes
-# 1 and 2, and the flattened dots of (P, Q, R) to (2PQ, 2PR, (QQ - RR)/2, QR)
+# (A, C, C^H, B) of a Gram to (P + I, Q, R), and (P, Q, R) to the gaps of
+# outcomes 1 and 2
 _BLOCK_MAP = np.array([[0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, -0.5], [0.0, 0.5, 0.5, 0.0]])
 _SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
-_DOT_MAP = np.zeros((9, 4))
-_DOT_MAP[[1, 2, 4, 8, 5], [0, 1, 2, 2, 3]] = 2.0, 2.0, 0.5, -0.5, 1.0
 
 
 def _coefficients(arranged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +191,10 @@ def _coefficients(arranged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     blocks = _BLOCK_MAP @ gram.reshape(-1, 4, 16).view(np.float64)
     blocks[:, 0, ::10] -= 1.0  # P's diagonal, real parts
     # Re <x|y> of every pair of P, Q and R is the dot of their real rows
-    dots = (blocks @ blocks.mT).reshape(-1, 9)
-    return blocks, dots @ _DOT_MAP
+    d = blocks @ blocks.mT
+    return blocks, np.stack(
+        (2 * d[:, 0, 1], 2 * d[:, 0, 2], (d[:, 1, 1] - d[:, 2, 2]) / 2, d[:, 1, 2]), axis=1
+    )
 
 
 def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:

@@ -90,11 +90,15 @@ def z_root_angles(rows: list[list[float]]) -> list[list[float]]:
 
 
 def _candidate_angles(grid: np.ndarray) -> np.ndarray:
+    """candidates_of the coefficients of one arranged channel."""
+    return candidates_of(*_coefficients(grid))
+
+
+def candidates_of(a1: float, b1: float, a2: float, b2: float) -> np.ndarray:
     """Sorted angles in [0, pi/2) that bound the monotone pieces of the
     profile over its period pi/2: one crossing, branch +'s stationary
     angles and the nodes k pi/8, k = 0..3.  A profile whose coefficients
     are all 0 is flat, and node 0 alone stands for it."""
-    a1, b1, a2, b2 = _coefficients(grid)
     if not (a1 or b1 or a2 or b2):
         return np.array([0.0])
     # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes

@@ -404,18 +404,31 @@ def test_scan_classifies_each_distinct_arrangement_once(monkeypatch, name, rows)
 
 
 @pytest.mark.parametrize(
-    "name, rows, sets, companions",
-    [("ghz5", 1, 1, 1), ("man_m5", 13, 3, 2), ("brown", 15, 3, 2)],
-    ids=["ghz5-1", "man_m5-13", "brown-15"],
+    "name, rows, sets, companions, placed",
+    [
+        ("ghz5", 1, 1, 1, 4),
+        ("man_m5", 13, 3, 2, 22),
+        ("brown", 15, 3, 2, 45),
+        ("dense", 15, 15, 15, 126),
+    ],
+    ids=["ghz5-1", "man_m5-13", "brown-15", "dense-15"],
 )
 def test_scan_solves_one_quartic_per_distinct_arrangement(
-    monkeypatch, name, rows, sets, companions
+    monkeypatch, name, rows, sets, companions, placed
 ):
     """Every distinct arranged row gets a candidate list, but the crossing,
     the quartic and its companion matrix are built once per distinct
-    coefficient set (a1, b1, a2, b2); a2 = b2 = 0 needs no matrix."""
-    quartics, candidates, needing = [], [], []
+    coefficient set (a1, b1, a2, b2); a2 = b2 = 0 needs no matrix.  Every
+    companion is 4x4, whatever the trimming of its quartic, so one eigvals
+    call solves them all, under any BLAS kernel.  ``placed`` counts the
+    candidates over the distinct rows, the same under every kernel on
+    these channels.  On rows whose a2 and b2 are 0 only up to rounding,
+    such as LU-rotated man_m5's flat rows, the count follows the
+    coefficients' last bits and so the BLAS kernel: a quartic near
+    (1 + t^2) times the harmonic's adds roots near t = +-i."""
+    quartics, candidates, needing, stacks = [], [], [], []
     root_angles, candidate_sets = angles._root_angles, angles._candidate_sets
+    eigvals = np.linalg.eigvals
 
     def counting_roots(batch):
         quartics.append(len(batch))
@@ -427,38 +440,27 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
         candidates.extend(lists)
         return lists
 
-    monkeypatch.setattr(angles, "_root_angles", counting_roots)
-    monkeypatch.setattr(angles, "_candidate_sets", recording_sets)
-    assert len(scan(named_state(name)).entries) == 30
-    assert quartics == [sets]
-    assert needing == [companions]
-    assert len(candidates) == rows
-    for thetas in candidates:
-        # one crossing, four nodes and at most four stationary angles
-        assert len(thetas) <= 9
-        assert all(0.0 <= theta < PI / 2 for theta in thetas)
-
-
-@pytest.mark.parametrize(
-    "name, companions", [("ghz5", 1), ("man_m5", 2), ("brown", 2), ("dense", 15)]
-)
-def test_scan_makes_one_eigvals_call(monkeypatch, name, companions):
-    """Every companion matrix of a scan is 4x4, whatever the trimming of its
-    quartic, so one eigvals call solves them all, under any BLAS kernel."""
-    stacks = []
-    eigvals = np.linalg.eigvals
-
-    def counting(matrices):
+    def counting_eigvals(matrices):
         stacks.append(matrices.shape)
         return eigvals(matrices)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(angles, "_root_angles", counting_roots)
+    monkeypatch.setattr(angles, "_candidate_sets", recording_sets)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     if name == "dense":
         channel = random_channel(np.random.default_rng(20091119))
     else:
         channel = named_state(name)
     assert len(scan(channel).entries) == 30
+    assert quartics == [sets]
+    assert needing == [companions]
     assert stacks == [(companions, 4, 4)]
+    assert len(candidates) == rows
+    assert sum(map(len, candidates)) == placed
+    for thetas in candidates:
+        # one crossing, four nodes and at most four stationary angles
+        assert len(thetas) <= 9
+        assert all(0.0 <= theta < PI / 2 for theta in thetas)
 
 
 @pytest.mark.parametrize(

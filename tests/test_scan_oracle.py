@@ -46,8 +46,9 @@ def _gap(x, y):
 
 
 # how far a candidate may lie from the nearest of the oracle's, and back,
-# on the circle of period pi/2, for the same coefficients (worst seen:
-# 6.7e-16 on the sparse channels below, 1.3e-15 on a dense channel)
+# on the circle of period pi/2, where each is a simple root or placed in
+# closed form (worst seen: 5.6e-16 on the sparse channels below, 1.3e-15
+# on a dense channel)
 _CANDIDATE_BOUND = 1e-14
 
 
@@ -156,10 +157,32 @@ def test_flat_profiles_break_ties_by_candidate_order(seed):
     assert flat > 0
 
 
-def test_sparse_channels_match_np_roots_route(monkeypatch):
-    # sparse signed-integer channels reach rows with a2 = b2 = 0 and h != 0,
-    # whose stationary angle the engine places in closed form, not by a
-    # companion matrix
+# how far the engine's profile coefficients may lie from the oracle's: each
+# is at most twice a dot of 32 real products of two of P, Q and R, whose
+# norms are at most 10 on a normalized channel (see _GRAM_BOUND).  Each
+# route's dot rounds within 32 ulps of 100, and the ~1e-14 errors of its
+# inputs add 2e-13, so each coefficient lies within 1.1e-12 of the exact
+# one and the routes within 1e-11 of each other (worst seen: 5.3e-15 on
+# 6,000 rows of sparse channels)
+_COEFFICIENT_BOUND = 1e-11
+
+
+def test_sparse_channels_match_np_roots_route():
+    """Sparse signed-integer channels reach rows with a2 = b2 = 0 and h != 0,
+    whose stationary angle the engine's scan places in closed form, not by
+    a companion matrix.  Every row's coefficients are the oracle's within
+    _COEFFICIENT_BOUND, and the candidates the engine places from them are
+    the ones np.roots places from the same coefficients, as points within
+    _CANDIDATE_BOUND.  The candidates are compared at the engine's own
+    coefficients, as the roots do not follow the coefficients' last bits
+    continuously: where a coefficient that is 0 in exact arithmetic rounds
+    to 0 on one side and to ~1e-16 on the other, a quartic with such a lead
+    places its small roots up to 2.8e-8 apart, and one near (1 + t^2) times
+    the harmonic's adds roots near t = +-i at any angle (0.16 rad from every
+    candidate of the other side on one of these rows, under OpenBLAS's
+    Nehalem kernel).  The bound is for simple roots: a double root, as of
+    q = t (t - 1)^2 (t + 2) on another seeded sparse channel, splits by
+    ~sqrt(eps) in both companion forms, 6.2e-9 apart."""
     harmonic = []
     root_angles = angles._root_angles
 
@@ -167,19 +190,19 @@ def test_sparse_channels_match_np_roots_route(monkeypatch):
         harmonic.extend(a2 == b2 == 0 and (a1 or b1) != 0 for a1, b1, a2, b2 in rows)
         return root_angles(rows)
 
-    monkeypatch.setattr(angles, "_root_angles", spy)
     rng = np.random.default_rng(1401)
     for _ in range(20):
         channel = sparse_channel(rng)
-        for tol in TOLERANCES:
-            _assert_scan_matches(channel, tol)
-        # the engine's candidates from the oracle's coefficients: its Gram
-        # product rounds them otherwise, and where an exact 0 becomes 1e-16
-        # a quartic with roots near t = +-i adds candidates the oracle lacks
-        for row in channel.amplitudes[angles._GATHER]:
-            coeffs = np.array([angles_oracle._coefficients(row)])
-            (got,) = angles._candidate_sets(coeffs)
-            _assert_same_points(got, angles_oracle._candidate_angles(row).tolist())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(angles, "_root_angles", spy)
+            for tol in TOLERANCES:
+                _assert_scan_matches(channel, tol)
+        arranged = channel.amplitudes[angles._GATHER]
+        coeffs = angles._coefficients(arranged)[1]
+        for row, got, found in zip(arranged, coeffs.tolist(), angles._candidate_sets(coeffs)):
+            want = angles_oracle._coefficients(row)
+            assert all(abs(x - y) <= _COEFFICIENT_BOUND for x, y in zip(got, want))
+            _assert_same_points(found, angles_oracle.candidates_of(*got).tolist())
     assert any(harmonic)
 
 
