@@ -50,7 +50,7 @@ import numpy as np
 
 from .entanglement import _reduced_purity, _require_channel, _require_tol
 from .states import PureState
-from .teleport import _SCALE, RoleAssignment, _arranged, _base_operators, _defects
+from .teleport import _SCALE, RoleAssignment, _arranged, _base_operators, _charlie_bras, _defects
 
 __all__ = [
     "KIND_ALL",
@@ -246,9 +246,10 @@ def _profiles(
 
     ``thetas[k]`` are the angles of row k of the (m, 32) stack and
     ``blocks`` its (P, Q, R) rows, both gaps of every candidate from one
-    product.  A value within _GRAM_BOUND of tol is replaced by both
-    defects evaluated as criterion_check evaluates them, so every
-    pass/fail is the criterion's; the rest are Gram values.
+    product.  A value within _GRAM_BOUND of tol is replaced by the larger
+    of criterion_check's two defects there, from the calls its report is
+    built from, so every pass/fail is the criterion's; the rest are Gram
+    values.
     """
     counts = [len(row) for row in thetas]
     flat = np.fromiter(chain.from_iterable(thetas), np.float64, sum(counts))
@@ -257,15 +258,9 @@ def _profiles(
     turn = np.stack((np.ones_like(two), np.cos(two), np.sin(two)), axis=1)
     gaps = (turn[:, None] * _SIGNS) @ blocks[owner]
     values = np.sqrt(np.vecdot(gaps, gaps).max(axis=1))
-    redo = np.flatnonzero(np.abs(values - tol) <= _GRAM_BOUND)
-    if len(redo):
-        # numpy's float64 cos and sin round as math.cos and math.sin, which
-        # _charlie_bras uses; test_batched_defects_are_criterion_arithmetic
-        # checks these values against that form to the bit
-        c, s = np.cos(flat[redo]), np.sin(flat[redo])
-        weights = np.concatenate((c, s, s, -c)).reshape(2, 2, -1)  # _charlie_bras of each
-        base = _base_operators(arranged[owner[redo]], weights)  # both outcomes, (2, k, 4, 4)
-        values[redo] = _defects(base.reshape(-1, 4, 4)).reshape(2, -1).max(axis=0)
+    for k in np.flatnonzero(np.abs(values - tol) <= _GRAM_BOUND):
+        bras = _charlie_bras(float(flat[k]))
+        values[k] = _defects(_base_operators(arranged[owner[k]], bras)).max()
     return values.tolist()
 
 

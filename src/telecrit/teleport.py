@@ -17,32 +17,21 @@ The senders' Bell dictionary is states' ``_BELL_SIGNS``, paired with
 ``PAULI_FACTORS``; its one array form is ``_BELL_KETS``, the kets of
 the stacked sender bras ``_BELL_PAIR_ROWS``.
 
-Engine: ``_base_operators`` is the one contraction of a channel's
-amplitudes with Charlie's real weights, [[c, s], [s, -c]]: it sums them
-times the Charlie halves of a stack of arranged channels, at a stack of
-angles, and the criterion, the angle classifier and the scan take the
-unitarity defect of its output with ``_defects``.  The 32 outcome
-operators are the Bell projection of a setting's two base operators
-(``_outcome_operators``), since every outcome operator factors through
-them; ``pauli_factorization_check`` checks that projection against
-base @ kron(F_i, F_j), all 16 factors in one product with
-``_FACTOR_TABLE``, so it guards the Bell dictionary against the factor
-pairing.  A channel holds the record of its last measurement setting on
-the ``PureState``, beside its purity memo: (key, base operators, outcome
-operators), built whole on a miss and replaced in one assignment.
-``criterion_check``, ``pauli_factorization_check``,
-``transformation_operator`` (which returns a copy) and ``simulate`` each
-unpack the record ``_setting`` hands them, so a verify bundle contracts
-the channel once; input checks run on every call.  ``simulate`` reads
-Bob's residuals off the 32 operators in one (128, 4) @ (4,) product,
-corrects each with its operator's adjoint in one ``np.matvec``, and
-returns each outcome as a ``TeleportationRecord`` built from a row of
-one read-only (32, 4) array.  Every row dot is ``np.vecdot``, which
-calls on each row the BLAS dot ``np.vdot`` calls; the defects and
-simulate's norms dot the strided real and imaginary views, as
-``np.linalg.norm`` does, so they round as it does.  The brute-force
-simulation of the seven-qubit joint state, an independent check of these
-routes, lives with the test oracles.
+Engine: ``_base_operators`` contracts one arranged channel with Charlie's
+bras, [[c, s], [s, -c]], into its two base operators, and ``_defects``
+takes the unitarity defect of a stack of operators; ``criterion_check``'s
+defects are these two calls.  ``angles`` forms its defect profiles from
+the Gram of the scaled amplitudes instead, and makes the same two calls
+only to re-check a candidate near tol.  The 32 outcome operators are the Bell
+projection of a setting's two base operators (``_outcome_operators``);
+``pauli_factorization_check`` checks that projection against
+base @ kron(F_i, F_j), so it guards the Bell dictionary against the
+factor pairing.  A channel holds the record of its last measurement
+setting on the ``PureState``: (key, base operators, outcome operators),
+built whole on a miss and replaced in one assignment, so a verify bundle
+contracts the channel once.  The brute-force simulation of the
+seven-qubit joint state, an independent check of these routes, lives
+with the test oracles; README "Engine" describes the rest.
 """
 
 from __future__ import annotations
@@ -91,14 +80,15 @@ _BELL_KETS = np.array(
     [[signs.get(i, 0) for i in range(4)] for signs in _BELL_SIGNS.values()], dtype=complex
 ) / math.sqrt(2.0)
 # conjugated Bell bras of both sender measurements, stacked as (64, 4) rows
-# [i - 1, j - 1, unknown 1, unknown 2] by columns [channel 1, channel 2]
+# [i - 1, j - 1, unknown 1, unknown 2] by columns [channel 1, channel 2], times
+# 1 / (_PREFACTOR * _SCALE) = 2, which rescales the base operators' projections
 _BELL_PAIR_ROWS = (
     np.kron(_BELL_KETS, _BELL_KETS)
     .conj()
     .reshape(4, 4, 2, 2, 2, 2)  # [i, j, unknown 1, channel 1, unknown 2, channel 2]
     .transpose(0, 1, 2, 4, 3, 5)
     .reshape(64, 4)
-)
+) / (_PREFACTOR * _SCALE)
 # kron(F_i, F_j) as the 4-column block 4 * (i - 1) + (j - 1) of one (4, 64)
 # table, the factors of the identity above side by side
 _FACTOR_TABLE = np.hstack(
@@ -172,18 +162,16 @@ def _arranged(channel: PureState, assignment: RoleAssignment) -> np.ndarray:
     return channel.amplitudes[assignment._gather]
 
 
-def _base_operators(arranged: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Base operators (both Bell outcomes 1) of a stack of arranged channels,
-    as (n, m, 4, 4), transposed from the action layout: [alice pair, bob pair].
+def _base_operators(arranged: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """Base operators (both Bell outcomes 1) of one arranged channel at
+    Charlie's (2, 2) bras, as (2, 4, 4) [charlie_outcome - 1, alice pair,
+    bob pair], transposed from the action layout.
 
-    G0/G1 at [k][b] are the Charlie components 0/1 of amplitude (k, b, .)
-    in each 32-amplitude row.  ``weights`` holds n bras of Charlie's qubit
-    as rows, (n, 2), or an (n, 2, m) stack, one set per arranged row; the
-    result follows its rows, [charlie_outcome - 1] for ``_charlie_bras``.
-    This is the one contraction of a channel's amplitudes.
+    G0/G1 at [k][b] are the Charlie components 0/1 of amplitude (k, b, .).
+    This is the one contraction of a channel's amplitudes with Charlie's bras.
     """
-    g = arranged.reshape(-1, 4, 4, 2)
-    w = weights.reshape(len(weights), 2, -1, 1, 1)
+    g = arranged.reshape(4, 4, 2)
+    w = bras.reshape(2, 2, 1, 1)
     return _SCALE * (w[:, 0] * g[..., 0] + w[:, 1] * g[..., 1])
 
 
@@ -194,15 +182,11 @@ def _outcome_operators(base: np.ndarray) -> np.ndarray:
 
     ``base`` holds a setting's two base operators, (2, 4, 4) as
     ``_base_operators`` gives them.  The stacked Bell bras contract Alice's
-    pair; the unknown-qubit indices stay open as columns, and the factor
-    1 / (_PREFACTOR * _SCALE) = 2 rescales the base operators' projections.
+    pair; the unknown-qubit indices stay open as columns.
     """
     projected = _BELL_PAIR_ROWS @ base  # [n, (i, j, unknown pair), bob]
     # [n, i, j, unknown pair, bob] -> [i, j, n, bob, unknown pair]
-    table = projected.reshape(2, 4, 4, 4, 4).transpose(1, 2, 0, 4, 3)
-    # 2 applied after the product: folded into the bras it would round
-    # differently wherever a product is subnormal
-    return np.multiply(2.0, table, order="C").reshape(32, 4, 4)
+    return projected.reshape(2, 4, 4, 4, 4).transpose(1, 2, 0, 4, 3).reshape(32, 4, 4)
 
 
 def _setting(channel: PureState, assignment: RoleAssignment, theta: float) -> tuple:
@@ -220,7 +204,7 @@ def _setting(channel: PureState, assignment: RoleAssignment, theta: float) -> tu
     record = channel._setting[0]
     if record[0] != key:
         arranged = _arranged(channel, assignment)  # refuses a wrong channel first
-        base = _base_operators(arranged, _charlie_bras(theta)).reshape(2, 4, 4)
+        base = _base_operators(arranged, _charlie_bras(theta))
         outcomes = _outcome_operators(base)
         base.setflags(write=False)
         outcomes.setflags(write=False)
@@ -252,16 +236,13 @@ def transformation_operator(
 
 
 def _defects(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of M^dagger M - I for every matrix of an (n, d, d) stack.
-
-    Rounds as np.linalg.norm of each gap, which sums the BLAS dots of the
-    gap's strided real and imaginary views: np.vecdot of the same strided
-    views calls that same dot, row by row, while contiguous copies, or one
-    complex dot of the gap with itself, would round differently.
-    """
-    gap = (m.conj().transpose(0, 2, 1) @ m).reshape(len(m), -1)
+    """Frobenius norm of M^dagger M - I for every matrix of an (n, d, d) stack."""
+    gap = (m.conj().mT @ m).reshape(len(m), -1)
     gap[:, :: m.shape[-1] + 1] -= 1.0  # the diagonal of each fresh product
-    return np.sqrt(np.vecdot(gap.real, gap.real) + np.vecdot(gap.imag, gap.imag))
+    # real and imaginary parts side by side: a square that overflows sums to
+    # inf, where a complex dot would give NaN
+    parts = gap.view(np.float64)
+    return np.sqrt(np.vecdot(parts, parts))
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -313,7 +294,7 @@ def criterion_check(
     _require_tol(tol)
     _, base, _ = _setting(channel, assignment, theta)
     # the role class's defects: a swapped orientation's operators are base.mT
-    swapped = min(assignment.bob) < min(assignment.alice)  # as in RoleAssignment._oriented
+    swapped = assignment._oriented is not assignment
     defect_1, defect_2 = _defects(base.mT if swapped else base).tolist()
     return CriterionReport(
         assignment,
@@ -411,18 +392,17 @@ def simulate(
     """
     if input_state.num_qubits != 2:
         raise ValueError("the input must be a two-qubit state")
-    x = input_state.amplitudes
-    if _norm_drifts(np.vdot(x, x).real, STRICT_NORM_TOL):
+    if _norm_drifts(input_state._norm_sq, STRICT_NORM_TOL):
         raise ValueError("the input state must be normalized")
+    x = input_state.amplitudes
     _, _, operators = _setting(channel, assignment, theta)
     residuals = _PREFACTOR * (operators.reshape(128, 4) @ x).reshape(32, 4)
     corrected = np.matvec(operators.conj().mT, residuals)
-    re, im = corrected.real, corrected.imag
-    norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]  # as np.linalg.norm forms it
+    norms = np.sqrt(np.vecdot(corrected, corrected).real)[:, None]
     np.divide(corrected, norms, out=corrected, where=norms > 0.0)  # a zero row stays zero
     corrected.setflags(write=False)
     overlaps = np.vecdot(x, corrected)
-    fidelities = overlaps.real**2 + overlaps.imag**2  # not np.abs: alike at every SIMD level
+    fidelities = overlaps.real**2 + overlaps.imag**2
     probabilities = np.vecdot(residuals, residuals).real.tolist()
     rows = zip(_OUTCOMES, probabilities, corrected, fidelities.tolist())
     return list(map(tuple.__new__, itertools.repeat(TeleportationRecord), rows))

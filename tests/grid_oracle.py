@@ -40,7 +40,7 @@ def _defect_profile(channel, assignment) -> Callable[[float], float]:
 
     def profile(theta: float) -> float:
         if theta not in memo:
-            base = _base_operators(grid, _charlie_bras(theta))[:, 0]
+            base = _base_operators(grid, _charlie_bras(theta))
             memo[theta] = max(map(unitarity_defect, base))
         return memo[theta]
 

@@ -174,7 +174,7 @@ def transformation_operator(
         raise ValueError("Charlie outcome must be 1 or 2")
     grid = _arranged(channel, assignment).reshape([2] * 5)
     if (bell_first, bell_second) == (1, 1):
-        tableau = _base_operators(grid, _charlie_bras(theta))[charlie_outcome - 1, 0]
+        tableau = _base_operators(grid, _charlie_bras(theta))[charlie_outcome - 1]
     else:
         tableau = _projected_tableau(
             grid, bell_first, bell_second, charlie_outcome, theta

@@ -37,10 +37,13 @@ pauli_factorization_check and simulate at one setting) per assignment
 of a channel, 30 bundles, each at a fresh seeded angle that both sides
 share, so no bundle starts at the setting the last one left on the
 channel.  Before timing, it asserts that both sides give the same bundle
-results on every channel at three angles of every assignment: the
-factorization reports and simulate records (reprs, and the bytes of
-Bob's corrected states) to the bit, and the criterion reports with equal
-verdicts and purities and defects within ``ROUNDING``.  Last it times
+results on every channel at three angles of every assignment: criterion
+reports with equal verdicts, purities, angles and assignments and
+defects within ``ROUNDING``; factorization reports with equal ``holds``
+and ``max_deviation`` within ``ROUNDING``; and simulate records with
+equal outcomes and probabilities, fidelities and the entries of Bob's
+corrected states within ``RECORD_BOUND``.  It prints the largest move of
+each.  Last it times
 ``criterion_check`` alone the same way, 30 checks per block, each at a
 fresh seeded angle, so every check builds its setting's record.  The
 process pins itself to one CPU and one BLAS thread before numpy loads.
@@ -71,8 +74,13 @@ from conftest import lu_rotated, random_channel, sparse_channel  # noqa: E402
 
 SCANS_PER_BLOCK = 20
 CHECKED_TOLS = (1e-10, 1e-6, 0.5, 10.0)
-# how far a root, min_defect or criterion defect may move between the sides
+# how far a root, min_defect, criterion defect or factorization deviation
+# may move between the sides
 ROUNDING = 1e-12
+# how far a probability, fidelity or entry of Bob's corrected state may move
+# between the sides: each is a few ulps of 1
+RECORD_BOUND = 1e-14
+RECORD_FIELDS = ("probability", "fidelity", "bob")
 
 
 def _import_other(src: str):
@@ -142,29 +150,45 @@ def _bundle(package, channel, assignment, theta, input_state) -> tuple:
     )
 
 
-def _bundle_bits(bundle: tuple) -> tuple[dict, str]:
-    """A bundle's criterion report as a dict, and its other results as one
-    string: the factorization report's repr, the records' fields and the
-    bytes of their corrected states."""
+def _bundle_fields(bundle: tuple) -> dict:
+    """A bundle's results as plain fields: the criterion report as a dict,
+    the factorization report, and the records' outcomes, probabilities,
+    fidelities and corrected states."""
     report, factorization, records = bundle
-    rows = [(r.outcome, r.probability, r.fidelity, r.bob_corrected.tobytes()) for r in records]
-    return {**report.as_dict(), "tol": report.tol}, repr((tuple(factorization), rows))
+    return {
+        "criterion": {**report.as_dict(), "tol": report.tol},
+        "holds": factorization.holds,
+        "max_deviation": factorization.max_deviation,
+        "outcomes": [r.outcome for r in records],
+        "probability": np.array([r.probability for r in records]),
+        "fidelity": np.array([r.fidelity for r in records]),
+        "bob": np.array([r.bob_corrected for r in records]),
+    }
 
 
 def _near(x: float, y: float) -> bool:
     return abs(x - y) <= ROUNDING
 
 
-def _assert_bundles_agree(this: tuple[dict, str], other: tuple[dict, str], where: str) -> None:
-    """Both sides' bundle results: all but the criterion defects to the bit,
-    those within ROUNDING."""
-    (report, bits), (report_other, bits_other) = this, other
-    assert bits == bits_other, f"{where}: the factorization or simulate results differ"
+def _assert_bundles_agree(this: dict, other: dict, where: str, moved: dict) -> None:
+    """Both sides' bundle fields: verdicts, purities and ``holds`` equal,
+    criterion defects and ``max_deviation`` within ROUNDING, the records
+    within RECORD_BOUND.  Keeps the largest move of each in ``moved``."""
+    report, report_other = this["criterion"], other["criterion"]
     defects = ("sigma111_defect", "sigma112_defect")
     rest = {key: value for key, value in report.items() if key not in defects}
     assert rest == {key: report_other[key] for key in rest}, f"{where}: the criteria differ"
-    for key in defects:
-        assert _near(report[key], report_other[key]), f"{where}: {key} moved"
+    assert this["holds"] == other["holds"], f"{where}: the factorization verdicts differ"
+    assert this["outcomes"] == other["outcomes"], f"{where}: the outcomes differ"
+    gaps = {
+        "defect": max(abs(report[key] - report_other[key]) for key in defects),
+        "max_deviation": abs(this["max_deviation"] - other["max_deviation"]),
+        **{key: float(np.max(np.abs(this[key] - other[key]))) for key in RECORD_FIELDS},
+    }
+    for key, gap in gaps.items():
+        bound = RECORD_BOUND if key in RECORD_FIELDS else ROUNDING
+        assert gap <= bound, f"{where}: {key} moved by {gap:.3g}"
+        moved[key] = max(moved.get(key, 0.0), gap)
 
 
 def keyed(entries: list[dict]) -> dict[tuple, dict]:
@@ -304,17 +328,19 @@ def main(argv: list[str]) -> int:
 
     raw_input = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     inputs = {side: package.make_state(2, raw_input) for side, package in sides.items()}
+    bundle_moves: dict[str, float] = {}
     for name in raw:
         for thetas in rng.uniform(-math.pi, math.pi, (3, 30)).tolist():
-            bits = {
+            fields = {
                 side: [
-                    _bundle_bits(_bundle(package, channels[side][name], a, theta, inputs[side]))
+                    _bundle_fields(_bundle(package, channels[side][name], a, theta, inputs[side]))
                     for a, theta in zip(package.enumerate_assignments(), thetas)
                 ]
                 for side, package in sides.items()
             }
-            for k, (got, want) in enumerate(zip(bits["this"], bits["other"], strict=True)):
-                _assert_bundles_agree(got, want, f"{name}, assignment {k}")
+            for k, (got, want) in enumerate(zip(fields["this"], fields["other"], strict=True)):
+                _assert_bundles_agree(got, want, f"{name}, assignment {k}", bundle_moves)
+    print("largest bundle moves: " + ", ".join(f"{k} {v:.3g}" for k, v in bundle_moves.items()))
 
     _print_medians(_time_verify(sides, channels, inputs, rng, blocks, _bundle), "bundle")
     print(f"{blocks} blocks of 30 bundles per channel and side, one CPU")

@@ -482,16 +482,16 @@ def test_scan_contracts_once_and_rechecks_only_the_tol_band(monkeypatch, name, r
     """A scan contracts the channel once: the scaled (4, 8) view of each
     distinct arranged row is [M(0) | M(pi/2)], Charlie's bras at 0 and pi/2
     being the identity, so its Gram needs no base-operator kernel call.
-    The criterion's arithmetic, in one kernel call and one defect call,
-    runs again only at candidates whose Gram value lies within _GRAM_BOUND
-    of tol; at the default tol none does here, not even on an LU-rotated
-    man_m5's near-flat rows, whose candidates tie for the argmin."""
+    The criterion's calls, one kernel call and one defect call per
+    candidate, run again only at candidates whose Gram value lies within
+    _GRAM_BOUND of tol; at the default tol none does here, not even on an
+    LU-rotated man_m5's near-flat rows, whose candidates tie for the argmin."""
     contractions, rechecked = [], []
     base_operators, defects = angles._base_operators, angles._defects
 
-    def counting_contractions(arranged, weights):
-        contractions.append(weights.shape)
-        return base_operators(arranged, weights)
+    def counting_contractions(arranged, bras):
+        contractions.append(bras.shape)
+        return base_operators(arranged, bras)
 
     monkeypatch.setattr(angles, "_base_operators", counting_contractions)
     monkeypatch.setattr(angles, "_defects", lambda m: rechecked.append(len(m)) or defects(m))
@@ -503,9 +503,9 @@ def test_scan_contracts_once_and_rechecks_only_the_tol_band(monkeypatch, name, r
     else:
         channel = named_state(name)
     assert len(scan(channel).entries) == 30
-    # one kernel call and one defect call for the re-checks, both outcomes
-    assert contractions == [(2, 2, rechecks)] * bool(rechecks)
-    assert rechecked == [2 * rechecks] * bool(rechecks)
+    # one kernel call and one defect call per re-check, both outcomes
+    assert contractions == [(2, 2)] * rechecks
+    assert rechecked == [2] * rechecks
 
 
 @given(

@@ -4,6 +4,7 @@ engine's stated bound."""
 
 import json
 import math
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
@@ -280,30 +281,34 @@ def test_random_channels_half_period_matches_full_period(seed, source, tol):
 
 @pytest.mark.parametrize("source", ["brown", "man_m5", "dense", "lu_brown"])
 def test_batched_defects_are_criterion_arithmetic(source, monkeypatch):
-    """The stacked re-check that replaces a Gram value near tol gives the
-    criterion's own defects, to the bit: with an infinite band it replaces
-    every candidate's value.  With the engine's band, every value is
-    within _GRAM_BOUND of them.  Every row's candidate list is the oracle's,
-    as points within _CANDIDATE_BOUND."""
+    """A candidate re-checked in the tol band gets criterion_check's reported
+    max defect there, to the bit, for both assignments of its role class:
+    with an infinite band every candidate is re-checked.  With the engine's
+    band, every value is within _GRAM_BOUND of them.  Every row's candidate
+    list is the oracle's, as points within _CANDIDATE_BOUND."""
     rng = np.random.default_rng(17)
     channel = named_state(source) if source in CATALOG else _channel(source, rng)
     arranged = channel.amplitudes[angles._GATHER]
     blocks, coeffs = angles._coefficients(arranged)
     thetas = angles._candidate_sets(coeffs)
-    want = []
     for oriented, row in zip(angles._CLASSES, thetas, strict=True):
         grid = permute_qubits(channel, relabeling(oriented)).amplitudes.reshape([2] * 5)
         _assert_same_points(row, angles_oracle._candidate_angles(grid).tolist())
-        for theta in row:
-            # the single-matrix form, one base operator at a time
-            base = _base_operators(grid, _charlie_bras(theta))[:, 0]
-            want.append(max(float(np.linalg.norm(m.conj().T @ m - np.eye(4))) for m in base))
+    starts = list(accumulate(map(len, thetas), initial=0))
+
+    def criterion_values(assignment, k):
+        reports = (criterion_check(channel, assignment, theta) for theta in thetas[k])
+        return [max(report.sigma111_defect, report.sigma112_defect) for report in reports]
+
+    want = list(chain.from_iterable(map(criterion_values, angles._CLASSES, range(15))))
     for tol in (1e-10, 0.5, 10.0):
         values = angles._profiles(arranged, blocks, thetas, tol)
         assert len(values) == len(want)
         assert all(abs(value - exact) <= angles._GRAM_BOUND for value, exact in zip(values, want))
     monkeypatch.setattr(angles, "_GRAM_BOUND", math.inf)
-    assert angles._profiles(arranged, blocks, thetas, 1e-10) == want
+    rechecked = angles._profiles(arranged, blocks, thetas, 1e-10)
+    for assignment, k in zip(angles._ASSIGNMENTS, angles._CLASS_OF, strict=True):
+        assert rechecked[starts[k] : starts[k + 1]] == criterion_values(assignment, k)
 
 
 @given(
@@ -331,31 +336,37 @@ def test_tolerance_at_a_root_defect_decides_as_the_criterion(monkeypatch):
     """tol set to the criterion's own defect at a brown root, and to its
     float neighbours on both sides: the Gram value lies within the band, so
     the engine re-checks it, and scan and classify_theta pass exactly the
-    candidates criterion_check passes."""
+    candidates criterion_check passes.  The same at the argmin of a none
+    row of a seeded dense channel, whose defect is of order 1."""
     brown = named_state("brown")
     assignment = RoleAssignment((1, 3), (2, 4), 5)
     root = classify_theta(brown, assignment).argmin_theta
     defect = max(criterion_check(brown, assignment, root)[2:4])
     assert 0.0 < defect < angles._GRAM_BOUND
+    dense = random_channel(np.random.default_rng(20091119))
+    row = next(e for e in scan(dense).entries if e.classification.kind == KIND_NONE)
+    at = row.classification.argmin_theta
     rechecked = []
     defects = angles._defects
     monkeypatch.setattr(angles, "_defects", lambda m: rechecked.append(len(m)) or defects(m))
-    for tol in (math.nextafter(defect, 0.0), defect, math.nextafter(defect, 1.0)):
-        rechecked.clear()
-        passed = criterion_check(brown, assignment, root, tol).passed
-        assert passed == (tol >= defect)
-        got = classify_theta(brown, assignment, tol)
-        assert rechecked
-        assert got.kind == (KIND_DISCRETE if passed else KIND_NONE)
-        assert got.argmin_theta == root and got.min_defect == defect
-        entries = {e.assignment: e.classification for e in scan(brown, tol).entries}
-        assert entries[assignment] == got
-        for other, cls in entries.items():
-            at_argmin = criterion_check(brown, other, cls.argmin_theta, tol).passed
-            assert at_argmin == (cls.kind != KIND_NONE)
-            for theta in cls.roots or ():
-                if theta < math.pi / 2:  # a candidate; r + pi/2 is its shift
-                    assert criterion_check(brown, other, theta, tol).passed
+    for channel, assignment, theta in ((brown, assignment, root), (dense, row.assignment, at)):
+        defect = max(criterion_check(channel, assignment, theta)[2:4])
+        for tol in (math.nextafter(defect, 0.0), defect, math.nextafter(defect, math.inf)):
+            rechecked.clear()
+            passed = criterion_check(channel, assignment, theta, tol).passed
+            assert passed == (tol >= defect)
+            got = classify_theta(channel, assignment, tol)
+            assert rechecked
+            assert got.kind == (KIND_DISCRETE if passed else KIND_NONE)
+            assert got.argmin_theta == theta and got.min_defect == defect
+            entries = {e.assignment: e.classification for e in scan(channel, tol).entries}
+            assert entries[assignment] == got
+            for other, cls in entries.items():
+                at_argmin = criterion_check(channel, other, cls.argmin_theta, tol).passed
+                assert at_argmin == (cls.kind != KIND_NONE)
+                for root_theta in cls.roots or ():
+                    if root_theta < math.pi / 2:  # a candidate; r + pi/2 is its shift
+                        assert criterion_check(channel, other, root_theta, tol).passed
 
 
 @pytest.mark.parametrize(
@@ -435,7 +446,7 @@ def test_swapped_pairs_share_one_role_class(seed, source, tol, theta):
         assert here[2:5] == there[2:5]
         # the old form: each unswapped operator's defect in its own orientation
         grid = permute_qubits(channel, relabeling(pair)).amplitudes.reshape([2] * 5)
-        for m, reported in zip(_base_operators(grid, _charlie_bras(theta))[:, 0], here[2:4]):
+        for m, reported in zip(_base_operators(grid, _charlie_bras(theta)), here[2:4]):
             old = float(np.linalg.norm(m.conj().T @ m - np.eye(4)))
             assert abs(old - reported) <= _ORIENTATION_BOUND
             if abs(reported - tol) > _ORIENTATION_BOUND:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import angles_oracle
 import fingerprint
+import outcome_oracle
 import telecrit
 import telecrit.angles as angles
 from conftest import kernel_outcomes, random_channel, random_input
@@ -191,13 +192,19 @@ def test_unitarity_defect_basics():
     assert unitarity_defect(rotation) < 1e-15
 
 
+# Relative distance of a defect from np.linalg.norm of the same gap: both sum
+# the same d^2 <= 64 squares in other orders, each sum within 63 units of
+# roundoff (7e-15) of the exact one, so their square roots agree within 1e-14
+_NORM_BOUND = 1e-14
+
+
 def test_unitarity_defect_any_square_size():
     # the identity is built once per size: interleaved sizes each get their own
     rng = np.random.default_rng(11)
     for d in (3, 8, 4, 3, 8):
         matrix = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         gap = matrix.conj().T @ matrix - np.eye(d)
-        assert unitarity_defect(matrix) == float(np.linalg.norm(gap))
+        assert math.isclose(unitarity_defect(matrix), np.linalg.norm(gap), rel_tol=_NORM_BOUND)
         # 2I has gram 4I, so the defect is ||3I||_F = 3 sqrt(d)
         assert abs(unitarity_defect(2.0 * np.eye(d)) - 3.0 * math.sqrt(d)) < 1e-14
         assert unitarity_defect(np.eye(d)) == 0.0
@@ -215,9 +222,8 @@ def test_unitarity_defect_transpose_invariant(seed):
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert abs(unitarity_defect(matrix) - unitarity_defect(matrix.T)) < 1e-12
-    # bit for bit the single-matrix form
     gap = matrix.conj().T @ matrix - np.eye(4)
-    assert unitarity_defect(matrix) == float(np.linalg.norm(gap))
+    assert math.isclose(unitarity_defect(matrix), np.linalg.norm(gap), rel_tol=_NORM_BOUND)
 
 
 def test_criterion_passes_for_brown_fixed_pairs(brown, assign_12):
@@ -595,10 +601,10 @@ def test_simulate_fidelity_of_a_noise_residual_is_its_squared_parts():
     """Bob's pair held in |00>: every operator is rank one, |00><w|, and an
     input orthogonal to w of outcome (1, 1, 1) leaves that outcome a residual
     of rounding noise, so its overlap with the input is complex, not near
-    real.  Each fidelity is re**2 + im**2 of its overlap to the bit, where
-    numpy's complex abs, squared, misses by an ulp on some of them."""
+    real.  Each fidelity is the squared modulus of its overlap, within
+    _RECORD_BOUND."""
     rng = np.random.default_rng(48)
-    assignment, abs_misses = RoleAssignment((1, 2), (3, 4), 5), 0
+    assignment = RoleAssignment((1, 2), (3, 4), 5)
     for _ in range(8):
         amplitudes = np.zeros((2, 2, 2, 2, 2), dtype=complex)
         amplitudes[:, :, 0, 0, :] = (rng.standard_normal(8) + 1j * rng.standard_normal(8)).reshape(
@@ -611,12 +617,10 @@ def test_simulate_fidelity_of_a_noise_residual_is_its_squared_parts():
         x -= w * (np.vdot(w, x) / np.vdot(w, w))
         input_state = make_state(2, x / np.linalg.norm(x))
         records = simulate(channel, assignment, theta, input_state)
-        overlaps = np.vecdot(input_state.amplitudes, [r.bob_corrected for r in records])
         assert records[0].probability < 1e-30
-        fidelities = overlaps.real**2 + overlaps.imag**2
-        assert [r.fidelity.hex() for r in records] == [f.hex() for f in fidelities.tolist()]
-        abs_misses += (np.abs(overlaps[:1]) ** 2)[0] != records[0].fidelity
-    assert abs_misses > 0
+        for record in records:
+            overlap = np.vdot(input_state.amplitudes, record.bob_corrected)
+            assert abs(record.fidelity - abs(overlap) ** 2) <= _RECORD_BOUND
 
 
 def test_simulate_input_validation(brown, assign_12):
@@ -640,99 +644,54 @@ def test_outcome_probabilities_always_sum_to_one(seed, theta):
     assert abs(sum(r.probability for r in records) - 1.0) < 1e-12
 
 
-# Row entries that stress rounding: ordinary values with signed zeros and
-# subnormals among them, each leading row at one scale from 1e-150 to 1e150,
-# so that products of two entries, and their sums, stay in range
+# signed zeros and subnormals, about one part in five of a noisy array
 _SPECIALS = np.array([0.0, -0.0, 5e-324, -2.5e-310])
-_SCALES = st.sampled_from([10.0**k for k in (-150, -20, 0, 20, 150)])
+# How far a record's probability, fidelity or an entry of Bob's row may lie
+# from the same quantity formed for its outcome alone: each is a sum of four
+# products on unit-scale factors, then a norm or a division by one, so the
+# two forms round apart by a few ulps of 1 (worst seen: 1.0e-15, a fidelity,
+# over 3,000 seeds of the random and scaled-half settings below)
+_RECORD_BOUND = 1e-14
 
 
-@st.composite
-def _edge_arrays(draw, shape):
-    """A complex array of ``shape``, its parts set, not multiplied (1j * x
-    moves signed zeros); about one entry in five is a special value."""
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    parts = rng.uniform(-10.0, 10.0, (2, *shape))
-    special = rng.random(parts.shape) < 0.2
-    parts[special] = rng.choice(_SPECIALS, special.sum())
-    scales = draw(st.lists(_SCALES, min_size=shape[0], max_size=shape[0]))
-    parts *= np.reshape(scales, (1, -1) + (1,) * (len(shape) - 1))
-    out = np.empty(shape, dtype=complex)
-    out.real, out.imag = parts
-    return out
-
-
-def _bits(values) -> list[tuple[str, str]]:
-    """Each value's real and imaginary parts, bit for bit."""
-    return [(z.real.hex(), z.imag.hex()) for z in map(complex, np.ravel(values))]
-
-
-@given(st.data())
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([10.0**k for k in (-150, -20, 0, 20, 150)]),
+)
 @settings(max_examples=150, deadline=None)
-def test_vecdot_rounds_as_vdot_on_the_engine_views(data):
-    """np.vecdot, the engine's one row dot, equals np.vdot row by row on the
-    views the engine hands it: the strided real and imaginary parts of an
-    (n, 16) gap (_defects, simulate's norms), complex (32, 4) rows against
-    themselves (simulate's probabilities) and against other rows, and a
-    1-D bra against a (32, 4) stack (fidelities)."""
-    gap = data.draw(_edge_arrays((data.draw(st.integers(1, 6)), 16)))
-    rows, other = data.draw(_edge_arrays((32, 4))), data.draw(_edge_arrays((32, 4)))
-    bra = data.draw(_edge_arrays((1, 4)))[0]
-    cases = [(gap.real, gap.real), (gap.imag, gap.imag), (rows, rows), (rows, other)]
-    for a, b in cases:
-        assert _bits(np.vecdot(a, b)) == _bits([np.vdot(x, y) for x, y in zip(a, b)])
-    assert _bits(np.vecdot(bra, rows)) == _bits([np.vdot(bra, y) for y in rows])
-
-
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_defects_round_as_vdot_of_each_gap(data):
-    """Each defect is sqrt of the np.vdot of its gap's strided real part plus
-    that of its imaginary part, as np.linalg.norm forms it, to the bit."""
-    stack = data.draw(_edge_arrays((data.draw(st.integers(1, 6)), 4, 4)))
-    want = []
+def test_unitarity_defect_is_the_norm_of_the_gap_at_every_scale(seed, scale):
+    """The defect of a matrix with signed-zero and subnormal parts, at one
+    scale from 1e-150 to 1e150, is the norm of M^H M - I within _NORM_BOUND:
+    inf where the squared gap overflows, and never NaN."""
+    rng = np.random.default_rng(seed)
+    matrix = scale * _noisy_amplitudes(rng, 4).reshape(4, 4)
     with np.errstate(over="ignore"):  # squared gaps of 1e150 entries are inf
-        for m in stack:
-            gap = (m.conj().T @ m - np.eye(4)).reshape(16)
-            want.append(math.sqrt(np.vdot(gap.real, gap.real) + np.vdot(gap.imag, gap.imag)))
-        assert _bits(telecrit.teleport._defects(stack)) == _bits(want)
-
-
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_matvec_rounds_as_each_adjoint_product(data):
-    """np.matvec of the stacked adjoints, Bob's correction, equals
-    op.conj().T @ r of each operator and residual, to the bit."""
-    operators, residuals = data.draw(_edge_arrays((32, 4, 4))), data.draw(_edge_arrays((32, 4)))
-    want = [op.conj().T @ r for op, r in zip(operators, residuals)]
-    assert _bits(np.matvec(operators.conj().mT, residuals)) == _bits(want)
+        want = float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(4)))
+        got = unitarity_defect(matrix)
+    assert not math.isnan(got)
+    assert math.isclose(got, want, rel_tol=_NORM_BOUND)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_simulate_records_are_single_outcome_arithmetic(seed):
-    """Every record is, to the bit, its one operator applied to the input, the
-    adjoint correction, np.linalg.norm and np.vdot of that outcome alone."""
+    """Every record is, within _RECORD_BOUND, its one operator applied to the
+    input, the adjoint correction normalized, and the squared overlap of the
+    input with it, formed for that outcome alone."""
     rng = np.random.default_rng(seed)
     channel, input_state = random_channel(rng), random_input(rng)
     assignment = enumerate_assignments()[int(rng.integers(30))]
     theta = float(rng.uniform(-math.pi, math.pi))
     x = input_state.amplitudes
     records = simulate(channel, assignment, theta, input_state)
-    overlaps = []
     for record in records:
         operator = transformation_operator(channel, assignment, *record.outcome, theta)
         residual = telecrit.teleport._PREFACTOR * (operator @ x)
         corrected = operator.conj().T @ residual
         bob = corrected / np.linalg.norm(corrected)
-        assert record.probability.hex() == np.vdot(residual, residual).real.hex()
-        assert record.bob_corrected.tobytes() == bob.tobytes()
-        overlaps.append(np.vdot(x, record.bob_corrected))
-    # the fidelity is the squared parts of the overlap, as in simulate, squared
-    # as an array: a float's ** 2 calls libm's pow, which can miss by an ulp
-    overlaps = np.array(overlaps)
-    fidelities = overlaps.real**2 + overlaps.imag**2
-    assert [r.fidelity.hex() for r in records] == [f.hex() for f in fidelities.tolist()]
+        assert abs(record.probability - np.vdot(residual, residual).real) <= _RECORD_BOUND
+        assert np.max(np.abs(record.bob_corrected - bob)) <= _RECORD_BOUND
+        assert abs(record.fidelity - abs(np.vdot(x, bob)) ** 2) <= _RECORD_BOUND
 
 
 def _noisy_amplitudes(rng, num_qubits):
@@ -777,9 +736,11 @@ def _verify_setting(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_factorization_product_is_the_reshaped_one(seed):
-    """The base operators' product with the factor table, taken on the
-    stacked adjoint view, gives the deviation the (8, 4) copy gave, to the
-    bit: each entry is one base entry times +-1 and zeros."""
+    """The reported deviation is the largest entrywise distance of the 32
+    outcome operators from the base operators times their factors, formed
+    from the (8, 4) action-layout copy of the base operators, within
+    _RECORD_BOUND; holds is that deviation against tol.  On channels with a
+    Charlie half scaled to 1e-160 or 1e-300 too."""
     channel, assignment, theta, _ = _verify_setting(seed)
     report = pauli_factorization_check(channel, assignment, theta)
     _, base, operators = telecrit.teleport._setting(channel, assignment, theta)
@@ -787,34 +748,41 @@ def test_factorization_product_is_the_reshaped_one(seed):
     product = (action @ telecrit.teleport._FACTOR_TABLE).reshape(2, 4, 4, 4, 4)
     direct = operators.reshape(4, 4, 2, 4, 4)
     deviation = float(np.abs(direct - product.transpose(2, 3, 0, 1, 4)).max())
-    assert report.max_deviation.hex() == deviation.hex()
-    assert report.holds == (deviation <= 1e-10)
+    assert abs(report.max_deviation - deviation) <= _RECORD_BOUND
+    assert report.holds == (report.max_deviation <= 1e-10)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_simulate_records_keep_the_where_normalization(seed):
-    """Every record equals, to the bit, the formula that divided every row by
-    np.where(norms > 0, norms, 1.0) and tested the norm as norm ** 2: on
+    """Every record is, within _RECORD_BOUND, the formula that divided every
+    row by np.where(norms > 0, norms, 1.0) of np.linalg.norm of each row: on
     channels with a Charlie half scaled to 1e-160 or 1e-300, where some of
     Bob's corrected rows have norms that underflow to zero, and on inputs
-    with subnormal parts."""
+    with subnormal parts.  Such a row keeps its entries, zero or subnormal;
+    every other row has unit norm; nothing is NaN; the probabilities sum to
+    1."""
     channel, assignment, theta, input_state = _verify_setting(seed)
     x = input_state.amplitudes
-    assert abs(input_state.norm**2 - 1.0) <= telecrit.STRICT_NORM_TOL
     records = simulate(channel, assignment, theta, input_state)
     _, _, operators = telecrit.teleport._setting(channel, assignment, theta)
     residuals = telecrit.teleport._PREFACTOR * (operators.reshape(128, 4) @ x).reshape(32, 4)
-    corrected = np.matvec(operators.conj().mT, residuals)
-    re, im = corrected.real, corrected.imag
-    norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    corrected = np.array([op.conj().T @ r for op, r in zip(operators, residuals)])
+    norms = np.linalg.norm(corrected, axis=1)
     corrected /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    overlaps = np.vecdot(x, corrected)
-    fidelities = overlaps.real**2 + overlaps.imag**2
-    probabilities = np.vecdot(residuals, residuals).real
-    assert b"".join(r.bob_corrected.tobytes() for r in records) == corrected.tobytes()
-    assert [r.probability.hex() for r in records] == [p.hex() for p in probabilities.tolist()]
-    assert [r.fidelity.hex() for r in records] == [f.hex() for f in fidelities.tolist()]
+    rows = np.array([r.bob_corrected for r in records])
+    probabilities = np.array([r.probability for r in records])
+    fidelities = np.array([r.fidelity for r in records])
+    assert not np.isnan(rows).any() and not np.isnan(fidelities).any()
+    assert np.max(np.abs(rows - corrected)) <= _RECORD_BOUND
+    assert np.max(np.abs(probabilities - np.vecdot(residuals, residuals).real)) <= _RECORD_BOUND
+    assert np.max(np.abs(fidelities - np.abs(corrected @ x.conj()) ** 2)) <= _RECORD_BOUND
+    for row, norm in zip(rows, norms, strict=True):
+        if norm > 0.0:
+            assert abs(np.linalg.norm(row) - 1.0) <= _RECORD_BOUND
+        else:
+            assert np.all(np.abs(row) < 1e-300)
+    assert abs(probabilities.sum() - 1.0) <= 1e-12
 
 
 def test_simulate_keeps_rows_whose_norm_underflows():
@@ -831,20 +799,19 @@ def test_simulate_keeps_rows_whose_norm_underflows():
     assert all(abs(np.linalg.norm(r.bob_corrected) - 1.0) < 1e-15 for r in records[1::2])
 
 
-def test_outcome_operators_double_after_the_product():
-    """The outcome operators are 2 times the Bell projection, doubled after
-    the product: with the 2 folded into the bras, a subnormal product would
-    round once at twice its size and differ in its last bit."""
+def test_outcome_operators_are_the_bell_projection_at_subnormal_entries():
+    """On a brown channel whose zero amplitudes are 3e-322, every outcome
+    operator is the oracle's direct projection of the measurement bras,
+    within 1e-15, and none is NaN."""
     amplitudes = named_state("brown").amplitudes + np.where(
         named_state("brown").amplitudes == 0, 3e-322, 0.0
     )
     channel, assignment = PureState(5, amplitudes), RoleAssignment((1, 3), (2, 4), 5)
-    _, base, operators = telecrit.teleport._setting(channel, assignment, 0.4)
-    rows = telecrit.teleport._BELL_PAIR_ROWS
-    table = (rows @ base).reshape(2, 4, 4, 4, 4).transpose(1, 2, 0, 4, 3)
-    assert operators.tobytes() == np.multiply(2.0, table, order="C").tobytes()
-    folded = ((2.0 * rows) @ base).reshape(2, 4, 4, 4, 4).transpose(1, 2, 0, 4, 3)
-    assert operators.tobytes() != np.ascontiguousarray(folded).tobytes()
+    for outcome in itertools.product((1, 2, 3, 4), (1, 2, 3, 4), (1, 2)):
+        got = transformation_operator(channel, assignment, *outcome, 0.4)
+        want = outcome_oracle.transformation_operator(channel, assignment, *outcome, 0.4)
+        assert not np.isnan(got).any()
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("drift, accepted", [
