@@ -9,24 +9,19 @@ A = G0^H G0, B = G1^H G1 and C = G0^H G1, the blocks of the Gram matrix
     P = (A + B)/2 - I,   Q = (A - B)/2,   R = (C + C^H)/2,
 
 and outcome 2 flips the sign of the angle terms.  So the defects are
-d1, d2 = ||P +- (cos(2 theta) Q + sin(2 theta) R)||_F, and the squared
-defect of outcome 1 is the trig polynomial
+d1, d2 = ||P +- (cos(2 theta) Q + sin(2 theta) R)||_F, and with
+n = (cos 2theta, sin 2theta) the squared defect of outcome 1 is
 
-    d1^2 = a0 + a1 cos 2theta + b1 sin 2theta + a2 cos 4theta + b2 sin 4theta
+    d1^2 = a0 + 2 b.n + n^T K n,   b = (a1, b1)/2,   K = [[a2, b2], [b2, -a2]],
 
 with coefficients from the Frobenius inner products of P, Q and R.
-Outcome 2 flips the signs of a1 and b1, so the combined profile
-
-    max(d1, d2)^2 = a0 + a2 cos 4theta + b2 sin 4theta
-                    + |a1 cos 2theta + b1 sin 2theta|
-
-has period pi/2, as d1(theta + pi/2) = d2(theta).  On [0, pi/2) it is
-monotone between consecutive angles of a finite candidate set: the
-crossing d1 = d2, the stationary points of branch + (the real roots of a
-quartic in t = tan theta; branch - has the same angles plus pi/2), and
-the nodes k pi/8, k = 0..3, which fix a trig polynomial of these
-harmonics and cover degenerate coefficient sets (a constant profile,
-all four 0, has node 0 alone).  The coefficients (a1, b1, a2, b2) place
+Outcome 2 flips the sign of b, so the combined profile
+max(d1, d2)^2 = a0 + n^T K n + |2 b.n| has period pi/2 in theta, as
+d1(theta + pi/2) = d2(theta).  On [0, pi/2) it is monotone between
+consecutive angles of a finite candidate set: node 0, the crossing
+d1 = d2, and the stationary points of branch + on the circle |n| = 1,
+from one 4x4 eigenproblem and its hard case (README "Engine"); branch -
+has the same angles plus pi/2.  The coefficients (a1, b1, a2, b2) place
 the candidates, and max(d1, d2) is evaluated at every candidate from P,
 Q and R, within _GRAM_BOUND of the defects criterion_check computes.  A
 value within that bound of tol is replaced by criterion_check's own, so
@@ -80,7 +75,12 @@ class ThetaClassification(NamedTuple):
     profile, else the first candidate within 4 ulps of the least value,
     ``min_defect`` its value.  That value is within 1e-13 of the
     criterion's defect at ``argmin_theta`` and, up to the 4 ulps, of the
-    criterion's least defect over the candidates.
+    criterion's least defect over the candidates.  A candidate lies within
+    1e-5 of each exact stationary angle of the profile's coefficients, so
+    a root or ``argmin_theta`` lies that close to the minimum it stands
+    for: within 1.3e-10 where no other stationary angle lies within 1e-3
+    (worst seen), up to ~1e-6 near the hard case and ~eps^(1/3) in a
+    near-triple cluster (README "Engine").
     """
 
     kind: str
@@ -126,10 +126,6 @@ def enumerate_assignments() -> list[RoleAssignment]:
     return out
 
 
-# the nodes k pi/8 of the half period, in every candidate set
-_NODES = [k * math.pi / 8 for k in range(4)]
-
-
 def _first_rows(rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
     """The bytes of each row, and the index of the first row of each distinct byte string."""
     keys = [row.tobytes() for row in rows]
@@ -137,42 +133,6 @@ def _first_rows(rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
     for k, key in enumerate(keys):
         first.setdefault(key, k)
     return keys, first
-
-
-def _quartic(a1: float, b1: float, a2: float, b2: float) -> list[float]:
-    """Branch a2 cos 4theta + b2 sin 4theta + a1 cos 2theta + b1 sin 2theta:
-    its derivative over 4 cos^4 theta is this quartic in t = tan theta."""
-    half, four = b1 / 2, 4 * a2
-    return [b2 - half, four - a1, -6 * b2, -four - a1, b2 + half]
-
-
-def _root_angles(rows: list[list[float]]) -> list[list[float]]:
-    """Re(arctan t) of the eigenvalues t of a 4x4 for the quartic q of each
-    (a1, b1, a2, b2) row with a2 or b2 nonzero, all from one eigvals call:
-    the companion of q / q[lead], lead its first nonzero coefficient, and
-    zeros past it (README "Engine").  A row with a2 = b2 = 0 gets none."""
-    tops: dict[int, list[float]] = {}
-    for k, row in enumerate(rows):
-        if row[2] or row[3]:  # then q is nonzero
-            q = _quartic(*row)
-            # the first nonzero lead whose companion row does not overflow; one
-            # that does has its extra roots past |t| = 1e77: pi/2 in floats, node 0
-            for lead in (j for j, x in enumerate(q) if x):
-                top = [-x / q[lead] for x in q[lead + 1 :]]
-                if math.isfinite(sum(top)):
-                    break
-            tops[k] = top
-    angles: list[list[float]] = [[] for _ in rows]
-    if tops:
-        companion = np.zeros((len(tops), 4, 4))
-        companion[:, 0] = [top + [0.0] * (4 - len(top)) for top in tops.values()]
-        subdiagonal = np.arange(1, 4) < [[len(top)] for top in tops.values()]
-        companion.reshape(-1, 16)[:, 4::5] = subdiagonal
-        with np.errstate(divide="ignore"):  # arctan(+-i), where a2, b2 underflow
-            roots = np.arctan(np.linalg.eigvals(companion).astype(complex)).real.tolist()
-        for k, found in zip(tops, roots):
-            angles[k] = found
-    return angles
 
 
 # (A, C, C^H, B) of a Gram to (P + I, Q, R), and (P, Q, R) to the gaps of
@@ -202,25 +162,46 @@ def _candidate_sets(coeffs: np.ndarray) -> list[list[float]]:
     that bound the monotone pieces of the profile over its period."""
     # a row's list is a function of its (a1, b1, a2, b2) bits: build each once
     keys, first = _first_rows(coeffs)
-    rows = coeffs[list(first.values())].tolist()
+    rows = coeffs[list(first.values())]
+    # the angles do not depend on a row's scale: take its largest entry into
+    # [1/2, 1) by a power of 2, so that b b^T underflows only where b is
+    # negligible beside K
+    rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1])
+    # branch + is 2 b.n + n^T K n at n = (cos 2theta, sin 2theta), with
+    # b = (a1, b1)/2 and K = [[a2, b2], [b2, -a2]]; a stationary n solves
+    # (K - lam I) n = -b for an eigenvalue lam of [[K, -I], [-b b^T, K]]
+    half = rows[:, :2] / 2
+    k = (rows[:, [2, 3, 3, 2]] * [1, 1, 1, -1]).reshape(-1, 2, 2)
+    pencils = np.zeros((len(rows), 4, 4))
+    pencils[:, :2, :2] = pencils[:, 2:, 2:] = k
+    pencils[:, 0, 2] = pencils[:, 1, 3] = -1.0
+    pencils[:, 2:, :2] = -half[:, :, None] * half[:, None]
+    eigenvalues = np.linalg.eigvals(pencils).real.tolist()
     sets = []
-    for (a1, b1, a2, b2), roots in zip(rows, _root_angles(rows)):
-        if not (a1 or b1 or a2 or b2):
-            # a flat profile: node 0 decides it, as _verdict's tie rule would
-            sets.append([0.0])
-            continue
-        # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes; math.atan2, as
-        # np.arctan2 runs numpy's own SIMD kernel, which on an AVX-512 CPU
-        # differs from libm in the last bit on about 7% of inputs and would
-        # move the candidates
-        crossing = math.atan2(b1, a1) / 2 + math.pi / 4
-        if a2 == b2 == 0 and (a1 or b1):
-            # no quartic: branch + is the harmonic alone, stationary a quarter
-            # turn from its zero
-            roots = (crossing + math.pi / 4,)
-        # a root a hair below 0 lands on pi/2 itself: fold it to 0.0, which
-        # node 0 puts in every set
-        folded = {theta % (math.pi / 2) for theta in (crossing, *_NODES, *roots)}
+    for (a1, b1, a2, b2), lams in zip(rows.tolist(), eigenvalues):
+        bx, by = a1 / 2, b1 / 2
+        # 2theta of node 0, of the crossing d1 = d2 (n perpendicular to b),
+        # and of n = adj(K - lam I) b at each Re lam
+        doubled = [0.0, math.atan2(bx, -by)]
+        for lam in lams:
+            doubled.append(math.atan2((a2 - lam) * by - b2 * bx, (-a2 - lam) * bx - b2 * by))
+        r = math.hypot(a2, b2)
+        if r:
+            # the hard case lam = +-r, K's eigenvalues, where adj(K - lam I) b
+            # may vanish: n = w v +- sqrt(1 - w^2) u, u spanning the kernel of
+            # K - lam I, v K's other eigenvector and w = b.v / (2 lam), whose
+            # 2theta is u's +- asin(w), as n and -n fold alike.  u lies at psi
+            # for lam = r, with v a quarter turn on; for lam = -r they trade
+            psi = math.atan2(b2, a2) / 2
+            c, s = math.cos(psi), math.sin(psi)
+            hard = ((r, psi, by * c - bx * s), (-r, psi + math.pi / 2, bx * c + by * s))
+            for lam, u_angle, bv in hard:
+                w = bv / (2 * lam)
+                if abs(w) <= 1:
+                    offset = math.asin(w)
+                    doubled += [u_angle + offset, u_angle - offset]
+        # an angle a hair below 0 lands on pi/2 itself: node 0 stands for it
+        folded = {twice / 2 % (math.pi / 2) for twice in doubled}
         sets.append(sorted(folded - {math.pi / 2}))
     found = dict(zip(first, sets))
     return [found[key] for key in keys]

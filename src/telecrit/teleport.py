@@ -246,14 +246,19 @@ def _defects(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    """Frobenius norm of M^dagger M - I; zero exactly for unitary M.
+    """Frobenius norm of M^dagger M - I; zero exactly for unitary M, inf for
+    a finite M whose product overflows.
 
     ``matrix`` must be 2-D and square; anything else raises ValueError.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"unitarity_defect needs a square 2-D matrix, got shape {m.shape}")
-    return float(_defects(m[None])[0])
+    defect = float(_defects(m[None])[0])
+    # an overflowing complex product forms inf - inf, so NaN, in M^dagger M
+    if math.isnan(defect) and np.isfinite(m).all():
+        return math.inf
+    return defect
 
 
 class CriterionReport(NamedTuple):

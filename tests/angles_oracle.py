@@ -9,13 +9,15 @@ engine it works over the profile's period pi/2, and it judges each
 assignment in its role class's orientation (``class_orientation``).  The
 full-period rule it replaced (candidates over [0, pi), two quartics) is
 kept beside it as ``classify_theta_full_period``, to check the half
-period against.
+period against.  ``stationary_angles`` gives branch +'s stationary
+angles from mpmath at 50 digits, the measure of the engine's candidates.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from telecrit.angles import (
@@ -79,14 +81,25 @@ def _quartic(h: complex, a2: float, b2: float) -> list[complex]:
     return [complex(b2, a2), h, 0.0, h.conjugate(), complex(b2, -a2)]
 
 
-def z_root_angles(rows: list[list[float]]) -> list[list[float]]:
-    """The engine's _root_angles by the z-route: np.angle(np.roots(p)) / 2 for
-    the quartic p in z of each (a1, b1, a2, b2) row with a2 or b2 nonzero."""
-    return [
-        (np.angle(np.roots(_quartic(complex(b1, a1) / 2, a2, b2))) / 2).tolist()
-        if a2 or b2 else []
-        for a1, b1, a2, b2 in rows
-    ]
+def tan_quartic(a1: float, b1: float, a2: float, b2: float) -> list[float]:
+    """Branch + a2 cos 4theta + b2 sin 4theta + a1 cos 2theta + b1 sin 2theta:
+    its derivative over 4 cos^4 theta is this quartic in t = tan theta."""
+    return [b2 - b1 / 2, 4 * a2 - a1, -6 * b2, -4 * a2 - a1, b2 + b1 / 2]
+
+
+def t_root_angles(a1: float, b1: float, a2: float, b2: float) -> list[float]:
+    """Re(arctan t) of the roots t of tan_quartic, by np.roots.  With a2 =
+    b2 = 0 the quartic has the factor 1 + t^2, whose roots +-i have no
+    angle: then the z-route, whose zero root is node 0."""
+    if a2 or b2:
+        return np.arctan(np.roots(tan_quartic(a1, b1, a2, b2)).astype(complex)).real.tolist()
+    return z_root_angles(a1, b1, a2, b2)
+
+
+def z_root_angles(a1: float, b1: float, a2: float, b2: float) -> list[float]:
+    """arg(z)/2 of the roots z of branch +'s quartic in z = exp(2i theta), by
+    np.roots."""
+    return (np.angle(np.roots(_quartic(complex(b1, a1) / 2, a2, b2))) / 2).tolist()
 
 
 def _candidate_angles(grid: np.ndarray) -> np.ndarray:
@@ -94,27 +107,49 @@ def _candidate_angles(grid: np.ndarray) -> np.ndarray:
     return candidates_of(*_coefficients(grid))
 
 
-def candidates_of(a1: float, b1: float, a2: float, b2: float) -> np.ndarray:
+def candidates_of(
+    a1: float, b1: float, a2: float, b2: float, root_angles=t_root_angles
+) -> np.ndarray:
     """Sorted angles in [0, pi/2) that bound the monotone pieces of the
     profile over its period pi/2: one crossing, branch +'s stationary
-    angles and the nodes k pi/8, k = 0..3.  A profile whose coefficients
-    are all 0 is flat, and node 0 alone stands for it."""
+    angles by ``root_angles`` and the nodes k pi/8, k = 0..3.  A profile
+    whose coefficients are all 0 is flat, and node 0 alone stands for it."""
     if not (a1 or b1 or a2 or b2):
         return np.array([0.0])
     # d1 = d2 where a1 cos 2theta + b1 sin 2theta vanishes
-    angles = [math.atan2(b1, a1) / 2 + math.pi / 4]
-    if a2 or b2:
-        # branch +'s derivative over 4 cos^4 theta, a quartic in t = tan theta
-        quartic = [b2 - b1 / 2, 4 * a2 - a1, -6 * b2, -4 * a2 - a1, b2 + b1 / 2]
-        angles.extend(np.arctan(np.roots(quartic).astype(complex)).real.tolist())
-    else:
-        # the quartic in t has the factor 1 + t^2, whose roots +-i have no
-        # angle: take the z-route, whose zero root is node 0
-        h = complex(b1, a1) / 2
-        angles.extend((np.angle(np.roots(_quartic(h, a2, b2))) / 2).tolist())
+    angles = [math.atan2(b1, a1) / 2 + math.pi / 4, *root_angles(a1, b1, a2, b2)]
     angles.extend(k * math.pi / 8 for k in range(4))
     # a root a hair below 0 lands on pi/2 itself: fold it to 0
     return np.array(sorted({angle % (math.pi / 2) for angle in angles} - {math.pi / 2}))
+
+
+def stationary_angles(a1: float, b1: float, a2: float, b2: float) -> list[tuple[float, float]]:
+    """Branch +'s stationary angles in (-pi/2, pi/2], from the real roots of
+    tan_quartic that mpmath finds at 50 digits from the same floats, each
+    with its distance to the nearest other root's Re(arctan t) on the
+    circle of period pi/2 (pi/2 for a lone root).  theta = pi/2 stands for
+    the root at infinity where the quartic loses its t^4 term.  A quartic
+    that is 0 everywhere gives none."""
+    with mpmath.workdps(50):
+        q = [mpmath.mpf(x) for x in tan_quartic(a1, b1, a2, b2)]
+        lost = next((k for k, x in enumerate(q) if x), len(q))
+        if lost == len(q):
+            return []
+        roots = mpmath.polyroots(q[lost:], maxsteps=400, extraprec=400) if lost < 4 else []
+        angles = [(float(mpmath.re(mpmath.atan(t))), bool(mpmath.im(t) == 0)) for t in roots]
+        angles += [(math.pi / 2, True)] * lost
+    out = []
+    for k, (theta, real) in enumerate(angles):
+        if real:
+            others = [_half_period_gap(theta, x) for j, (x, _) in enumerate(angles) if j != k]
+            out.append((theta, min(others, default=math.pi / 2)))
+    return out
+
+
+def _half_period_gap(x: float, y: float) -> float:
+    """Distance of two angles on the circle of period pi/2."""
+    d = abs(x - y) % (math.pi / 2)
+    return min(d, math.pi / 2 - d)
 
 
 def _full_period_candidate_angles(grid: np.ndarray) -> np.ndarray:

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations
 
+import angles_oracle
 import fingerprint
 import numpy as np
 import pytest
 from conftest import kernel_outcomes, lu_rotated, random_channel
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import telecrit.angles as angles
@@ -262,10 +263,7 @@ def test_verdict_dedupes_roots_across_pi():
     assert got == (KIND_DISCRETE, (0.0, PI / 2 - 4e-7), 0.0, 0.0)
 
 
-def _gap(x, y):
-    """Distance of two angles on the circle of period pi/2."""
-    d = abs(x - y) % (PI / 2)
-    return min(d, PI / 2 - d)
+_gap = angles_oracle._half_period_gap
 
 
 def _quartic_rows(*rows):
@@ -274,30 +272,11 @@ def _quartic_rows(*rows):
     return [[a1, b1, a2, b2] if s > 0 else [-a1, -b1, a2, b2] for a1, b1, a2, b2, s in rows]
 
 
-def test_quartic_rows_are_the_complex_form_to_the_bit():
-    # the real quartic in t = tan theta, against its float formula and, up to
-    # rounding, the complex quartic [w, h, 0, h*, w*] in z = exp(2i theta) it
-    # comes from: p(z) (1 - it)^4 = 2 q(t); every sign of zero, a subnormal
-    # and ordinary values in every coefficient
-    values = (0.0, -0.0, 1.5, -2.25, 3e-320)
-    for a1, b1, a2, b2 in product(values, repeat=4):
-        got = angles._quartic(a1, b1, a2, b2)
-        want = [b2 - b1 / 2, 4 * a2 - a1, -6 * b2, -4 * a2 - a1, b2 + b1 / 2]
-        assert [x.hex() for x in got] == [x.hex() for x in want]
-        w, h = complex(b2, a2), complex(b1, a1) / 2
-        for t in (0.0, 0.5, -3.0):
-            z = complex(1, t) / complex(1, -t)
-            p = w * z**4 + h * z**3 + h.conjugate() * z + w.conjugate()
-            q = sum(c * t ** (4 - k) for k, c in enumerate(got))
-            assert abs(p * complex(1, -t) ** 4 - 2 * q) <= 1e-12 * (1 + abs(t)) ** 4
-
-
 _QUARTIC_CASES = {
     # full quartics: t^4 and t^0 nonzero
     "quartic": [(0.4, -1.2, -0.7, 0.3, 1), (0.4, -1.2, -0.7, 0.3, -1), (0.0, 2.0, 2.0, 0.0, 1)],
     # b1 = b2 = 0, as in every catalog row: a quadratic in t and a zero root,
-    # or a monomial when a1 = +-4 a2; a2 = b2 = 0 with h != 0: no angles
-    # here, _candidate_sets adds the closed form
+    # or a monomial when a1 = +-4 a2; a2 = b2 = 0 with h != 0, where K = 0
     "quadratic": [
         (0.0, 0.0, 2.0, 0.0, 1),
         (8.0, 0.0, 2.0, 0.0, 1),
@@ -333,36 +312,37 @@ def test_candidates_cover_the_real_roots_of_np_roots(case):
         # each coefficient column meets a -0.0
         parts = np.array(mixed)
         assert np.all(np.any((parts == 0) & np.signbit(parts), axis=0))
-    # four angles where a2 or b2 != 0, none where a2 = b2 = 0
-    assert [len(row) for row in angles._root_angles(mixed)] == [
-        4 if row[2] or row[3] else 0 for row in mixed
-    ]
-    # every real root of q, as np.roots finds it, is a stationary angle
-    # within 1e-12 of a candidate, on the circle of period pi/2
+    # every real root of the quartic in t = tan theta, as np.roots finds it,
+    # is a stationary angle within 1e-12 of a candidate, on the circle of
+    # period pi/2
     for row, thetas in zip(mixed, angles._candidate_sets(np.array(mixed))):
-        roots = np.roots(angles._quartic(*row))
+        roots = np.roots(angles_oracle.tan_quartic(*row))
         for theta in np.arctan(roots[roots.imag == 0].real).tolist():
             assert min(_gap(theta, x) for x in thetas) <= 1e-12
 
 
-def test_root_angles_drop_a_lead_whose_companion_overflows():
-    # b2 = 5e-324 makes t^4's coefficient 5e-324, so the companion's top row
-    # overflows; that lead's extra root lies past |t| = 1e77, at theta = pi/2
-    # in floats, so the engine solves q without it and that root is node 0
-    row = [0.0, 0.0, 1.0, 5e-324]
-    (got,) = angles._root_angles([row])
-    assert sorted(got) == pytest.approx([-PI / 4, 0.0, 0.0, PI / 4], abs=1e-12)
-    # man_m5 plus 1e-162 everywhere has such rows; the complex companion in
-    # z overflowed on it too
+def test_candidates_place_subnormal_coefficients():
+    # a2 = 1 beside b2 = 5e-324: cos 4theta + 5e-324 sin 4theta is stationary
+    # at 0 and pi/4, up to 1e-323; the quartic in t has the lead 5e-324,
+    # where np.roots raises, as its companion matrix overflows
+    (got,) = angles._candidate_sets(np.array([[0.0, 0.0, 1.0, 5e-324]]))
+    assert got == pytest.approx([0.0, PI / 4], abs=1e-12)
+    # man_m5 plus 1e-162 everywhere has rows with entries of 1e-161 down to
+    # 3e-323, whose squares underflow unless the row is scaled first; far
+    # below tol, it scans as man_m5 does
     channel = make_state(5, named_state("man_m5").amplitudes + 1e-162)
-    assert len(scan(channel).entries) == 30
+    got = {e.assignment: e.classification for e in scan(channel).entries}
+    want = {e.assignment: e.classification for e in scan(named_state("man_m5")).entries}
+    assert len(got) == 30
+    for assignment, cls in want.items():
+        assert (got[assignment].kind, got[assignment].roots) == (cls.kind, cls.roots)
 
 
 def test_candidate_sets_fold_a_root_at_half_period_to_zero():
     # b2 = -1e-18 puts a stationary angle at -2.5e-19, and -2.5e-19 % (pi/2)
     # rounds to pi/2 itself, node 0 of the next period
     (thetas,) = angles._candidate_sets(np.array([[0.0, 0.0, 1.0, -1e-18]]))
-    assert thetas == [0.0, PI / 8, PI / 4, 3 * PI / 8]
+    assert thetas == [0.0, pytest.approx(PI / 4, abs=1e-15)]
 
 
 _TINY = st.sampled_from((0.0, -0.0, 1e-300, -1e-300, 1e-18, -1e-18, 5e-324, -5e-324))
@@ -387,6 +367,48 @@ def test_candidates_lie_in_half_period(rows):
         assert thetas == sorted(set(thetas))
 
 
+def _profile(row, theta):
+    """max(d1, d2)^2 - a0 at the angles ``theta``, from its coefficients."""
+    a1, b1, a2, b2 = row
+    harmonic = a1 * np.cos(2 * theta) + b1 * np.sin(2 * theta)
+    return a2 * np.cos(4 * theta) + b2 * np.sin(4 * theta) + np.abs(harmonic)
+
+
+_ENTRY = st.one_of(_TINY, st.sampled_from((3e-320, 1.0, -1.0)), st.floats(-8.0, 8.0))
+_ZERO = st.sampled_from((0.0, -0.0))
+
+
+@given(
+    st.one_of(
+        st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY),
+        st.tuples(_ZERO, _ZERO, _ENTRY, _ENTRY),  # b = 0
+        st.tuples(_ENTRY, _ZERO, _ENTRY, _ZERO),  # b1 = b2 = 0, as in the catalog
+        st.tuples(_ENTRY, _ENTRY, _ZERO, _ZERO),  # a2 = b2 = 0: K = 0
+    )
+)
+@example((1.0, 0.0, -1.0, 0.0))
+@example((1e-18, 0.0, -1e-18, 5e-324))
+@settings(max_examples=300, deadline=None)
+def test_profile_is_monotone_between_candidates(row):
+    """Between consecutive candidates, the last one and pi/2 included, the
+    combined profile is monotone on a grid of 65 points, up to 1e-10 of its
+    coefficients' scale and subnormal rounding: the verdicts read the
+    profile at the candidates alone.  Row (1, 0, -1, 0) has its local
+    maximum at cos 2theta = 1/4, which only the hard-case points place:
+    b = (1/2, 0) lies on K's eigenvector of -1, and no eigenvalue's
+    adj(K - lam I) b points there.  Row (1e-18, 0, -1e-18, 5e-324) is nearly
+    that profile scaled by 1e-18; its quartic in t = tan theta has the lead
+    5e-324, and the quartic's roots missed that maximum."""
+    (thetas,) = angles._candidate_sets(np.array([row]))
+    allowance = 1e-10 * sum(map(abs, row)) + 1e-320
+    for start, stop in zip(thetas, [*thetas[1:], PI / 2]):
+        values = _profile(row, np.linspace(start, stop, 65))
+        # how far the values fall back after a high, and climb back after a low
+        falls = np.max(np.maximum.accumulate(values) - values)
+        climbs = np.max(values - np.minimum.accumulate(values))
+        assert min(falls, climbs) <= allowance, (start, stop)
+
+
 @pytest.mark.parametrize("name, rows", [("ghz5", 1), ("man_m5", 13), ("brown", 15)])
 def test_scan_classifies_each_distinct_arrangement_once(monkeypatch, name, rows):
     # one row per role class at most: an assignment and its swap of the
@@ -404,36 +426,29 @@ def test_scan_classifies_each_distinct_arrangement_once(monkeypatch, name, rows)
 
 
 @pytest.mark.parametrize(
-    "name, rows, sets, companions, placed",
+    "name, rows, sets, placed",
     [
-        ("ghz5", 1, 1, 1, 4),
-        ("man_m5", 13, 3, 2, 22),
-        ("brown", 15, 3, 2, 45),
-        ("dense", 15, 15, 15, 126),
+        ("ghz5", 1, 1, 2),
+        ("man_m5", 13, 3, 16),
+        ("brown", 15, 3, 25),
+        ("dense", 15, 15, 129),
     ],
     ids=["ghz5-1", "man_m5-13", "brown-15", "dense-15"],
 )
-def test_scan_solves_one_quartic_per_distinct_arrangement(
-    monkeypatch, name, rows, sets, companions, placed
-):
+def test_scan_solves_one_quartic_per_distinct_arrangement(monkeypatch, name, rows, sets, placed):
     """Every distinct arranged row gets a candidate list, but the crossing,
-    the quartic and its companion matrix are built once per distinct
-    coefficient set (a1, b1, a2, b2); a2 = b2 = 0 needs no matrix.  Every
-    companion is 4x4, whatever the trimming of its quartic, so one eigvals
-    call solves them all, under any BLAS kernel.  ``placed`` counts the
-    candidates over the distinct rows, the same under every kernel on
-    these channels.  On rows whose a2 and b2 are 0 only up to rounding,
-    such as LU-rotated man_m5's flat rows, the count follows the
-    coefficients' last bits and so the BLAS kernel: a quartic near
-    (1 + t^2) times the harmonic's adds roots near t = +-i."""
-    quartics, candidates, needing, stacks = [], [], [], []
-    root_angles, candidate_sets = angles._root_angles, angles._candidate_sets
+    the eigenproblem and the hard case are solved once per distinct
+    coefficient set (a1, b1, a2, b2).  Each set's eigenvalues are the roots
+    of one quartic in lam, the characteristic polynomial of its 4x4
+    [[K, -I], [-b b^T, K]], and one eigvals call on one stack of them
+    solves every set of a scan, under any BLAS kernel.  ``placed`` counts
+    the candidates over the distinct rows, the same under every kernel on
+    these channels.  On rows whose coefficients are 0 only up to rounding,
+    such as LU-rotated man_m5's flat rows, the count may follow the
+    coefficients' last bits and so the BLAS kernel."""
+    candidates, stacks = [], []
+    candidate_sets = angles._candidate_sets
     eigvals = np.linalg.eigvals
-
-    def counting_roots(batch):
-        quartics.append(len(batch))
-        needing.append(sum(1 for row in batch if row[2] or row[3]))
-        return root_angles(batch)
 
     def recording_sets(coeffs):
         lists = candidate_sets(coeffs)
@@ -444,7 +459,6 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
         stacks.append(matrices.shape)
         return eigvals(matrices)
 
-    monkeypatch.setattr(angles, "_root_angles", counting_roots)
     monkeypatch.setattr(angles, "_candidate_sets", recording_sets)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     if name == "dense":
@@ -452,14 +466,13 @@ def test_scan_solves_one_quartic_per_distinct_arrangement(
     else:
         channel = named_state(name)
     assert len(scan(channel).entries) == 30
-    assert quartics == [sets]
-    assert needing == [companions]
-    assert stacks == [(companions, 4, 4)]
+    assert stacks == [(sets, 4, 4)]
     assert len(candidates) == rows
     assert sum(map(len, candidates)) == placed
     for thetas in candidates:
-        # one crossing, four nodes and at most four stationary angles
-        assert len(thetas) <= 9
+        # node 0, one crossing, four eigenvalues' directions and at most four
+        # hard-case points
+        assert len(thetas) <= 10
         assert all(0.0 <= theta < PI / 2 for theta in thetas)
 
 

@@ -41,23 +41,33 @@ def _channel(source, rng):
     return lu_rotated(named_state(source[3:]), rng)
 
 
-def _gap(x, y):
-    """Distance of two angles on the circle of period pi/2."""
-    return min(abs(x - y), math.pi / 2 - abs(x - y))
+_gap = angles_oracle._half_period_gap
 
-
-# how far a candidate may lie from the nearest of the oracle's, and back,
-# on the circle of period pi/2, where each is a simple root or placed in
-# closed form (worst seen: 5.6e-16 on the sparse channels below, 1.3e-15
-# on a dense channel)
+# how far a candidate may lie, on the circle of period pi/2, from the
+# crossing, placed in closed form (worst seen: 4.4e-16 on the sparse
+# channels below); from a stationary angle of the coefficients that
+# mpmath places at 50 digits, when no other root of the quartic lies
+# within 1e-3 (worst seen: 2.6e-13 on the sparse channels below, near the
+# hard case, where an eigenvalue's rounding is divided by its distance to
+# an eigenvalue of K); and from one of a cluster of roots, which rounding
+# moves by up to eps^(1/3) for a triple root
 _CANDIDATE_BOUND = 1e-14
+_STATIONARY_BOUND = 1e-12
+_CLUSTER_BOUND = 1e-5
 
 
-def _assert_same_points(got, want):
-    """Two candidate lists are the same points of the circle of period pi/2,
-    each within _CANDIDATE_BOUND of one of the other's."""
-    assert all(min(_gap(x, y) for y in want) <= _CANDIDATE_BOUND for x in got)
-    assert all(min(_gap(x, y) for x in got) <= _CANDIDATE_BOUND for y in want)
+def _assert_covers(thetas, coefficients):
+    """A row's candidate list has node 0 first, and a candidate near the
+    crossing, where (a1, b1) != 0, and near each real stationary angle of
+    branch + of the profile with these coefficients."""
+    a1, b1 = coefficients[:2]
+    assert thetas[0] == 0.0
+    if a1 or b1:
+        crossing = math.atan2(b1, a1) / 2 + math.pi / 4
+        assert min(_gap(crossing, x) for x in thetas) <= _CANDIDATE_BOUND
+    for theta, separation in angles_oracle.stationary_angles(*coefficients):
+        bound = _STATIONARY_BOUND if separation > 1e-3 else _CLUSTER_BOUND
+        assert min(_gap(theta, x) for x in thetas) <= bound
 
 
 def _assert_classification_matches(got, want, channel, assignment):
@@ -169,42 +179,34 @@ _COEFFICIENT_BOUND = 1e-11
 
 
 def test_sparse_channels_match_np_roots_route():
-    """Sparse signed-integer channels reach rows with a2 = b2 = 0 and h != 0,
-    whose stationary angle the engine's scan places in closed form, not by
-    a companion matrix.  Every row's coefficients are the oracle's within
-    _COEFFICIENT_BOUND, and the candidates the engine places from them are
-    the ones np.roots places from the same coefficients, as points within
-    _CANDIDATE_BOUND.  The candidates are compared at the engine's own
-    coefficients, as the roots do not follow the coefficients' last bits
-    continuously: where a coefficient that is 0 in exact arithmetic rounds
-    to 0 on one side and to ~1e-16 on the other, a quartic with such a lead
-    places its small roots up to 2.8e-8 apart, and one near (1 + t^2) times
-    the harmonic's adds roots near t = +-i at any angle (0.16 rad from every
-    candidate of the other side on one of these rows, under OpenBLAS's
-    Nehalem kernel).  The bound is for simple roots: a double root, as of
-    q = t (t - 1)^2 (t + 2) on another seeded sparse channel, splits by
-    ~sqrt(eps) in both companion forms, 6.2e-9 apart."""
-    harmonic = []
-    root_angles = angles._root_angles
-
-    def spy(rows):
-        harmonic.extend(a2 == b2 == 0 and (a1 or b1) != 0 for a1, b1, a2, b2 in rows)
-        return root_angles(rows)
-
+    """Sparse signed-integer channels reach rows with a2 = b2 = 0 and
+    (a1, b1) != 0, where K = 0 and the eigenproblem alone places b's own
+    direction.  Their scans match the oracle's, whose candidates come from
+    np.roots, at every tol.  Every row's coefficients are the oracle's
+    within _COEFFICIENT_BOUND, and the candidates the engine places from
+    them cover node 0, the crossing and the stationary angles of the same
+    coefficients (_assert_covers).  The candidates are checked at the
+    engine's own coefficients, as they do not follow the coefficients'
+    last bits continuously: where a coefficient that is 0 in exact
+    arithmetic rounds to ~1e-16 on one side, that side's profile may have
+    stationary angles the other's lacks.  The candidates are measured
+    against mpmath's roots, not np.roots': on rows of these channels whose
+    quartic in t has a lead near 0, np.roots places stationary angles up
+    to 1.3e-8 from mpmath's."""
+    harmonic = False
     rng = np.random.default_rng(1401)
     for _ in range(20):
         channel = sparse_channel(rng)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(angles, "_root_angles", spy)
-            for tol in TOLERANCES:
-                _assert_scan_matches(channel, tol)
+        for tol in TOLERANCES:
+            _assert_scan_matches(channel, tol)
         arranged = channel.amplitudes[angles._GATHER]
         coeffs = angles._coefficients(arranged)[1]
         for row, got, found in zip(arranged, coeffs.tolist(), angles._candidate_sets(coeffs)):
             want = angles_oracle._coefficients(row)
             assert all(abs(x - y) <= _COEFFICIENT_BOUND for x, y in zip(got, want))
-            _assert_same_points(found, angles_oracle.candidates_of(*got).tolist())
-    assert any(harmonic)
+            _assert_covers(found, got)
+            harmonic |= got[2] == got[3] == 0 and (got[0] or got[1]) != 0
+    assert harmonic
 
 
 @given(
@@ -213,19 +215,27 @@ def test_sparse_channels_match_np_roots_route():
     st.sampled_from((1e-10, 1e-3, 0.5)),
 )
 @settings(max_examples=30, deadline=None)
-def test_t_route_matches_z_route(seed, source, tol):
-    """Stationary angles from the real quartic in t = tan theta give the
-    verdicts of the complex quartic in z = exp(2i theta): equal kinds and
-    root counts, and roots, minima and the criterion's defect at both
-    argmins within 1e-12."""
+def test_eigenproblem_route_matches_z_route(seed, source, tol):
+    """Candidates from the constrained-quadratic eigenproblem give the
+    verdicts of the rule they replaced, computed through the complex
+    quartic in z = exp(2i theta): the crossing, arg(z)/2 of np.roots' roots
+    and the nodes k pi/8.  Equal kinds and root counts, and roots, minima
+    and the criterion's defect at both argmins within 1e-12."""
     rng = np.random.default_rng(seed)
     channel = _channel(source, rng)
     arranged = channel.amplitudes[angles._GATHER]
-    t_route = angles._classify(arranged, tol)
+    eigen_route = angles._classify(arranged, tol)
+
+    def z_route(coeffs):
+        return [
+            angles_oracle.candidates_of(*row, angles_oracle.z_root_angles).tolist()
+            for row in coeffs.tolist()
+        ]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(angles, "_root_angles", angles_oracle.z_root_angles)
-        z_route = angles._classify(arranged, tol)
-    for assignment, got, want in zip(angles._CLASSES, t_route, z_route, strict=True):
+        patch.setattr(angles, "_candidate_sets", z_route)
+        z_classes = angles._classify(arranged, tol)
+    for assignment, got, want in zip(angles._CLASSES, eigen_route, z_classes, strict=True):
         assert got.kind == want.kind
         assert (got.roots is None) == (want.roots is None)
         if want.roots is not None:
@@ -285,7 +295,8 @@ def test_batched_defects_are_criterion_arithmetic(source, monkeypatch):
     max defect there, to the bit, for both assignments of its role class:
     with an infinite band every candidate is re-checked.  With the engine's
     band, every value is within _GRAM_BOUND of them.  Every row's candidate
-    list is the oracle's, as points within _CANDIDATE_BOUND."""
+    list covers node 0, the crossing and the stationary angles of the
+    oracle's coefficients for that row (_assert_covers)."""
     rng = np.random.default_rng(17)
     channel = named_state(source) if source in CATALOG else _channel(source, rng)
     arranged = channel.amplitudes[angles._GATHER]
@@ -293,7 +304,7 @@ def test_batched_defects_are_criterion_arithmetic(source, monkeypatch):
     thetas = angles._candidate_sets(coeffs)
     for oriented, row in zip(angles._CLASSES, thetas, strict=True):
         grid = permute_qubits(channel, relabeling(oriented)).amplitudes.reshape([2] * 5)
-        _assert_same_points(row, angles_oracle._candidate_angles(grid).tolist())
+        _assert_covers(row, angles_oracle._coefficients(grid))
     starts = list(accumulate(map(len, thetas), initial=0))
 
     def criterion_values(assignment, k):

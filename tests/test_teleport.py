@@ -672,6 +672,21 @@ def test_unitarity_defect_is_the_norm_of_the_gap_at_every_scale(seed, scale):
     assert math.isclose(got, want, rel_tol=_NORM_BOUND)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [1e200 * np.eye(4), 1e160 * np.ones((4, 4)), np.full((4, 4), 1e155 + 0j)],
+    ids=["eye-1e200", "ones-1e160", "complex-1e155"],
+)
+def test_unitarity_defect_of_an_overflowing_product_is_inf(matrix):
+    """A finite matrix whose M^H M overflows has the defect inf, where the
+    complex product's inf - inf would read NaN; a NaN entry still reads NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert unitarity_defect(matrix) == math.inf
+        nan = matrix.astype(np.complex128)
+        nan[0, 0] = math.nan
+        assert math.isnan(unitarity_defect(nan))
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_simulate_records_are_single_outcome_arithmetic(seed):
